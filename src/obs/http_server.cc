@@ -318,6 +318,11 @@ void HttpServer::AcceptNew(int64_t now_ms) {
                                    "connection limit reached", "",
                                    "Retry-After: 1\r\n");
       (void)::send(fd, resp.data(), resp.size(), MSG_NOSIGNAL);
+      // Consume the request if it has arrived: closing with unread bytes
+      // sends a RST, which can destroy the 503 before the client reads it.
+      char sink[1024];
+      while (::recv(fd, sink, sizeof(sink), MSG_DONTWAIT) > 0) {
+      }
       ::close(fd);
       continue;
     }

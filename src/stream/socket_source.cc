@@ -30,9 +30,11 @@ bool SetNonBlocking(int fd) {
 }  // namespace
 
 SocketSource::SocketSource(SocketSourceConfig config)
-    : config_(std::move(config)), jitter_(config_.backoff_seed) {
-  dgram_buf_.resize(kFrameHeaderSize + kMaxFramePayload);
-}
+    : config_(std::move(config)),
+      rx_(kReceiveBufferBytes),
+      frames_(1 + (kReceiveBufferBytes - kWireRecordSize) /
+                      (kFrameHeaderSize + kWireRecordSize)),
+      jitter_(config_.backoff_seed) {}
 
 SocketSource::~SocketSource() {
   if (fd_ >= 0) ::close(fd_);
@@ -50,8 +52,7 @@ Status SocketSource::Open() {
     ::close(fd_);
     fd_ = -1;
   }
-  rdbuf_.clear();
-  rdpos_ = 0;
+  end_ = parse_;  // a torn frame from the previous connection
   fin_seen_ = false;
   attempts_ = 0;
   last_rx_ms_ = NowMs();
@@ -103,8 +104,7 @@ Status SocketSource::Open() {
 }
 
 Status SocketSource::SeekTo(uint64_t offset) {
-  pending_.clear();
-  pending_pos_ = 0;
+  head_ = tail_ = 0;
   next_seq_ = offset;
   producer_head_ = std::max(producer_head_, offset);
   fin_seen_ = false;
@@ -149,8 +149,7 @@ void SocketSource::BeginReconnect(const char* why) {
     ::close(fd_);
     fd_ = -1;
   }
-  rdbuf_.clear();
-  rdpos_ = 0;
+  end_ = parse_;  // accepted frames stay; a torn tail goes with the socket
   if (state_ == State::kEnded) return;
   stats_.reconnects++;
   if (++attempts_ > config_.max_reconnect_attempts) {
@@ -163,18 +162,35 @@ void SocketSource::BeginReconnect(const char* why) {
 
 size_t SocketSource::TakePending(PacketRecord* buf, size_t max) {
   size_t n = 0;
-  while (n < max && pending_pos_ < pending_.size()) {
-    buf[n++] = pending_[pending_pos_++].second;
-  }
-  if (pending_pos_ >= pending_.size()) {
-    pending_.clear();
-    pending_pos_ = 0;
-  } else if (pending_pos_ >= 8192) {
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<long>(pending_pos_));
-    pending_pos_ = 0;
+  while (n < max && head_ < tail_) {
+    PendingFrame& f = frames_[head_];
+    const size_t take = std::min<size_t>(f.left, max - n);
+    const uint8_t* wire = rx_.data() + f.offset;
+    for (size_t i = 0; i < take; ++i) {
+      DecodeWireRecord(wire + i * kWireRecordSize, buf + n + i);
+    }
+    n += take;
+    f.seq += take;
+    f.offset += static_cast<uint32_t>(take * kWireRecordSize);
+    f.left -= static_cast<uint32_t>(take);
+    if (f.left == 0) ++head_;
   }
   return n;
+}
+
+void SocketSource::CompactReceiveBuffer() {
+  const size_t live = head_ < tail_ ? frames_[head_].offset : parse_;
+  if (live > 0) {
+    std::memmove(rx_.data(), rx_.data() + live, end_ - live);
+    parse_ -= live;
+    end_ -= live;
+  }
+  for (size_t i = head_; i < tail_; ++i) {
+    frames_[i - head_] = frames_[i];
+    frames_[i - head_].offset -= static_cast<uint32_t>(live);
+  }
+  tail_ -= head_;
+  head_ = 0;
 }
 
 void SocketSource::ProcessData(const FrameHeader& h, const uint8_t* payload) {
@@ -196,11 +212,11 @@ void SocketSource::ProcessData(const FrameHeader& h, const uint8_t* payload) {
     stats_.gap_records += start - next_seq_;
     next_seq_ = start;
   }
-  for (uint64_t i = skip; i < count; ++i) {
-    PacketRecord rec;
-    DecodeWireRecord(payload + i * kWireRecordSize, &rec);
-    pending_.emplace_back(start + i, rec);
-  }
+  // Keep the fresh records in place; Read() decodes them from rx_.
+  frames_[tail_++] = {
+      next_seq_,
+      static_cast<uint32_t>(payload - rx_.data() + skip * kWireRecordSize),
+      static_cast<uint32_t>(count - skip)};
   next_seq_ += count - skip;
   stats_.records += count - skip;
   producer_head_ = std::max(producer_head_, next_seq_);
@@ -253,7 +269,7 @@ void SocketSource::HandleFrame(const FrameHeader& h, const uint8_t* payload) {
 
 void SocketSource::MaybeFinish() {
   if (state_ == State::kEnded || !fin_seen_) return;
-  if (pending_pos_ < pending_.size()) return;  // drain the tail first
+  if (head_ < tail_) return;  // drain the tail first
   if (next_seq_ < fin_head_) {
     // Records between our frontier and the producer's final head never
     // arrived (datagrams lost at the very end).
@@ -281,25 +297,22 @@ void SocketSource::SendHelloUdp() {
 
 bool SocketSource::ParseStreamBuffer() {
   while (state_ != State::kEnded) {
-    const size_t avail = rdbuf_.size() - rdpos_;
+    const size_t avail = end_ - parse_;
     if (avail < kFrameHeaderSize) break;
+    const uint8_t* frame = rx_.data() + parse_;
     FrameHeader h;
-    if (!DecodeFrameHeader(rdbuf_.data() + rdpos_, kFrameHeaderSize, &h)) {
+    if (!DecodeFrameHeader(frame, kFrameHeaderSize, &h)) {
       stats_.malformed_frames++;
       return false;  // desync: TCP recovers at connection granularity
     }
     if (avail < kFrameHeaderSize + h.payload_len) break;  // partial frame
-    const uint8_t* payload = rdbuf_.data() + rdpos_ + kFrameHeaderSize;
+    const uint8_t* payload = frame + kFrameHeaderSize;
     if (!VerifyFramePayload(h, payload)) {
       stats_.malformed_frames++;
       return false;
     }
-    rdpos_ += kFrameHeaderSize + h.payload_len;
+    parse_ += kFrameHeaderSize + h.payload_len;
     HandleFrame(h, payload);
-  }
-  if (rdpos_ > 0) {
-    rdbuf_.erase(rdbuf_.begin(), rdbuf_.begin() + static_cast<long>(rdpos_));
-    rdpos_ = 0;
   }
   return true;
 }
@@ -351,8 +364,7 @@ bool SocketSource::TryConnectTcp(int timeout_ms) {
       return false;
     }
   }
-  rdbuf_.clear();
-  rdpos_ = 0;
+  end_ = parse_;
   state_ = State::kAwaitAck;
   hello_sent_ms_ = NowMs();
   last_rx_ms_ = NowMs();
@@ -383,19 +395,24 @@ void SocketSource::PumpUdp(int timeout_ms) {
 
   pollfd p{fd_, POLLIN, 0};
   if (::poll(&p, 1, timeout_ms) <= 0 || !(p.revents & POLLIN)) return;
-  for (;;) {
+  CompactReceiveBuffer();
+  // Each datagram lands at end_ and stays there only if it is accepted as
+  // DATA. Without room for a maximum-size one, the rest waits in the
+  // kernel, whose overflow surfaces as a booked gap.
+  constexpr size_t kMaxDatagram = kFrameHeaderSize + kMaxFramePayload;
+  while (rx_.size() - end_ >= kMaxDatagram) {
+    uint8_t* dgram = rx_.data() + end_;
     sockaddr_in from;
     socklen_t flen = sizeof(from);
-    const ssize_t m =
-        ::recvfrom(fd_, dgram_buf_.data(), dgram_buf_.size(), MSG_DONTWAIT,
-                   reinterpret_cast<sockaddr*>(&from), &flen);
+    const ssize_t m = ::recvfrom(fd_, dgram, kMaxDatagram, MSG_DONTWAIT,
+                                 reinterpret_cast<sockaddr*>(&from), &flen);
     if (m <= 0) break;
     last_rx_ms_ = NowMs();
     FrameHeader h;
     if (static_cast<size_t>(m) < kFrameHeaderSize ||
-        !DecodeFrameHeader(dgram_buf_.data(), static_cast<size_t>(m), &h) ||
+        !DecodeFrameHeader(dgram, static_cast<size_t>(m), &h) ||
         static_cast<size_t>(m) != kFrameHeaderSize + h.payload_len ||
-        !VerifyFramePayload(h, dgram_buf_.data() + kFrameHeaderSize)) {
+        !VerifyFramePayload(h, dgram + kFrameHeaderSize)) {
       stats_.malformed_frames++;  // quarantined, never parsed further
       continue;
     }
@@ -408,7 +425,9 @@ void SocketSource::PumpUdp(int timeout_ms) {
       SendHelloUdp();
       state_ = State::kAwaitAck;
     }
-    HandleFrame(h, dgram_buf_.data() + kFrameHeaderSize);
+    const size_t queued = tail_;
+    HandleFrame(h, dgram + kFrameHeaderSize);
+    if (tail_ != queued) end_ = parse_ = end_ + static_cast<size_t>(m);
     if (state_ == State::kEnded) break;
   }
 }
@@ -436,13 +455,17 @@ void SocketSource::PumpTcp(int timeout_ms) {
   pollfd p{fd_, POLLIN, 0};
   if (::poll(&p, 1, timeout_ms) <= 0) return;
 
+  // Read straight into the buffer's free tail, and only while there is
+  // one: a full buffer leaves the rest in the kernel, whose flow control
+  // then holds the producer back.
+  CompactReceiveBuffer();
   bool saw_eof = false;
   bool io_error = false;
-  uint8_t tmp[16384];
-  for (;;) {
-    const ssize_t m = ::recv(fd_, tmp, sizeof(tmp), MSG_DONTWAIT);
+  while (end_ < rx_.size()) {
+    const ssize_t m =
+        ::recv(fd_, rx_.data() + end_, rx_.size() - end_, MSG_DONTWAIT);
     if (m > 0) {
-      rdbuf_.insert(rdbuf_.end(), tmp, tmp + m);
+      end_ += static_cast<size_t>(m);
       last_rx_ms_ = NowMs();
       continue;
     }
@@ -476,7 +499,7 @@ void SocketSource::PumpTcp(int timeout_ms) {
     } else {
       // Half-close or a crashed producer mid-stream: recover by
       // reconnecting and re-HELLOing at our durable offset. Any torn
-      // frame tail in rdbuf_ is discarded with the connection.
+      // frame tail is discarded with the connection.
       BeginReconnect("peer closed mid-stream");
     }
   }

@@ -25,8 +25,15 @@
 // delivery is at-most-once with loss always accounted, never silent.
 // Frames that fail magic/CRC/framing checks are quarantined into
 // malformed_frames. The durable offset reported for checkpoints covers
-// only records already handed to the caller — frames buffered internally
-// are re-requested by the post-restart HELLO.
+// only records already handed to the caller: accepted frames still
+// waiting in the receive buffer are re-requested by a post-restart HELLO.
+//
+// Receive buffer. One fixed buffer of kReceiveBufferBytes is both the
+// socket's read target and the pending queue: accepted DATA frames stay in
+// place and Read() decodes them straight into the caller's array. A full
+// buffer stops reading, so TCP flow control holds the producer back and
+// UDP overflow surfaces as booked gaps. A reconnect keeps accepted frames
+// and drops only the unparsed tail.
 
 #ifndef STREAMOP_STREAM_SOCKET_SOURCE_H_
 #define STREAMOP_STREAM_SOCKET_SOURCE_H_
@@ -35,7 +42,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -71,6 +77,11 @@ struct SocketSourceConfig {
 
 class SocketSource : public ResumableSource {
  public:
+  /// Receive buffer size: four maximum-size frames. The buffer never
+  /// holds more than kReceiveBufferBytes / kWireRecordSize records.
+  static constexpr size_t kReceiveBufferBytes =
+      4 * (kFrameHeaderSize + kMaxFramePayload);
+
   explicit SocketSource(SocketSourceConfig config);
   ~SocketSource() override;
 
@@ -84,13 +95,12 @@ class SocketSource : public ResumableSource {
   std::string describe() const override;
   Status Open() override;
   ReadResult Read(PacketRecord* buf, size_t max, size_t* n_out) override;
-  /// The next record seq the caller hasn't seen: the head of the pending
-  /// buffer, or the receive frontier once it's drained. Using the pending
+  /// The next record seq the caller hasn't seen: the head pending frame's
+  /// next seq, or the receive frontier once nothing is pending. Using the
   /// head's own seq (not frontier minus count) keeps the offset honest
-  /// when a gap has been booked past records still waiting in pending.
+  /// when a gap has been booked past records still waiting in the buffer.
   uint64_t durable_offset() const override {
-    return pending_pos_ < pending_.size() ? pending_[pending_pos_].first
-                                          : next_seq_;
+    return head_ < tail_ ? frames_[head_].seq : next_seq_;
   }
   Status SeekTo(uint64_t offset) override;
   uint64_t offset_lag() const override {
@@ -129,8 +139,11 @@ class SocketSource : public ResumableSource {
   void SendHelloUdp();
   void HandleFrame(const FrameHeader& h, const uint8_t* payload);
   void ProcessData(const FrameHeader& h, const uint8_t* payload);
-  // Parses complete frames out of rdbuf_; false = stream desync, reconnect.
+  // Parses complete frames in [parse_, end_); false = desync, reconnect.
   bool ParseStreamBuffer();
+  // Moves the live bytes (head pending frame, or the unparsed tail when
+  // nothing is pending) to the front of the buffer.
+  void CompactReceiveBuffer();
   void MaybeFinish();
   void Fail(const std::string& why);
   size_t TakePending(PacketRecord* buf, size_t max);
@@ -148,15 +161,26 @@ class SocketSource : public ResumableSource {
   bool fin_seen_ = false;
   uint64_t fin_head_ = 0;
 
-  // (seq, record) received but not yet handed to the caller (a frame can
-  // carry more than one Read() asked for). Seqs are non-decreasing but may
-  // jump across booked gaps.
-  std::vector<std::pair<uint64_t, PacketRecord>> pending_;
-  size_t pending_pos_ = 0;
+  // An accepted DATA frame whose records the caller hasn't all seen yet:
+  // the next record's seq and its offset in rx_. Seqs are non-decreasing
+  // across frames but may jump across booked gaps.
+  struct PendingFrame {
+    uint64_t seq;
+    uint32_t offset;
+    uint32_t left;
+  };
 
-  std::vector<uint8_t> rdbuf_;  // TCP: unparsed stream bytes
-  size_t rdpos_ = 0;
-  std::vector<uint8_t> dgram_buf_;  // UDP: one-datagram scratch
+  // rx_[0, parse_) holds parsed frames (pending ones and dead ones behind
+  // them), rx_[parse_, end_) unparsed TCP bytes; UDP keeps parse_ == end_.
+  std::vector<uint8_t> rx_;
+  size_t parse_ = 0;
+  size_t end_ = 0;
+  // Pending frames are frames_[head_, tail_), in arrival order. Sized so it
+  // cannot fill: every pending frame owns at least one record of rx_, and
+  // all but the head also a header.
+  std::vector<PendingFrame> frames_;
+  size_t head_ = 0;
+  size_t tail_ = 0;
 
   int attempts_ = 0;          // consecutive failures in the current outage
   int64_t next_attempt_ms_ = 0;

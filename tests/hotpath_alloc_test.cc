@@ -11,10 +11,12 @@
 #include <filesystem>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/sampling_operator.h"
 #include "net/packet.h"
+#include "net/trace_sender.h"
 #include "obs/alerts.h"
 #include "obs/exemplar.h"
 #include "obs/flight_recorder.h"
@@ -24,6 +26,7 @@
 #include "obs/span.h"
 #include "obs/trace_ring.h"
 #include "query/query.h"
+#include "stream/socket_source.h"
 #include "tuple/tuple.h"
 #include "tuple/tuple_batch.h"
 #include "tuple/value.h"
@@ -347,6 +350,57 @@ TEST(HotPathAllocTest, TimeseriesAlertsAndFlightGateStayAllocationFree) {
   EXPECT_EQ(flight.spills(), 1u);  // the gate never spilled mid-burst
   EXPECT_GE(ts.scrapes(), 8u);
   fs::remove_all(dir);
+}
+
+// Socket ingest carries the guarantee too: the receive buffer and the
+// pending-frame queue are allocated once, at construction, and records are
+// decoded from the buffer straight into the caller's array. So once a
+// loopback TCP source has connected and cycled its buffer, a Read loop
+// allocates nothing (the sender thread's streaming loop included).
+TEST(HotPathAllocTest, TcpSocketSourceSteadyStateReadAllocatesNothing) {
+  TraceSenderConfig scfg;
+  scfg.records.resize(400000);
+  for (size_t i = 0; i < scfg.records.size(); ++i) {
+    scfg.records[i].ts_ns = i;
+    scfg.records[i].len = static_cast<uint16_t>(40 + i % 1460);
+  }
+  scfg.records_per_frame = 512;
+  scfg.handshake_timeout_ms = 20000;
+  TraceSender sender(std::move(scfg));
+  ASSERT_TRUE(sender.BindTcp(0).ok());
+  std::thread producer([&sender] { sender.ServeTcp(); });
+
+  SocketSourceConfig cfg;
+  cfg.mode = SocketSourceConfig::Mode::kTcp;
+  cfg.port = sender.tcp_port();
+  SocketSource src(cfg);
+  ASSERT_TRUE(src.Open().ok());
+  std::vector<PacketRecord> buf(512);
+  auto read_records = [&](size_t want) {
+    size_t got = 0;
+    while (got < want) {
+      size_t n = 0;
+      if (src.Read(buf.data(), buf.size(), &n) ==
+          ResumableSource::ReadResult::kEnd) {
+        break;
+      }
+      got += n;
+    }
+    return got;
+  };
+  // Warm-up: connect, handshake, and several buffer refills.
+  const size_t warm = read_records(50000);
+
+  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const size_t measured = read_records(200000);
+  uint64_t after = g_allocations.load(std::memory_order_relaxed);
+
+  sender.RequestStop();
+  producer.join();
+  EXPECT_GE(warm, 50000u);
+  EXPECT_GE(measured, 200000u);
+  EXPECT_EQ(src.stats().reconnects, 0u);
+  EXPECT_EQ(after - before, 0u);
 }
 
 // The counting allocator itself must work, or the zero-deltas above would

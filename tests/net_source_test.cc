@@ -83,6 +83,19 @@ std::vector<PacketRecord> DrainAll(ResumableSource& src,
   return all;
 }
 
+// `n` distinct records (record i has ts_ns == i), cheaper than a generated
+// feed at the sizes the bounded-staging tests need.
+std::vector<PacketRecord> CountingRecords(size_t n) {
+  std::vector<PacketRecord> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    out[i].ts_ns = i;
+    out[i].src_ip = static_cast<uint32_t>(0x0a000000u + i % 4096);
+    out[i].len = static_cast<uint16_t>(40 + i % 1460);
+    out[i].proto = kProtoTcp;
+  }
+  return out;
+}
+
 std::vector<std::string> RowsAsStrings(const std::vector<Tuple>& rows) {
   std::vector<std::string> out;
   out.reserve(rows.size());
@@ -384,6 +397,49 @@ TEST(UdpSourceTest, CorruptFramesAreQuarantined) {
   EXPECT_TRUE(IsSubsequence(got, trace.packets()));
 }
 
+TEST(UdpSourceTest, SlowReaderBooksOverflowAsGaps) {
+  // The reader stalls right after the handshake while an unthrottled
+  // producer sends everything, then keeps reading slowly. The kernel drops
+  // what overflows the socket, and every lost record must surface as a
+  // booked gap, never as silent loss.
+  TraceSenderConfig scfg;
+  scfg.records = CountingRecords(100000);
+  scfg.handshake_timeout_ms = 20000;
+  scfg.linger_ms = 20000;  // answer re-HELLOs when the FIN itself is lost
+
+  SocketSourceConfig cfg = FastBackoff({});
+  cfg.mode = SocketSourceConfig::Mode::kUdp;
+  SocketSource src(cfg);
+  ASSERT_TRUE(src.Open().ok());
+  SenderRun run(scfg);
+  run.StartUdp(src.bound_port());
+
+  std::vector<PacketRecord> buf(256);
+  std::vector<PacketRecord> got;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  bool stalled = false;
+  for (;;) {
+    size_t n = 0;
+    const auto r = src.Read(buf.data(), buf.size(), &n);
+    got.insert(got.end(), buf.begin(), buf.begin() + n);
+    if (r == ResumableSource::ReadResult::kEnd) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "source did not end";
+    if (n > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(stalled ? 1 : 300));
+      stalled = true;
+    }
+  }
+  const SourceIngestStats& st = src.stats();
+  EXPECT_TRUE(src.last_status().ok()) << src.last_status().ToString();
+  EXPECT_GT(st.gap_records, 0u) << "the stall must overflow the socket";
+  EXPECT_EQ(st.records + st.gap_records, scfg.records.size());
+  EXPECT_EQ(got.size(), st.records);
+  EXPECT_TRUE(IsSubsequence(got, scfg.records));
+  EXPECT_EQ(src.durable_offset(), scfg.records.size());
+}
+
 TEST(TcpSourceTest, DeliversEverythingInOrder) {
   Trace trace = TraceGenerator::MakeResearchFeed(2.0, 31);
   TraceSenderConfig scfg = SenderConfigFor(trace);
@@ -404,6 +460,53 @@ TEST(TcpSourceTest, DeliversEverythingInOrder) {
   }
   EXPECT_TRUE(src.last_status().ok());
   EXPECT_EQ(src.stats().gaps, 0u);
+}
+
+TEST(TcpSourceTest, SlowReaderStagingStaysWithinTheReceiveBuffer) {
+  // An unthrottled producer against a reader that sleeps between reads.
+  // The source reads only into its fixed receive buffer, so TCP flow
+  // control holds the producer back: what waits in user space never
+  // exceeds the buffer's record capacity, and delivery stays lossless.
+  TraceSenderConfig scfg;
+  scfg.records = CountingRecords(200000);
+  scfg.records_per_frame = 512;
+  scfg.handshake_timeout_ms = 20000;
+  SenderRun run(scfg);
+  ASSERT_TRUE(run.sender.BindTcp(0).ok());
+  run.StartTcpBound();
+
+  SocketSourceConfig cfg = FastBackoff({});
+  cfg.mode = SocketSourceConfig::Mode::kTcp;
+  cfg.port = run.sender.tcp_port();
+  SocketSource src(cfg);
+  ASSERT_TRUE(src.Open().ok());
+
+  constexpr uint64_t kCapacity =
+      SocketSource::kReceiveBufferBytes / kWireRecordSize;
+  std::vector<PacketRecord> buf(256);
+  size_t delivered = 0;
+  uint64_t max_lag = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (;;) {
+    size_t n = 0;
+    const auto r = src.Read(buf.data(), buf.size(), &n);
+    ASSERT_LE(delivered + n, scfg.records.size());
+    for (size_t i = 0; i < n; ++i, ++delivered) {
+      ASSERT_TRUE(SameRecord(buf[i], scfg.records[delivered]))
+          << "record " << delivered;
+    }
+    max_lag = std::max(max_lag, src.offset_lag());
+    if (r == ResumableSource::ReadResult::kEnd) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "source did not end";
+    if (n > 0) std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_TRUE(src.last_status().ok()) << src.last_status().ToString();
+  EXPECT_EQ(delivered, scfg.records.size());
+  EXPECT_EQ(src.stats().gaps, 0u);
+  EXPECT_GT(max_lag, 0u);
+  EXPECT_LE(max_lag, kCapacity);
 }
 
 TEST(TcpSourceTest, ReconnectAfterKillsResumesLossless) {
@@ -527,15 +630,17 @@ TEST(TcpSourceTest, ReplayWindowLimitForcesABookedGap) {
     SocketSource first(cfg);
     ASSERT_TRUE(first.Open().ok());
     std::vector<PacketRecord> buf(256);
-    size_t n = 0;
-    // Consume at least one batch so the producer's high water advances.
-    for (int i = 0; i < 1000 && n == 0; ++i) {
-      if (first.Read(buf.data(), buf.size(), &n) ==
-          ResumableSource::ReadResult::kEnd) {
-        break;
-      }
+    // Take more than a replay window, so the producer has necessarily sent
+    // past it and its resume floor is above 0.
+    size_t taken = 0;
+    for (int i = 0; i < 1000 && taken <= scfg.replay_window; ++i) {
+      size_t n = 0;
+      const auto r = first.Read(buf.data(), buf.size(), &n);
+      taken += n;
+      if (r == ResumableSource::ReadResult::kEnd) break;
     }
-    ASSERT_GT(n, 0u) << "first consumer never received a batch";
+    ASSERT_GT(taken, scfg.replay_window)
+        << "first consumer never received a replay window";
   }  // first consumer vanishes mid-stream
 
   SocketSource second(cfg);
@@ -561,6 +666,9 @@ TEST(FaultWrapperTest, InjectedDisconnectsStillDeliverEverything) {
   Trace trace = TraceGenerator::MakeResearchFeed(2.0, 36);
   TraceSenderConfig scfg = SenderConfigFor(trace);
   scfg.records_per_frame = 64;
+  // Keep serving resumes after FIN, as a real producer does: a disconnect
+  // injected before the consumer has read the FIN must find it still there.
+  scfg.linger_ms = 20000;
   SenderRun run(scfg);
   ASSERT_TRUE(run.sender.BindTcp(0).ok());
   run.StartTcpBound();
