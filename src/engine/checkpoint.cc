@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,6 +11,7 @@
 #include <cstring>
 #include <thread>
 
+#include "common/file_util.h"
 #include "obs/metrics.h"
 
 namespace streamop {
@@ -45,26 +45,6 @@ bool ReadFileBytes(const std::string& path, std::string* out) {
     out->append(buf, static_cast<size_t>(n));
   }
   ::close(fd);
-  return true;
-}
-
-// mkdir -p: creates each missing component. Returns false when a
-// component cannot be created (permissions, file in the way) — the write
-// then fails through the normal bounded-retry/degraded path.
-bool EnsureDir(const std::string& dir) {
-  size_t i = 0;
-  while (i <= dir.size()) {
-    size_t j = dir.find('/', i);
-    if (j == std::string::npos) j = dir.size();
-    const std::string partial = dir.substr(0, j);
-    if (!partial.empty() && partial != "/" && partial != "." &&
-        partial != "..") {
-      if (::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST) {
-        return false;
-      }
-    }
-    i = j + 1;
-  }
   return true;
 }
 

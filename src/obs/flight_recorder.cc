@@ -3,8 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
@@ -13,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/file_util.h"
 #include "common/serde.h"
 
 namespace streamop {
@@ -119,22 +118,6 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options)
   if (options_.spill_every_n_ticks == 0) options_.spill_every_n_ticks = 4;
   if (options_.last_k_intervals == 0) options_.last_k_intervals = 48;
   if (options_.span_ring == nullptr) options_.span_ring = &SpanRing::Default();
-  // mkdir -p up front (checkpoint.cc idiom): a fresh --flight-dir must
-  // work without the operator pre-creating it. A failure is left for
-  // Spill() to surface as a spill_failure.
-  if (!options_.dir.empty()) {
-    size_t i = 0;
-    while (i <= options_.dir.size()) {
-      size_t j = options_.dir.find('/', i);
-      if (j == std::string::npos) j = options_.dir.size();
-      const std::string partial = options_.dir.substr(0, j);
-      if (!partial.empty() && partial != "/" && partial != "." &&
-          partial != "..") {
-        if (::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST) break;
-      }
-      i = j + 1;
-    }
-  }
 }
 
 std::string FlightRecorder::segment_path() const {
@@ -245,7 +228,14 @@ Status FlightRecorder::Spill(const TimeSeries& ts, const AlertEngine* alerts) {
   std::memcpy(&framed[28], &header_crc, 4);
   framed += payload;
 
-  Status st = WriteFileAtomic(options_.dir, "flight.seg", framed);
+  // mkdir -p on every spill, as CheckpointManager::WriteOnce does: a
+  // fresh --flight-dir needs no pre-creating, and a recorder that never
+  // spills never touches the disk.
+  Status st = EnsureDir(options_.dir)
+                  ? WriteFileAtomic(options_.dir, "flight.seg", framed)
+                  : Status::Internal("flight recorder: mkdir " +
+                                     options_.dir + ": " +
+                                     std::strerror(errno));
   if (!st.ok()) {
     spill_failures_.fetch_add(1, std::memory_order_relaxed);
     return st;

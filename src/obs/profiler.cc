@@ -71,7 +71,6 @@ Profiler::Profiler(Options options) : options_(options) {
   if (options_.hz < 1) options_.hz = 1;
   if (options_.hz > 1000) options_.hz = 1000;
   if (options_.capacity < 1) options_.capacity = 1;
-  slots_ = std::make_unique<Sample[]>(options_.capacity);
 }
 
 Profiler::~Profiler() { Stop(); }
@@ -86,6 +85,13 @@ Status Profiler::Start() {
                                                  std::memory_order_acq_rel)) {
     return Status::AlreadyExists(
         "another profiler instance is already active");
+  }
+  // Winning the CAS makes this the only thread in Start(); the ring is
+  // published before the handler is installed, so the handler never
+  // allocates.
+  if (ring_.load(std::memory_order_relaxed) == nullptr) {
+    slots_ = std::make_unique<Sample[]>(options_.capacity);
+    ring_.store(slots_.get(), std::memory_order_release);
   }
   // Force the one-time lazy initialization inside glibc's backtrace()
   // (dlopen of libgcc, unwinder setup — it allocates) here, outside the
@@ -132,8 +138,10 @@ void Profiler::Stop() {
 
 void Profiler::TakeSample() {
 #ifndef STREAMOP_NO_STATS
+  Sample* ring = ring_.load(std::memory_order_acquire);
+  if (ring == nullptr) return;  // never started
   const uint64_t s = seq_.fetch_add(1, std::memory_order_relaxed);
-  Sample& slot = slots_[s % options_.capacity];
+  Sample& slot = ring[s % options_.capacity];
   void* frames[kMaxFrames];
   int depth = ::backtrace(frames, kMaxFrames);
   if (depth < 0) depth = 0;
@@ -151,6 +159,8 @@ std::string Profiler::Folded(uint64_t seconds) const {
 #ifdef STREAMOP_NO_STATS
   (void)seconds;
 #else
+  const Sample* ring = ring_.load(std::memory_order_acquire);
+  if (ring == nullptr) return out;  // never started
   const uint64_t now = NowNanos();
   const uint64_t since =
       seconds == 0 ? 0
@@ -166,7 +176,7 @@ std::string Profiler::Folded(uint64_t seconds) const {
   std::map<std::vector<void*>, uint64_t> stacks;
   std::vector<void*> key;
   for (size_t i = 0; i < n; ++i) {
-    const Sample& s = slots_[i];
+    const Sample& s = ring[i];
     const int depth = s.depth.load(std::memory_order_relaxed);
     if (depth <= 0) continue;  // torn with a concurrent handler write
     if (s.ts_ns.load(std::memory_order_relaxed) < since) continue;

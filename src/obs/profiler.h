@@ -4,10 +4,13 @@
 //  * Stack sampler: setitimer(ITIMER_PROF) delivers SIGPROF every 1/hz
 //    seconds of consumed CPU time; the handler claims a fixed slot with one
 //    relaxed fetch_add and captures a raw backtrace into it — no allocation,
-//    no locks, oldest samples overwritten. Symbolization (dladdr) happens
-//    only at export time, off the signal path. Folded(seconds) renders the
-//    samples of the last N seconds as flamegraph.pl-compatible folded-stack
-//    text ("frame;frame;frame count"), served at GET /profile?seconds=N.
+//    no locks, oldest samples overwritten. The ring itself is allocated by
+//    Start(), before the timer is armed: an unstarted profiler (the
+//    Default() every operator points at) holds none. Symbolization
+//    (dladdr) happens only at export time, off the signal path.
+//    Folded(seconds) renders the samples of the last N seconds as
+//    flamegraph.pl-compatible folded-stack text ("frame;frame;frame
+//    count"), served at GET /profile?seconds=N.
 //  * Phase cycles: the operator reads the TSC around each hot-loop phase
 //    (batch select, admission, cleaning, flush, quality report) and
 //    accumulates the deltas in plain per-operator pending fields, flushed
@@ -89,9 +92,10 @@ class Profiler {
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  /// Installs the SIGPROF handler and starts the profiling timer.
-  /// Idempotent; fails (kFailedPrecondition) if another Profiler instance
-  /// is already active. No-op returning OK under STREAMOP_NO_STATS.
+  /// Allocates the sample ring (first call only), installs the SIGPROF
+  /// handler and starts the profiling timer. Idempotent; fails
+  /// (kFailedPrecondition) if another Profiler instance is already active.
+  /// No-op returning OK under STREAMOP_NO_STATS.
   Status Start();
 
   /// Stops the timer and uninstalls the handler. Idempotent.
@@ -160,7 +164,12 @@ class Profiler {
   std::atomic<bool> running_{false};
   std::atomic<bool> phase_accounting_{false};
   std::atomic<uint64_t> seq_{0};
+  // The sample ring: allocated by the first Start() and kept until
+  // destruction, so samples stay readable after Stop(). `slots_` owns it;
+  // the handler and exporters read it only through `ring_`, where null
+  // means never started (reads as empty).
   std::unique_ptr<Sample[]> slots_;
+  std::atomic<Sample*> ring_{nullptr};
   std::atomic<uint64_t> phase_cycles_[kNumPhases] = {};
 };
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <type_traits>
 
 #include "obs/alerts.h"
 #include "obs/flight_recorder.h"
@@ -58,9 +59,13 @@ TimeSeries::TimeSeries(TimeSeriesOptions options) : options_(options) {
   if (options_.capacity < 2) options_.capacity = 2;
   if (options_.max_points < 16) options_.max_points = 16;
   if (options_.max_bucket_deltas < 16) options_.max_bucket_deltas = 16;
+  static_assert(std::is_trivially_default_constructible_v<Point> &&
+                std::is_trivially_default_constructible_v<BucketDelta>);
   intervals_.resize(options_.capacity);
-  points_.resize(options_.capacity * options_.max_points);
-  buckets_.resize(options_.capacity * options_.max_bucket_deltas);
+  points_ = std::make_unique_for_overwrite<Point[]>(options_.capacity *
+                                                    options_.max_points);
+  buckets_ = std::make_unique_for_overwrite<BucketDelta[]>(
+      options_.capacity * options_.max_bucket_deltas);
   series_.reserve(options_.max_series);
 }
 

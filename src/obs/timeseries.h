@@ -14,11 +14,15 @@
 //  * Histograms contribute two counter-like scalar series (`name_count`,
 //    `name_sum`) plus sparse per-interval *bucket deltas*, so interval-
 //    accurate quantiles and rates are derivable for any retained window.
-//  * Every interval's points live in preallocated flat arrays (capacity ×
-//    max_points slots); when an interval is evicted its deltas fold into
-//    a per-series base value, so reconstruction stays exact across
-//    wraparound. Overflowing an interval's slice drops points and counts
-//    the drop — never allocates, never blocks the scrape.
+//  * Every interval's points live in flat slabs reserved at construction
+//    (capacity × max_points slots) but left uninitialised, so the kernel
+//    commits a page only when a scrape first writes into it — a scrape
+//    fills a few dozen slots of its slice, not all of them. Readers never
+//    look past an interval's npoints/nbuckets. When an interval is evicted
+//    its deltas fold into a per-series base value, so reconstruction
+//    stays exact across wraparound. Overflowing an interval's slice drops
+//    points and counts the drop — never allocates, never blocks the
+//    scrape.
 //
 // The scrape runs on its own thread (TimeSeriesSampler), never on the
 // per-tuple path. Under STREAMOP_NO_STATS the sampler's thread entry
@@ -147,14 +151,18 @@ class TimeSeries {
     uint32_t count_series = 0;  // index of the `name_count` scalar series
     std::unique_ptr<uint64_t[]> last_buckets;  // [Histogram::kNumBuckets]
   };
+  // Slab entries: trivially default-constructible on purpose, so the
+  // slabs allocate without zero-filling (every write sets all fields; a
+  // default member initialiser would bring the zero-fill back, which the
+  // constructor's static_assert rejects).
   struct Point {
-    uint32_t series = 0;
-    double value = 0.0;  // delta (counter) or value (gauge)
+    uint32_t series;
+    double value;  // delta (counter) or value (gauge)
   };
   struct BucketDelta {
-    uint32_t hist = 0;
-    uint32_t bucket = 0;
-    uint64_t delta = 0;
+    uint32_t hist;
+    uint32_t bucket;
+    uint64_t delta;
   };
   struct Interval {
     uint64_t t_ns = 0;
@@ -200,8 +208,10 @@ class TimeSeries {
   std::vector<HistSlot> hists_;
   std::vector<EntryMap> entry_map_;
   std::vector<Interval> intervals_;      // ring, capacity slots
-  std::vector<Point> points_;            // capacity × max_points
-  std::vector<BucketDelta> buckets_;     // capacity × max_bucket_deltas
+  // Uninitialised slabs; slot k's slice is valid up to its npoints /
+  // nbuckets.
+  std::unique_ptr<Point[]> points_;         // capacity × max_points
+  std::unique_ptr<BucketDelta[]> buckets_;  // capacity × max_bucket_deltas
   uint64_t seq_ = 0;                     // scrapes folded into the ring
   std::atomic<uint64_t> scrapes_{0};
   uint64_t dropped_points_ = 0;

@@ -1,5 +1,7 @@
 #include "query/selection_operator.h"
 
+#include <cstring>
+
 #include "common/hash.h"
 #include "expr/evaluator.h"
 
@@ -126,9 +128,35 @@ Status SelectionOperator::ProcessBatch(const TupleBatch& in, TupleBatch* out) {
     }
   }
 
-  // ---- Per-lane admit + append ----------------------------------------
   bool all_cols = true;
   for (size_t c = 0; c < nsel; ++c) all_cols = all_cols && select_col_ok_[c];
+
+  // ---- Pass-through: whole-column copy ---------------------------------
+  // No WHERE and every lane selected means every lane is admitted, in
+  // order; with no string lane to copy into batch-owned storage, each
+  // output column is one bulk copy of its precomputed column.
+  auto has_string_lane = [&] {
+    for (size_t c = 0; c < nsel; ++c) {
+      if (std::memchr(select_cols_[c].type.data(),
+                      static_cast<int>(FieldType::kString), n) != nullptr) {
+        return true;
+      }
+    }
+    return false;
+  };
+  if (plan_->where == nullptr && all_cols &&
+      std::memchr(sel, 0, n) == nullptr && !has_string_lane()) {
+    for (size_t c = 0; c < nsel; ++c) {
+      out->AppendColumn(c, select_cols_[c].raw.data(),
+                        select_cols_[c].type.data(), n);
+    }
+    out->FinishRows(n);
+    tuples_in_ += n;
+    tuples_out_ += n;
+    return Status::OK();
+  }
+
+  // ---- Per-lane admit + append ----------------------------------------
   const bool columnar_append =
       (plan_->where == nullptr || where_col_ok) && all_cols;
   for (size_t i = 0; i < n; ++i) {

@@ -196,6 +196,20 @@ class TupleBatch {
     ++num_rows_;
   }
 
+  /// AppendRaw() for `n` lanes at once: one bulk insert per array, again
+  /// WITHOUT advancing the row count (FinishRows() does). No lane may be a
+  /// string — those need AppendRaw()'s batch-owned copy.
+  void AppendColumn(size_t c, const uint64_t* raw, const uint8_t* type,
+                    size_t n) {
+    cols_[c].raw.insert(cols_[c].raw.end(), raw, raw + n);
+    cols_[c].type.insert(cols_[c].type.end(), type, type + n);
+  }
+  /// FinishRow() for `n` rows at once.
+  void FinishRows(size_t n) {
+    sel_.insert(sel_.end(), n, 1);
+    num_rows_ += n;
+  }
+
   // Selection mask (one byte per row; rows append selected).
   bool selected(size_t row) const { return sel_[row] != 0; }
   void set_selected(size_t row, bool on) { sel_[row] = on ? 1 : 0; }

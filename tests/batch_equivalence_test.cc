@@ -203,6 +203,61 @@ TEST(BatchEquivalenceTest, QueryFuzzSeedsIdenticalThroughBothEnginePaths) {
   }
 }
 
+// A selection query through both QueryNode paths. With `deselect_one`,
+// the middle lane of every batch is switched off (as a shedding stage
+// would), and the row path never sees that tuple.
+void ExpectSelectionBatchEquivalent(const std::string& sql,
+                                    bool deselect_one) {
+  SCOPED_TRACE(sql);
+  const Trace trace = TraceGenerator::MakeDataCenterFeed(2.0, 7);
+  Catalog catalog = Catalog::Default();
+  Result<CompiledQuery> row_cq = CompileQuery(sql, catalog, {.seed = 13});
+  Result<CompiledQuery> batch_cq = CompileQuery(sql, catalog, {.seed = 13});
+  ASSERT_TRUE(row_cq.ok()) << row_cq.status().ToString();
+  ASSERT_EQ(row_cq->kind, CompiledQueryKind::kSelection);
+
+  QueryNode row_node("sel_row", *row_cq);
+  QueryNode batch_node("sel_batch", *batch_cq);
+  TupleBatch batch(8, 512);
+  const std::vector<PacketRecord>& pkts = trace.packets();
+  size_t i = 0;
+  while (i < pkts.size()) {
+    batch.Clear();
+    const size_t first = i;
+    while (i < pkts.size() && !batch.full()) batch.AppendPacket(pkts[i++]);
+    const size_t off = batch.num_rows() / 2;
+    if (deselect_one) batch.set_selected(off, false);
+    for (size_t lane = 0; lane < batch.num_rows(); ++lane) {
+      if (deselect_one && lane == off) continue;
+      ASSERT_TRUE(row_node.Push(PacketToTuple(pkts[first + lane])).ok());
+    }
+    ASSERT_TRUE(batch_node.PushBatch(batch).ok());
+  }
+
+  EXPECT_GT(row_node.tuples_out(), 0u);
+  EXPECT_EQ(row_node.tuples_in(), batch_node.tuples_in());
+  EXPECT_EQ(row_node.tuples_out(), batch_node.tuples_out());
+  EXPECT_EQ(row_node.DrainOutput(), batch_node.DrainOutput());
+}
+
+// Pass-through projections: with no WHERE, every lane selected and only
+// numeric projections, ProcessBatch copies whole columns; a deselected
+// lane or a string projection keeps it on the per-lane append.
+TEST(BatchEquivalenceTest, PassThroughProjectionAllLanesNumeric) {
+  ExpectSelectionBatchEquivalent(
+      "SELECT time, srcIP, destIP, len, len / 4 FROM PKT", false);
+}
+
+TEST(BatchEquivalenceTest, PassThroughProjectionWithDeselectedLane) {
+  ExpectSelectionBatchEquivalent(
+      "SELECT time, srcIP, destIP, len, len / 4 FROM PKT", true);
+}
+
+TEST(BatchEquivalenceTest, PassThroughProjectionWithStringColumn) {
+  ExpectSelectionBatchEquivalent("SELECT time, IPSTR(srcIP), len FROM PKT",
+                                 false);
+}
+
 // Selection nodes chained columnar (low feeds high through an `out` batch,
 // the runtime topology) must equal the row path end to end.
 TEST(BatchEquivalenceTest, ChainedSelectionIntoSamplingMatchesRowPath) {

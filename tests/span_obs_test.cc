@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "obs/profiler.h"
 #include "obs/span.h"
 #include "obs/trace_ring.h"
+#include "rss_probe.h"
 #include "tuple/tuple_batch.h"
 
 namespace streamop {
@@ -183,6 +185,21 @@ TEST(ProfilerTest, OnlyOneProfilerRunsAtATime) {
   EXPECT_FALSE(a.running());
   EXPECT_TRUE(b.Start().ok());  // slot freed
   b.Stop();
+}
+
+// The 8,192-sample ring (~2.1 MiB) exists only once Start() runs: every
+// operator points at Profiler::Default(), and most processes never profile.
+TEST(ProfilerTest, UnstartedProfilerHoldsNoSampleRing) {
+  const int64_t growth = testing_rss::ChildRssGrowthBytes(
+      [] { return std::make_unique<Profiler>(); });
+  ASSERT_GE(growth, 0) << "RSS probe child failed";
+  EXPECT_LT(growth, 256 << 10) << "constructing a Profiler added " << growth
+                               << " resident bytes";
+  Profiler prof;
+  EXPECT_EQ(prof.samples_recorded(), 0u);
+  EXPECT_TRUE(prof.Folded(0).empty());
+  prof.TakeSample();  // no ring yet: dropped, not a crash
+  EXPECT_EQ(prof.samples_recorded(), 0u);
 }
 
 TEST(ProfilerTest, SamplerCapturesStacksAndFoldsThem) {

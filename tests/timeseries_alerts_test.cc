@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "query/query.h"
+#include "rss_probe.h"
 
 namespace streamop {
 namespace {
@@ -284,6 +286,17 @@ TEST(TimeSeriesTest, JsonEndpointsCarrySeriesAndPoints) {
   EXPECT_NE(range.find("\"points\": [["), std::string::npos) << range;
   // Second point: cumulative 10 at rate 5 per 0.1s = 50/s.
   EXPECT_NE(range.find(", 10, 50]"), std::string::npos) << range;
+}
+
+// The default ring reserves 240 x (1024 + 2048) x 16 B = 11.25 MiB of
+// point and bucket-delta slabs; construction must commit none of it (the
+// kernel commits a page when a scrape first writes into it).
+TEST(TimeSeriesTest, ConstructionCommitsNoRingPages) {
+  const int64_t growth = testing_rss::ChildRssGrowthBytes(
+      [] { return std::make_unique<TimeSeries>(); });
+  ASSERT_GE(growth, 0) << "RSS probe child failed";
+  EXPECT_LT(growth, 1 << 20) << "constructing a default TimeSeries added "
+                             << growth << " resident bytes";
 }
 
 // ---------- alert rule parser ----------
@@ -651,6 +664,24 @@ TEST_F(FlightRecorderTest, CorruptAndTruncatedSegmentsAreRejected) {
   auto missing = FlightRecorder::Load(dir_.string());
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(FlightRecorderTest, SpillCreatesMissingNestedDir) {
+  MetricRegistry reg;
+  reg.GetCounter("streamop_test_total")->Add(3);
+  TimeSeries ts(SmallRing(8));
+  ts.Scrape(reg, kT0);
+  ts.Scrape(reg, kT0 + kStep);
+  const fs::path nested = dir_ / "a" / "b" / "flight";
+  FlightRecorderOptions fopt;
+  fopt.dir = nested.string();
+  FlightRecorder rec(fopt);
+  EXPECT_FALSE(fs::exists(dir_ / "a"));  // construction touches no disk
+  ASSERT_TRUE(rec.Spill(ts, nullptr).ok());
+  EXPECT_EQ(rec.spills(), 1u);
+  auto loaded = FlightRecorder::Load(nested.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded->scrapes, 2u);
 }
 
 TEST_F(FlightRecorderTest, MaybeSpillHonoursCadenceAndRequests) {
