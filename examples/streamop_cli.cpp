@@ -25,7 +25,6 @@
 
 #include "common/string_util.h"
 #include "engine/runtime.h"
-#include "net/flow_generator.h"
 #include "net/trace_generator.h"
 #include "obs/alerts.h"
 #include "obs/exemplar.h"
@@ -389,22 +388,6 @@ std::unique_ptr<ResumableSource> MakeSource(const Args& args) {
   return std::make_unique<SocketSource>(cfg);
 }
 
-Trace MakeFeed(const Args& args) {
-  if (args.feed == "datacenter") {
-    return TraceGenerator::MakeDataCenterFeed(args.duration, args.seed);
-  }
-  if (args.feed == "ddos") {
-    FlowTraceConfig cfg;
-    cfg.duration_sec = args.duration;
-    cfg.seed = args.seed;
-    cfg.attack_enabled = true;
-    cfg.attack_start_sec = args.duration / 3;
-    cfg.attack_duration_sec = args.duration / 3;
-    return GenerateFlowTrace(cfg);
-  }
-  return TraceGenerator::MakeResearchFeed(args.duration, args.seed);
-}
-
 bool WriteFile(const std::string& path, const std::string& contents,
                const char* what) {
   std::ofstream out(path);
@@ -522,7 +505,13 @@ int main(int argc, char** argv) {
     }
     trace = std::move(*loaded);
   } else {
-    trace = MakeFeed(args);
+    Result<Trace> feed =
+        TraceGenerator::MakeFeed(args.feed, args.duration, args.seed);
+    if (!feed.ok()) {
+      std::fprintf(stderr, "%s\n", feed.status().ToString().c_str());
+      return 2;
+    }
+    trace = std::move(*feed);
   }
   if (args.fault_seed != 0 && source == nullptr) {
     FaultInjectionConfig fcfg;

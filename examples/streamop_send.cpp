@@ -19,7 +19,6 @@
 #include <string>
 
 #include "common/string_util.h"
-#include "net/flow_generator.h"
 #include "net/trace_generator.h"
 #include "net/trace_sender.h"
 
@@ -164,18 +163,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     trace = std::move(*loaded);
-  } else if (args.feed == "datacenter") {
-    trace = TraceGenerator::MakeDataCenterFeed(args.duration, args.seed);
-  } else if (args.feed == "ddos") {
-    FlowTraceConfig cfg;
-    cfg.duration_sec = args.duration;
-    cfg.seed = args.seed;
-    cfg.attack_enabled = true;
-    cfg.attack_start_sec = args.duration / 3;
-    cfg.attack_duration_sec = args.duration / 3;
-    trace = GenerateFlowTrace(cfg);
   } else {
-    trace = TraceGenerator::MakeResearchFeed(args.duration, args.seed);
+    Result<Trace> feed =
+        TraceGenerator::MakeFeed(args.feed, args.duration, args.seed);
+    if (!feed.ok()) {
+      std::fprintf(stderr, "%s\n", feed.status().ToString().c_str());
+      return 2;
+    }
+    trace = std::move(*feed);
   }
   std::fprintf(stderr, "sending %s records\n",
                FormatWithCommas(trace.size()).c_str());

@@ -219,9 +219,9 @@ void SerdeReadVector(ByteReader& r, std::vector<T>* v) {
   }
 }
 
-/// CRC-32C (Castagnoli), the checksum guarding checkpoint snapshots.
-/// `seed` chains incremental computation: Crc32c(b, Crc32c(a)) ==
-/// Crc32c(a+b).
+/// CRC-32C (Castagnoli), the checksum guarding checkpoint snapshots, SOP1
+/// wire frames and flight-recorder segments. `seed` chains incremental
+/// computation: Crc32c(b, Crc32c(a)) == Crc32c(a+b).
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
 inline uint32_t Crc32c(std::string_view s, uint32_t seed = 0) {
   return Crc32c(s.data(), s.size(), seed);

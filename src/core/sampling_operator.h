@@ -147,6 +147,9 @@ class SamplingOperator {
   /// Removes and returns the output rows produced so far.
   std::vector<Tuple> DrainOutput();
 
+  /// Number of output rows produced and not yet drained.
+  size_t output_size() const { return output_.size(); }
+
   /// Statistics of every closed window, oldest first.
   const std::vector<WindowStats>& window_stats() const {
     return window_stats_;

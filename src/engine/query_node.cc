@@ -21,20 +21,15 @@ Status QueryNode::Push(const Tuple& t, double weight) {
   ++tuples_in_;
   if (metrics_.enabled()) metrics_.tuples_in->Add();
   if (sampling_ != nullptr) {
-    STREAMOP_RETURN_NOT_OK(sampling_->Process(t, weight));
-    std::vector<Tuple> rows = sampling_->DrainOutput();
-    tuples_out_ += rows.size();
-    if (metrics_.enabled() && !rows.empty()) {
-      metrics_.tuples_out->Add(rows.size());
-    }
-    for (Tuple& r : rows) output_.push_back(std::move(r));
-    return Status::OK();
+    const size_t before = sampling_->output_size();
+    Status s = sampling_->Process(t, weight);
+    CountOutput(sampling_->output_size() - before);
+    return s;
   }
   Tuple out;
   STREAMOP_ASSIGN_OR_RETURN(bool pass, selection_->Process(t, &out));
   if (pass) {
-    ++tuples_out_;
-    if (metrics_.enabled()) metrics_.tuples_out->Add();
+    CountOutput(1);
     output_.push_back(std::move(out));
   }
   return Status::OK();
@@ -49,22 +44,15 @@ Status QueryNode::PushBatch(const TupleBatch& batch, double weight,
     metrics_.batch_fill->Record(lanes);
   }
   if (sampling_ != nullptr) {
-    STREAMOP_RETURN_NOT_OK(sampling_->ProcessBatch(batch, weight, span_ctx));
-    std::vector<Tuple> rows = sampling_->DrainOutput();
-    tuples_out_ += rows.size();
-    if (metrics_.enabled() && !rows.empty()) {
-      metrics_.tuples_out->Add(rows.size());
-    }
-    for (Tuple& r : rows) output_.push_back(std::move(r));
-    return Status::OK();
+    const size_t before = sampling_->output_size();
+    Status s = sampling_->ProcessBatch(batch, weight, span_ctx);
+    CountOutput(sampling_->output_size() - before);
+    return s;
   }
   TupleBatch* dest = out != nullptr ? out : &scratch_out_;
   STREAMOP_RETURN_NOT_OK(selection_->ProcessBatch(batch, dest));
   const size_t n_out = dest->num_rows();
-  tuples_out_ += n_out;
-  if (metrics_.enabled() && n_out > 0) {
-    metrics_.tuples_out->Add(n_out);
-  }
+  CountOutput(n_out);
   if (out == nullptr) {
     for (size_t i = 0; i < n_out; ++i) {
       scratch_out_.MaterializeRow(i, &scratch_row_);
@@ -75,22 +63,23 @@ Status QueryNode::PushBatch(const TupleBatch& batch, double weight,
 }
 
 Status QueryNode::Finish() {
-  if (sampling_ != nullptr) {
-    STREAMOP_RETURN_NOT_OK(sampling_->FinishStream());
-    std::vector<Tuple> rows = sampling_->DrainOutput();
-    tuples_out_ += rows.size();
-    if (metrics_.enabled() && !rows.empty()) {
-      metrics_.tuples_out->Add(rows.size());
-    }
-    for (Tuple& r : rows) output_.push_back(std::move(r));
-  }
-  return Status::OK();
+  if (sampling_ == nullptr) return Status::OK();
+  const size_t before = sampling_->output_size();
+  Status s = sampling_->FinishStream();
+  CountOutput(sampling_->output_size() - before);
+  return s;
 }
 
 std::vector<Tuple> QueryNode::DrainOutput() {
+  if (sampling_ != nullptr) return sampling_->DrainOutput();
   std::vector<Tuple> out = std::move(output_);
   output_.clear();
   return out;
+}
+
+void QueryNode::CountOutput(size_t n) {
+  tuples_out_ += n;
+  if (metrics_.enabled() && n > 0) metrics_.tuples_out->Add(n);
 }
 
 const std::vector<WindowStats>& QueryNode::window_stats() const {

@@ -54,7 +54,8 @@ class QueryNode {
   /// End-of-stream: close the final window (sampling nodes).
   Status Finish();
 
-  /// Removes and returns output rows produced so far.
+  /// Removes and returns output rows produced so far. A sampling node's
+  /// rows stay in its operator until drained, so they live in one vector.
   std::vector<Tuple> DrainOutput();
 
   uint64_t tuples_in() const { return tuples_in_; }
@@ -104,10 +105,13 @@ class QueryNode {
   uint64_t late_tuples() const;
 
  private:
+  // Adds `n` output rows to tuples_out_ and its registry mirror.
+  void CountOutput(size_t n);
+
   std::string name_;
   std::unique_ptr<SamplingOperator> sampling_;
   std::unique_ptr<SelectionOperator> selection_;
-  std::vector<Tuple> output_;
+  std::vector<Tuple> output_;  // selection nodes only
   TupleBatch scratch_out_;  // PushBatch without caller-supplied out
   Tuple scratch_row_;
   // The plain counters below stay authoritative for RunReport — they must

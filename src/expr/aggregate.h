@@ -86,23 +86,32 @@ class AggregateAccumulator {
   void RestoreFrom(ByteReader& r);
 
  private:
+  // The one-byte fields lead so they share one 8-byte slot; interleaved
+  // with the 8-byte fields, each would pad to a slot of its own (96 bytes,
+  // not 72), and every group holds one accumulator per aggregate.
+  // SerializeTo() writes the fields in its own explicit order.
   AggregateKind kind_;
+  // Sum state (below): the result stays UInt while every input was an
+  // unsigned integer.
+  bool all_uint_ = true;
+  // True once any update carried a weight != 1.0 (see weight_sum_).
+  bool weighted_ = false;
+  bool has_value_ = false;  // extremum_ holds a value
   uint64_t count_ = 0;
-  // Sum state: tracked in unsigned and double space simultaneously; the
-  // result stays UInt while every input was an unsigned integer.
+  // Sum state: tracked in unsigned and double space simultaneously.
   uint64_t sum_u_ = 0;
   double sum_d_ = 0.0;
-  bool all_uint_ = true;
   // Horvitz–Thompson state: sum of admission weights. Equals count_ while
   // every update had weight 1.0 (weighted_ == false), in which case the
   // exact integer paths above stay authoritative.
   double weight_sum_ = 0.0;
-  bool weighted_ = false;
   Value extremum_;  // min/max/first/last payload
-  bool has_value_ = false;
   double param_ = 0.0;
   std::unique_ptr<GkQuantileSketch> sketch_;  // kQuantile, lazily built
 };
+
+static_assert(sizeof(AggregateAccumulator) <= 72,
+              "one-byte fields must share a word ahead of the 8-byte state");
 
 /// True if `v1 < v2` under the evaluator's comparison semantics (numeric
 /// cross-type compare; lexicographic strings). Shared with the evaluator.

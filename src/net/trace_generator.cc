@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
+
+#include "net/flow_generator.h"
 
 namespace streamop {
 
@@ -169,6 +172,23 @@ Trace TraceGenerator::MakeDataCenterFeed(double duration_sec, uint64_t seed) {
   TraceGenerator gen(cfg);
   ConstantRateModel rate(100000.0, 0.02);
   return gen.Generate(rate);
+}
+
+Result<Trace> TraceGenerator::MakeFeed(std::string_view name,
+                                       double duration_sec, uint64_t seed) {
+  if (name == "research") return MakeResearchFeed(duration_sec, seed);
+  if (name == "datacenter") return MakeDataCenterFeed(duration_sec, seed);
+  if (name == "ddos") {
+    FlowTraceConfig cfg;
+    cfg.duration_sec = duration_sec;
+    cfg.seed = seed;
+    cfg.attack_enabled = true;
+    cfg.attack_start_sec = duration_sec / 3;
+    cfg.attack_duration_sec = duration_sec / 3;
+    return GenerateFlowTrace(cfg);
+  }
+  return Status::InvalidArgument("unknown feed '" + std::string(name) +
+                                 "' (expected research, datacenter or ddos)");
 }
 
 }  // namespace streamop

@@ -5,6 +5,7 @@
 #define STREAMOP_NET_TRACE_GENERATOR_H_
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -87,6 +88,13 @@ class TraceGenerator {
 
   /// Convenience: the "data center tap" — steady ~100k pkt/s.
   static Trace MakeDataCenterFeed(double duration_sec, uint64_t seed);
+
+  /// The named feeds of the command-line tools: "research"
+  /// (MakeResearchFeed), "datacenter" (MakeDataCenterFeed) or "ddos" (a
+  /// flow trace whose middle third is a DDoS flood, GenerateFlowTrace).
+  /// Any other name is InvalidArgument.
+  static Result<Trace> MakeFeed(std::string_view name, double duration_sec,
+                                uint64_t seed);
 
  private:
   uint16_t SampleLength(Pcg64& rng) const;

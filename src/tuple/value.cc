@@ -22,6 +22,11 @@ const char* FieldTypeToString(FieldType t) {
   return "UNKNOWN";
 }
 
+const std::string& Value::EmptyString() {
+  static const std::string empty;
+  return empty;
+}
+
 double Value::AsDouble() const {
   switch (type()) {
     case FieldType::kBool:
@@ -128,7 +133,7 @@ void Value::SerializeTo(ByteWriter& w) const {
     case FieldType::kNull:
       break;
     case FieldType::kString:
-      w.Str(str_);
+      w.Str(string_value());
       break;
     default:
       w.U64(raw_);

@@ -9,6 +9,7 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/serde.h"
@@ -37,11 +38,15 @@ inline bool IsNumeric(FieldType t) {
 
 /// A dynamically typed scalar. Cheap to copy for all types except kString.
 ///
-/// Implemented as a hand-rolled tagged union rather than std::variant: every
-/// non-string alternative lives in one 64-bit word, so copy / move / assign
-/// of numeric values — the per-tuple hot path is made of little else — is a
-/// branch plus a two-word copy, fully inlined, instead of out-of-line
-/// variant visitation.
+/// Implemented as a hand-rolled tagged union rather than std::variant: the
+/// type tag plus one 64-bit word, 16 bytes in all. Every non-string
+/// alternative lives in the word, so copy / move / assign of numeric values
+/// — the per-tuple hot path is made of little else — is a branch plus a word
+/// copy, fully inlined, instead of out-of-line variant visitation. A string
+/// keeps its payload out of line: the word owns a heap std::string, or is
+/// null for the empty string (a moved-from string Value stays kString and
+/// reads as ""). Rows and group keys are built from Values, so the small
+/// word keeps them small; the cost is one allocation per string copy.
 class Value {
  public:
   Value() noexcept : type_(FieldType::kNull), raw_(0) {}
@@ -49,28 +54,29 @@ class Value {
 
   Value(const Value& o) : type_(o.type_) {
     if (type_ == FieldType::kString) {
-      new (&str_) std::string(o.str_);
+      str_ = CopyString(o.str_);
     } else {
       raw_ = o.raw_;
     }
   }
   Value(Value&& o) noexcept : type_(o.type_) {
     if (type_ == FieldType::kString) {
-      new (&str_) std::string(std::move(o.str_));
+      str_ = std::exchange(o.str_, nullptr);
     } else {
       raw_ = o.raw_;
     }
   }
   Value& operator=(const Value& o) {
     if (this == &o) return *this;
-    if (type_ == FieldType::kString && o.type_ == FieldType::kString) {
-      str_ = o.str_;  // reuse the string's capacity
+    if (type_ == FieldType::kString && o.type_ == FieldType::kString &&
+        str_ != nullptr) {
+      *str_ = o.string_value();  // reuse the string's capacity
       return *this;
     }
     DestroyString();
     type_ = o.type_;
     if (type_ == FieldType::kString) {
-      new (&str_) std::string(o.str_);
+      str_ = CopyString(o.str_);
     } else {
       raw_ = o.raw_;
     }
@@ -78,14 +84,10 @@ class Value {
   }
   Value& operator=(Value&& o) noexcept {
     if (this == &o) return *this;
-    if (type_ == FieldType::kString && o.type_ == FieldType::kString) {
-      str_ = std::move(o.str_);
-      return *this;
-    }
     DestroyString();
     type_ = o.type_;
     if (type_ == FieldType::kString) {
-      new (&str_) std::string(std::move(o.str_));
+      str_ = std::exchange(o.str_, nullptr);
     } else {
       raw_ = o.raw_;
     }
@@ -127,7 +129,7 @@ class Value {
   }
   const std::string& string_value() const {
     assert(type_ == FieldType::kString);
-    return str_;
+    return str_ != nullptr ? *str_ : EmptyString();
   }
 
   /// Numeric coercion to double; Null/Bool/String coerce to 0.0, false/true
@@ -153,7 +155,7 @@ class Value {
     if (type_ != other.type_) return false;
     switch (type_) {
       case FieldType::kString:
-        return str_ == other.str_;
+        return string_value() == other.string_value();
       case FieldType::kDouble:
         return double_value() == other.double_value();
       default:
@@ -175,20 +177,27 @@ class Value {
 
  private:
   Value(FieldType t, uint64_t raw) noexcept : type_(t), raw_(raw) {}
-  explicit Value(std::string s) : type_(FieldType::kString) {
-    new (&str_) std::string(std::move(s));
+  explicit Value(std::string s)
+      : type_(FieldType::kString),
+        str_(s.empty() ? nullptr : new std::string(std::move(s))) {}
+
+  static std::string* CopyString(const std::string* s) {
+    return s != nullptr ? new std::string(*s) : nullptr;
   }
+  static const std::string& EmptyString();
 
   void DestroyString() {
-    if (type_ == FieldType::kString) str_.~basic_string();
+    if (type_ == FieldType::kString) delete str_;
   }
 
   FieldType type_;
   union {
-    uint64_t raw_;  // bool / uint / int / double payload (bit_cast)
-    std::string str_;
+    uint64_t raw_;      // bool / uint / int / double payload (bit_cast)
+    std::string* str_;  // owned string payload; null reads as ""
   };
 };
+
+static_assert(sizeof(Value) == 16, "Value is a tag plus one 64-bit word");
 
 }  // namespace streamop
 

@@ -120,6 +120,16 @@ TEST(BatchEquivalenceTest, OddBatchSizesHitBoundariesMidBatch) {
       WindowedStream(), 37);
 }
 
+TEST(BatchEquivalenceTest, StringGroupKeyAndStringMinMax) {
+  // IPSTR() is the dialect's only source of strings: a string group key and
+  // string min/max carry Value's out-of-line payload through key building,
+  // accumulator updates and output rows on both paths.
+  ExpectBatchEquivalent(
+      "SELECT tb, sip, count(*), min(IPSTR(destIP)), max(IPSTR(destIP)) "
+      "FROM PKTS GROUP BY time/20 as tb, IPSTR(srcIP) as sip",
+      WindowedStream(), 37);
+}
+
 TEST(BatchEquivalenceTest, SubsetSumSamplingWithCleaningPhases) {
   // The paper's stateful shape: ssample admission (per-supergroup RNG
   // state → compiled row mode in lane order), superaggregate maintenance,

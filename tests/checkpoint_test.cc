@@ -394,6 +394,64 @@ TEST(OperatorCheckpointTest, MidWindowRoundTripContinuesByteIdentically) {
   EXPECT_EQ(wa.data(), wb.data());
 }
 
+TEST(OperatorCheckpointTest, StringKeysAndExtremaRoundTripMidWindow) {
+  // String group keys and string min/max live out of line in Value; the
+  // snapshot must carry them through group keys, membership lists,
+  // supergroup order and accumulator extrema, byte for byte.
+  auto cq = CompileQuery(
+      "SELECT tb, sip, count(*), min(IPSTR(destIP)), max(IPSTR(destIP)) "
+      "FROM PKTS GROUP BY time/20 as tb, IPSTR(srcIP) as sip",
+      Catalog::Default(), {.seed = 7});
+  ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+  auto packet = [](uint64_t time, uint64_t src, uint64_t dst) {
+    return Tuple({Value::UInt(time), Value::UInt(time * 1000),
+                  Value::UInt(0x0a000000ULL + src),
+                  Value::UInt(0xc0a80000ULL + dst), Value::UInt(1234),
+                  Value::UInt(80), Value::UInt(6), Value::UInt(40 + dst)});
+  };
+  std::vector<Tuple> prefix, suffix;
+  Pcg64 rng(23);
+  for (uint64_t i = 0; i < 600; ++i) {
+    Tuple t = packet(100 + i / 10, rng.NextBounded(5), rng.NextBounded(300));
+    (i < 257 ? prefix : suffix).push_back(std::move(t));
+  }
+
+  SamplingOperator a(cq->sampling);
+  for (const Tuple& t : prefix) ASSERT_TRUE(a.Process(t).ok());
+  ASSERT_FALSE(a.DrainOutput().empty());  // a window flushed pre-snapshot
+
+  ByteWriter w;
+  a.SerializeDurableState(w);
+  SamplingOperator b(cq->sampling);
+  ByteReader r(w.data());
+  ASSERT_TRUE(b.RestoreDurableState(r));
+  ByteWriter restored;
+  b.SerializeDurableState(restored);
+  EXPECT_EQ(restored.data(), w.data());
+
+  for (const Tuple& t : prefix) ASSERT_TRUE(b.Process(t).ok());
+  EXPECT_FALSE(b.recovering());
+  for (const Tuple& t : suffix) {
+    ASSERT_TRUE(a.Process(t).ok());
+    ASSERT_TRUE(b.Process(t).ok());
+  }
+  ASSERT_TRUE(a.FinishStream().ok());
+  ASSERT_TRUE(b.FinishStream().ok());
+
+  std::vector<Tuple> a_rows = a.DrainOutput();
+  std::vector<Tuple> b_rows = b.DrainOutput();
+  ASSERT_FALSE(a_rows.empty());
+  ASSERT_EQ(a_rows.front()[1].type(), FieldType::kString);
+  ASSERT_EQ(a_rows.front()[3].type(), FieldType::kString);
+  EXPECT_EQ(a_rows, b_rows);
+  EXPECT_EQ(RowsAsStrings(a_rows), RowsAsStrings(b_rows));
+
+  ByteWriter wa, wb;
+  a.SerializeDurableState(wa);
+  b.SerializeDurableState(wb);
+  EXPECT_EQ(wa.data(), wb.data());
+}
+
 TEST(OperatorCheckpointTest, RestoreRejectsMismatchedPlan) {
   SamplingOperator a(MakeAggregationPlan());
   for (uint64_t i = 0; i < 20; ++i) ASSERT_TRUE(a.Process(Row(i, 1, 2)).ok());

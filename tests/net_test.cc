@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "net/packet.h"
 #include "net/rate_model.h"
@@ -132,6 +133,28 @@ TEST(TraceGeneratorTest, DataCenterFeedNearNominal) {
   Trace t = TraceGenerator::MakeDataCenterFeed(5.0, 7);
   double pps = static_cast<double>(t.size()) / 5.0;
   EXPECT_NEAR(pps, 100000.0, 10000.0);
+}
+
+TEST(TraceGeneratorTest, NamedFeedsAndUnknownNames) {
+  Result<Trace> research = TraceGenerator::MakeFeed("research", 2.0, 7);
+  ASSERT_TRUE(research.ok());
+  EXPECT_EQ(research->size(), TraceGenerator::MakeResearchFeed(2.0, 7).size());
+  Result<Trace> dc = TraceGenerator::MakeFeed("datacenter", 0.5, 7);
+  ASSERT_TRUE(dc.ok());
+  EXPECT_EQ(dc->size(), TraceGenerator::MakeDataCenterFeed(0.5, 7).size());
+  Result<Trace> ddos = TraceGenerator::MakeFeed("ddos", 3.0, 7);
+  ASSERT_TRUE(ddos.ok());
+  EXPECT_FALSE(ddos->empty());
+
+  // An unknown name is an error naming every feed, never a fallback.
+  for (const char* bad : {"bogus", "", "Research"}) {
+    Result<Trace> r = TraceGenerator::MakeFeed(bad, 1.0, 7);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    for (const char* name : {"research", "datacenter", "ddos"}) {
+      EXPECT_NE(r.status().message().find(name), std::string::npos);
+    }
+  }
 }
 
 TEST(TraceGeneratorTest, LengthsInModeledRanges) {

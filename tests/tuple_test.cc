@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
@@ -91,6 +94,138 @@ TEST(ValueTest, FieldTypeNames) {
   EXPECT_TRUE(IsNumeric(FieldType::kDouble));
   EXPECT_FALSE(IsNumeric(FieldType::kString));
   EXPECT_FALSE(IsNumeric(FieldType::kBool));
+}
+
+// ---------- Value: out-of-line strings ----------
+//
+// A string Value owns a heap payload through its one 64-bit word, so every
+// copy, move and assignment path below must hand that ownership over
+// exactly once (the ASan and UBSan jobs run these).
+
+TEST(ValueStringTest, EmptyStringIsStillAString) {
+  EXPECT_EQ(Value::String("").type(), FieldType::kString);
+  EXPECT_EQ(Value::String("").string_value(), "");
+  EXPECT_EQ(Value::String("").ToString(), "");
+}
+
+TEST(ValueStringTest, CopyIsDeep) {
+  const std::string long_text(100, 'x');
+  Value a = Value::String(long_text);
+  Value b(a);
+  EXPECT_EQ(b.type(), FieldType::kString);
+  EXPECT_EQ(b.string_value(), long_text);
+  EXPECT_NE(&a.string_value(), &b.string_value());
+  a = Value::UInt(1);  // the copy survives its source changing
+  EXPECT_EQ(b.string_value(), long_text);
+}
+
+TEST(ValueStringTest, MovedFromStringStaysStringAndReadsEmpty) {
+  Value a = Value::String("payload");
+  Value b(std::move(a));
+  EXPECT_EQ(b.string_value(), "payload");
+  EXPECT_EQ(a.type(), FieldType::kString);
+  EXPECT_EQ(a.string_value(), "");
+  EXPECT_FALSE(a.AsBool());
+  EXPECT_EQ(a, Value::String(""));
+  EXPECT_EQ(a.Hash(), Value::String("").Hash());
+
+  Value c;
+  c = std::move(b);
+  EXPECT_EQ(c.string_value(), "payload");
+  EXPECT_EQ(b.type(), FieldType::kString);
+  EXPECT_EQ(b.string_value(), "");
+
+  Value copy_of_moved(a);  // copying a moved-from string is fine too
+  EXPECT_EQ(copy_of_moved.type(), FieldType::kString);
+  EXPECT_EQ(copy_of_moved.string_value(), "");
+}
+
+TEST(ValueStringTest, CopyAssignAcrossTypes) {
+  Value s = Value::String("abc");
+  Value n = Value::UInt(7);
+  Value t = s;  // string <- string (copy construct)
+  t = n;        // string -> numeric
+  EXPECT_EQ(t, Value::UInt(7));
+  t = s;  // numeric -> string
+  EXPECT_EQ(t.string_value(), "abc");
+  Value u = Value::String("a much longer string than abc, past SSO");
+  u = s;  // string -> string reuses the destination's payload
+  EXPECT_EQ(u.string_value(), "abc");
+  Value moved_from = Value::String("gone");
+  Value sink(std::move(moved_from));
+  u = moved_from;  // a moved-from (empty) string source
+  EXPECT_EQ(u.type(), FieldType::kString);
+  EXPECT_EQ(u.string_value(), "");
+  moved_from = s;  // and a moved-from destination
+  EXPECT_EQ(moved_from.string_value(), "abc");
+  EXPECT_EQ(s.string_value(), "abc");
+}
+
+TEST(ValueStringTest, MoveAssignAcrossTypes) {
+  Value t = Value::String("first");
+  t = Value::Double(1.5);  // string -> numeric frees the payload
+  EXPECT_EQ(t, Value::Double(1.5));
+  t = Value::String("second");  // numeric -> string
+  EXPECT_EQ(t.string_value(), "second");
+  t = Value::String("third");  // string -> string
+  EXPECT_EQ(t.string_value(), "third");
+  t = Value::Null();
+  EXPECT_TRUE(t.is_null());
+}
+
+TEST(ValueStringTest, SelfAssignment) {
+  Value s = Value::String("self");
+  Value& alias = s;
+  s = alias;
+  EXPECT_EQ(s.string_value(), "self");
+  s = std::move(alias);
+  EXPECT_EQ(s.type(), FieldType::kString);
+  EXPECT_EQ(s.string_value(), "self");
+  Value n = Value::Int(-3);
+  Value& nalias = n;
+  n = nalias;
+  n = std::move(nalias);
+  EXPECT_EQ(n, Value::Int(-3));
+}
+
+TEST(ValueStringTest, HashAndEqualityFollowThePayload) {
+  Value a = Value::String("10.0.0.1");
+  Value b = Value::String(std::string("10.0.0.") + "1");
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_NE(a, Value::String("10.0.0.2"));
+  EXPECT_NE(a.Hash(), Value::String("10.0.0.2").Hash());
+  EXPECT_NE(Value::String(""), Value::Null());
+  EXPECT_NE(Value::String("").Hash(), Value::Null().Hash());
+}
+
+TEST(ValueStringTest, SerializeRoundTripIncludingMovedFrom) {
+  Value moved_from = Value::String("taken");
+  Value taker(std::move(moved_from));
+  const std::vector<Value> in = {
+      Value::String("10.1.2.3"), Value::UInt(5),  Value::String(""),
+      moved_from,                Value::Null(),   taker,
+      Value::Double(-0.25),      Value::Bool(true)};
+  ByteWriter w;
+  for (const Value& v : in) v.SerializeTo(w);
+
+  // The checkpoint encoding: tag byte 5, a u64 little-endian length, the
+  // bytes. A moved-from string encodes exactly like "".
+  ByteWriter ab_w;
+  Value::String("ab").SerializeTo(ab_w);
+  EXPECT_EQ(ab_w.data(), std::string("\x05\x02\0\0\0\0\0\0\0ab", 11));
+  ByteWriter moved_w;
+  moved_from.SerializeTo(moved_w);
+  EXPECT_EQ(moved_w.data(), std::string("\x05\0\0\0\0\0\0\0\0", 9));
+
+  ByteReader r(w.data());
+  std::vector<Value> out;
+  for (size_t i = 0; i < in.size(); ++i) out.push_back(Value::Deserialize(r));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(out, in);
+  EXPECT_EQ(out[3].type(), FieldType::kString);
+  EXPECT_EQ(out[3].string_value(), "");
+  EXPECT_EQ(out[5].string_value(), "taken");
 }
 
 // ---------- Schema ----------
