@@ -16,7 +16,6 @@
 #include "engine/checkpoint.h"
 #include "engine/query_node.h"
 #include "net/trace_generator.h"
-#include "stream/stream_source.h"
 #include "tuple/tuple_batch.h"
 
 namespace streamop {

@@ -5,13 +5,20 @@
 #define STREAMOP_COMMON_FILE_UTIL_H_
 
 #include <string>
+#include <string_view>
+
+#include "common/status.h"
 
 namespace streamop {
 
-/// mkdir -p: creates each missing component of `dir`. Returns false when a
-/// component cannot be created (permissions, a file in the way); the
-/// caller's write then fails through its own error path.
-bool EnsureDir(const std::string& dir);
+/// Replaces `dir`/`name` with `bytes` so that a crash at any point leaves
+/// either the old file or the new one: creates `dir` if it is missing
+/// (mkdir -p), writes `name`.tmp, fsyncs it, renames it over `name`, then
+/// fsyncs `dir` so the rename itself is durable. Any failed step — the
+/// directory fsync included — fails the write, and no .tmp file is left
+/// behind.
+Status WriteFileAtomic(const std::string& dir, const std::string& name,
+                       std::string_view bytes);
 
 }  // namespace streamop
 

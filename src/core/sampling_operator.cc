@@ -184,13 +184,6 @@ void SamplingOperator::AggFinalsInto(const GroupEntry& g,
 }
 
 Status SamplingOperator::Process(const Tuple& input, double weight) {
-  // Post-restore replay: the first recovery_skip_remaining_ tuples of the
-  // re-fed stream were fully processed before the snapshot was taken, so
-  // they are discarded positionally — no metrics, no window bookkeeping.
-  if (recovery_skip_remaining_ > 0) {
-    --recovery_skip_remaining_;
-    return Status::OK();
-  }
   // Observability: one plain increment per tuple; the admission-path timer
   // and the batched flush of pending counts into the registry's atomics
   // both ride the same 1-in-256 tick, so the steady state pays no clock
@@ -300,9 +293,8 @@ Status SamplingOperator::Process(const Tuple& input, double weight) {
     live_stats_.window_id = current_window_id_;
     live_max_weight_ = 1.0;
     OpenWindowSpan();
-    // Checkpoint hook at the between-windows point: the flushed window's
-    // stats are in window_stats_, the next window is open with zero tuples
-    // counted, so a snapshot here resumes exactly at this boundary tuple.
+    // Window-flush hook, between windows: the flushed window's stats are in
+    // window_stats_ and the next window is open with zero tuples counted.
     if (flushed && window_flush_hook_) window_flush_hook_(windows_flushed_);
   }
   ++live_stats_.tuples_in;
@@ -516,12 +508,6 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
   const size_t n = batch.num_rows();
   if (n == 0) return Status::OK();
   if (!batched_ok_) return ProcessBatchFallback(batch, 0, weight);
-  // Post-restore replay: hand the batch to the per-lane fallback, whose
-  // Process() calls discard tuples until the skip drains; the lanes after
-  // it resume through the tuple-equivalent path.
-  if (recovery_skip_remaining_ > 0) {
-    return ProcessBatchFallback(batch, 0, weight);
-  }
 
   // Span/profiler context for this batch. The shed probability comes from
   // the caller's SpanContext when threaded (the runtime knows the post-tick
@@ -765,7 +751,7 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
       live_stats_.window_id = current_window_id_;
       live_max_weight_ = 1.0;
       OpenWindowSpan();
-      // Same between-windows checkpoint point as the tuple path.
+      // Same between-windows hook point as the tuple path.
       if (flushed && window_flush_hook_) window_flush_hook_(windows_flushed_);
     }
     ++inline_lanes;
@@ -1415,8 +1401,8 @@ Status SamplingOperator::FinishStream() {
   window_open_ = false;
   STREAMOP_RETURN_NOT_OK(FlushWindow());
   // The flushed window's stats now live in window_stats_; drop the stale
-  // live copy so a snapshot taken from the hook (or after) never double
-  // counts the final window in the replay-skip basis.
+  // live copy so a snapshot taken after the final flush never counts the
+  // final window twice.
   live_stats_ = WindowStats{};
   current_window_id_.clear();
   if (window_flush_hook_) window_flush_hook_(windows_flushed_);
@@ -1558,7 +1544,6 @@ void SamplingOperator::ResetDurableState() {
   windows_flushed_ = 0;
   quality_seq_ = 0;
   live_max_weight_ = 1.0;
-  recovery_skip_remaining_ = 0;
   restore_states_skipped_ = 0;
 }
 
@@ -1751,34 +1736,7 @@ bool SamplingOperator::RestoreDurableState(ByteReader& r) {
     ResetDurableState();
     return false;
   }
-  // Replay-skip basis: every tuple counted into a flushed or live window
-  // was fully processed before this snapshot (the boundary tuple of a
-  // flush-hook snapshot counts into the next window only after the hook).
-  recovery_skip_remaining_ = live_stats_.tuples_in;
-  for (const WindowStats& s : window_stats_) {
-    recovery_skip_remaining_ += s.tuples_in;
-  }
   return true;
-}
-
-Result<std::vector<Tuple>> RunToCompletion(SamplingOperator& op,
-                                           StreamSource& source) {
-  // Batched drive (DESIGN.md §9) when the plan carries its input schema
-  // (the batch needs a column count); hand-assembled schema-less plans
-  // keep the tuple-at-a-time loop.
-  if (op.plan().input_schema != nullptr) {
-    TupleBatch batch(op.plan().input_schema->num_fields(), 512);
-    while (source.NextBatch(&batch) > 0) {
-      STREAMOP_RETURN_NOT_OK(op.ProcessBatch(batch));
-    }
-  } else {
-    Tuple t;
-    while (source.Next(&t)) {
-      STREAMOP_RETURN_NOT_OK(op.Process(t));
-    }
-  }
-  STREAMOP_RETURN_NOT_OK(op.FinishStream());
-  return op.DrainOutput();
 }
 
 }  // namespace streamop

@@ -37,7 +37,6 @@
 #include "expr/expr.h"
 #include "expr/program.h"
 #include "expr/stateful.h"
-#include "stream/stream_source.h"
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
 #include "tuple/tuple_batch.h"
@@ -199,12 +198,11 @@ class SamplingOperator {
 
   /// Installs a hook invoked once per completed window flush, after the
   /// table swap and (on a mid-stream boundary) after the next window's
-  /// bookkeeping is in place but before its first tuple is counted. At the
-  /// call the operator's durable state is exactly the "between windows"
-  /// snapshot point: SerializeDurableState() taken inside the hook and
-  /// restored into a fresh operator resumes byte-identically once the
-  /// already-consumed prefix of the stream is skipped. The argument is
-  /// windows_flushed(). The hook must not call back into Process.
+  /// bookkeeping is in place but before its first tuple is counted. The
+  /// argument is windows_flushed(). The runtime uses it to request a
+  /// snapshot, which it takes at the next input batch boundary, where the
+  /// state covers exactly the records its source has delivered. The hook
+  /// must not call back into Process.
   void set_window_flush_hook(std::function<void(uint64_t)> hook) {
     window_flush_hook_ = std::move(hook);
   }
@@ -227,20 +225,14 @@ class SamplingOperator {
   /// fingerprint of plan shape is checked). On any decode failure the
   /// operator is reset to its freshly-constructed state and false is
   /// returned — a corrupt snapshot never leaves partial state behind.
-  /// On success arms the replay skip: the next recovery_skip_remaining()
-  /// input tuples are positionally discarded (they were fully processed
-  /// before the snapshot), after which processing resumes normally.
+  /// On success the operator continues from the snapshot: feed it the
+  /// input that follows the snapshot point.
   bool RestoreDurableState(ByteReader& r);
 
-  /// Input tuples still to be discarded by the post-restore replay.
-  uint64_t recovery_skip_remaining() const { return recovery_skip_remaining_; }
-  bool recovering() const { return recovery_skip_remaining_ > 0; }
-
-  /// Cancels the armed positional replay. Called by the runtime when it has
-  /// repositioned the input *source* to the snapshot's durable offset — the
-  /// prefix the replay would skip will never arrive, so skipping must be
-  /// disarmed or the operator would discard live post-resume tuples.
-  void ClearRecoveryReplay() { recovery_skip_remaining_ = 0; }
+  /// Resets every durable field to the freshly-constructed state: used
+  /// when a restore fails partway, and by the runtime to discard a
+  /// restored snapshot its input source cannot resume from.
+  void ResetDurableState();
 
   /// SFUN state slots whose snapshot blob had no restore hook in this
   /// build (restarted fresh instead). Zero on a clean restore.
@@ -321,9 +313,6 @@ class SamplingOperator {
   void SerializeSupergroupEntry(const SupergroupEntry& sg,
                                 ByteWriter& w) const;
   void RestoreSupergroupEntry(SupergroupEntry* sg, ByteReader& r);
-  // Resets every durable field to the freshly-constructed state (used when
-  // a restore fails partway so no garbage survives).
-  void ResetDurableState();
 
   std::shared_ptr<const SamplingQueryPlan> plan_;
 
@@ -402,12 +391,8 @@ class SamplingOperator {
 
   // ---- Durability (DESIGN.md §10) -------------------------------------
   // windows_flushed_ counts completed FlushWindow calls unconditionally
-  // (window_seq_ is stats-gated). The hook fires at the between-windows
-  // snapshot point; recovery_skip_remaining_ arms the positional replay
-  // skip after a restore — Process() discards that many tuples and
-  // ProcessBatch degrades to the per-lane fallback until it drains.
+  // (window_seq_ is stats-gated); the hook fires after each flush.
   uint64_t windows_flushed_ = 0;
-  uint64_t recovery_skip_remaining_ = 0;
   uint64_t restore_states_skipped_ = 0;
   std::function<void(uint64_t)> window_flush_hook_;
 
@@ -448,11 +433,6 @@ class SamplingOperator {
   uint64_t pending_superagg_updates_ = 0;
   uint64_t pending_sfun_calls_ = 0;
 };
-
-/// Convenience driver: runs `op` over every tuple of `source`, finishes the
-/// stream, and returns all output rows.
-Result<std::vector<Tuple>> RunToCompletion(SamplingOperator& op,
-                                           StreamSource& source);
 
 }  // namespace streamop
 

@@ -5,10 +5,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <thread>
 
 #include "common/file_util.h"
@@ -121,45 +120,11 @@ bool CheckpointManager::ShouldWrite(uint64_t windows_flushed) {
   return windows_flushed % config_.every_n_windows == 0;
 }
 
-std::string CheckpointManager::SnapshotPath(uint64_t windows_flushed) const {
+std::string CheckpointManager::SnapshotName(uint64_t windows_flushed) const {
   char seq[32];
   std::snprintf(seq, sizeof(seq), "%012llu",
                 static_cast<unsigned long long>(windows_flushed));
-  return config_.dir + "/" + config_.node + ".ckpt." + seq;
-}
-
-bool CheckpointManager::WriteOnce(const std::string& path,
-                                  std::string_view framed) {
-  if (!EnsureDir(config_.dir)) return false;
-  const std::string tmp = config_.dir + "/" + config_.node + ".ckpt.tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  size_t off = 0;
-  while (off < framed.size()) {
-    const ssize_t n = ::write(fd, framed.data() + off, framed.size() - off);
-    if (n <= 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  // Durable rename: fsync the directory so the new name survives a crash.
-  const int dfd = ::open(config_.dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) return false;
-  const bool dir_ok = ::fsync(dfd) == 0;
-  ::close(dfd);
-  return dir_ok;
+  return config_.node + ".ckpt." + seq;
 }
 
 bool CheckpointManager::Write(uint64_t windows_flushed,
@@ -167,25 +132,23 @@ bool CheckpointManager::Write(uint64_t windows_flushed,
   if (!enabled()) return false;
   const auto t0 = std::chrono::steady_clock::now();
   const std::string framed = FrameSnapshot(windows_flushed, payload);
-  const std::string path = SnapshotPath(windows_flushed);
+  const std::string name = SnapshotName(windows_flushed);
 
-  bool ok = false;
+  Status st;
   for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
     if (attempt > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(
           config_.retry_backoff_ms * static_cast<uint64_t>(attempt)));
     }
-    if (WriteOnce(path, framed)) {
-      ok = true;
-      break;
-    }
+    st = WriteFileAtomic(config_.dir, name, framed);
+    if (st.ok()) break;
   }
   const auto t1 = std::chrono::steady_clock::now();
   last_write_ns_ = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
   write_ns_gauge_->Set(static_cast<double>(last_write_ns_));
 
-  if (!ok) {
+  if (!st.ok()) {
     ++failures_;
     failures_counter_->Add();
     degraded_ = true;
@@ -194,7 +157,7 @@ bool CheckpointManager::Write(uint64_t windows_flushed,
                  "[checkpoint] %s: write failed after %d attempts "
                  "(%s) — continuing without durability\n",
                  config_.node.c_str(), config_.max_retries + 1,
-                 std::strerror(errno));
+                 st.message().c_str());
     return false;
   }
   ++writes_;
@@ -221,8 +184,8 @@ CheckpointManager::ListSnapshots() const {
     const std::string name = e->d_name;
     if (name.size() <= prefix.size() || name.compare(0, prefix.size(), prefix))
       continue;
+    // Digits only: skips the writer's "<name>.tmp" files.
     const std::string seq = name.substr(prefix.size());
-    if (seq == "tmp") continue;
     if (seq.find_first_not_of("0123456789") != std::string::npos) continue;
     out.emplace_back(std::strtoull(seq.c_str(), nullptr, 10),
                      config_.dir + "/" + name);
@@ -231,6 +194,11 @@ CheckpointManager::ListSnapshots() const {
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
   return out;
+}
+
+void CheckpointManager::DiscardAll() {
+  for (const auto& snap : ListSnapshots()) ::unlink(snap.second.c_str());
+  last_written_windows_ = 0;
 }
 
 void CheckpointManager::DeleteOldSnapshots() {

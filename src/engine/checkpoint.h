@@ -85,6 +85,11 @@ class CheckpointManager {
   /// loadable.
   std::optional<LoadedCheckpoint> LoadLatest();
 
+  /// Deletes every snapshot file of this node. A run that starts fresh
+  /// calls it: the stale files' higher flush counts would otherwise
+  /// outrank the fresh run's snapshots, and retention would delete those.
+  void DiscardAll();
+
   // Plain counters, authoritative for RunReport (survive NO_STATS builds).
   uint64_t writes() const { return writes_; }
   uint64_t failures() const { return failures_; }
@@ -114,8 +119,7 @@ class CheckpointManager {
   // All retained snapshot files of this node, newest (highest flush count)
   // first.
   std::vector<std::pair<uint64_t, std::string>> ListSnapshots() const;
-  std::string SnapshotPath(uint64_t windows_flushed) const;
-  bool WriteOnce(const std::string& path, std::string_view framed);
+  std::string SnapshotName(uint64_t windows_flushed) const;
   void DeleteOldSnapshots();
 
   CheckpointConfig config_;

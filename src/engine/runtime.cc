@@ -10,7 +10,8 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
-#include "stream/stream_source.h"
+#include "stream/ring_buffer.h"
+#include "stream/trace_source.h"
 
 namespace streamop {
 
@@ -19,8 +20,8 @@ namespace {
 using obs::NowNanos;
 
 // A packet whose length is below the 20-byte IPv4 header minimum is
-// malformed (fault injection truncates below this); both run modes reject
-// it at the ring instead of feeding garbage to the query nodes.
+// malformed (fault injection truncates below this); the drive loop rejects
+// it on arrival instead of feeding garbage to the query nodes.
 constexpr uint16_t kMinPacketLen = 20;
 
 // Producer backoff ladder: this many plain yields before sleeping, then
@@ -29,9 +30,9 @@ constexpr int kBackoffYields = 32;
 constexpr uint64_t kBackoffMinSleepNs = 1000;     // 1 us
 constexpr uint64_t kBackoffMaxSleepNs = 1000000;  // 1 ms
 
-// Marks the runtime as running for the duration of a Run/RunThreaded call
-// (exception- and early-return-safe), so /healthz can tell an in-flight
-// run from a completed one.
+// Marks the runtime as running for the duration of a run (exception- and
+// early-return-safe), so /healthz can tell an in-flight run from a
+// completed one.
 class RunningGuard {
  public:
   explicit RunningGuard(std::atomic<bool>& flag) : flag_(flag) {
@@ -95,11 +96,11 @@ NodeReport MakeReport(const QueryNode& node, double stream_seconds) {
 TwoLevelRuntime::TwoLevelRuntime(const CompiledQuery& low,
                                  const std::vector<CompiledQuery>& high,
                                  Options options)
-    : options_(options) {
-  obs::MetricRegistry& reg = options_.registry != nullptr
-                                 ? *options_.registry
-                                 : obs::MetricRegistry::Default();
-  ring_metrics_ = obs::RingBufferMetrics::Create(reg);
+    : options_(options),
+      registry_(options_.registry != nullptr
+                    ? options_.registry
+                    : &obs::MetricRegistry::Default()) {
+  obs::MetricRegistry& reg = *registry_;
   producer_retries_ =
       reg.GetCounter("streamop_runtime_producer_retries_total");
   packets_dropped_ = reg.GetCounter("streamop_runtime_packets_dropped_total");
@@ -117,10 +118,10 @@ TwoLevelRuntime::TwoLevelRuntime(const CompiledQuery& low,
   }
 
   // Durability (engine/checkpoint.h): one manager per sampling node. The
-  // newest valid snapshot is restored here, at construction, so the first
-  // run resumes at the last flushed window; the installed flush hook then
-  // snapshots at the configured cadence. Selection nodes are stateless and
-  // get no manager.
+  // newest valid snapshot is restored here, at construction, and the first
+  // run seeks its source to the snapshot's offset or starts fresh; the
+  // installed flush hook then requests snapshots at the configured
+  // cadence. Selection nodes are stateless and get no manager.
   if (!options_.checkpoint.dir.empty()) {
     checkpoint_mgrs_.resize(high_.size());
     restored_sources_.resize(high_.size());
@@ -133,7 +134,11 @@ TwoLevelRuntime::TwoLevelRuntime(const CompiledQuery& low,
       checkpoint_mgrs_[i] = std::make_unique<CheckpointManager>(cfg);
       CheckpointManager* mgr = checkpoint_mgrs_[i].get();
 
-      if (auto loaded = mgr->LoadLatest()) {
+      // Any snapshot file on disk, even one that does not restore, leaves
+      // the first run a choice: resume from it, or discard it.
+      auto loaded = mgr->LoadLatest();
+      if (loaded || mgr->corrupt_skipped() > 0) resume_pending_ = true;
+      if (loaded) {
         ByteReader r(loaded->payload);
         if (op->RestoreDurableState(r)) {
           // Trailing sections: load-shed controller (applied to the next
@@ -144,25 +149,20 @@ TwoLevelRuntime::TwoLevelRuntime(const CompiledQuery& low,
             ByteReader er(ex);
             obs::ExemplarStore::Default().RestoreFrom(er);
           }
-          // Source-offset section (RunSource snapshots only; absent from
-          // trace-run snapshots and anything written before it existed).
-          restored_sources_[i].restored = true;
+          // Source section: the (kind, stream id, offset) the snapshot is
+          // bound to. Snapshots written before every run had a source lack
+          // it; the first run then starts fresh.
           if (r.remaining() > 0 && r.Bool()) {
-            restored_sources_[i].has_source = true;
             restored_sources_[i].kind = r.Str();
             restored_sources_[i].stream_id = r.U64();
             restored_sources_[i].offset = r.U64();
           }
-          recovered_ = true;
           recovered_windows_ =
-              std::max(recovered_windows_, loaded->windows_flushed);
+              std::max(recovered_windows_.load(), loaded->windows_flushed);
           std::fprintf(
-              stderr,
-              "[checkpoint] %s: restored %s (window %llu, replaying "
-              "%llu tuples)\n",
+              stderr, "[checkpoint] %s: restored %s (window %llu)\n",
               high_[i]->name().c_str(), loaded->path.c_str(),
-              static_cast<unsigned long long>(loaded->windows_flushed),
-              static_cast<unsigned long long>(op->recovery_skip_remaining()));
+              static_cast<unsigned long long>(loaded->windows_flushed));
         } else {
           std::fprintf(stderr,
                        "[checkpoint] %s: snapshot %s does not match this "
@@ -171,17 +171,10 @@ TwoLevelRuntime::TwoLevelRuntime(const CompiledQuery& low,
         }
       }
 
-      op->set_window_flush_hook([this, op, mgr, i](uint64_t windows_flushed) {
-        if (!mgr->ShouldWrite(windows_flushed)) return;
-        if (source_run_active_) {
-          // Mid-batch state doesn't align with any source offset: defer
-          // to the ingest batch boundary, where RunSource snapshots with
-          // the source's durable offset attached.
-          pending_snapshots_[i] = std::max(pending_snapshots_[i],
-                                           windows_flushed);
-          return;
-        }
-        WriteNodeSnapshot(op, mgr, windows_flushed, nullptr);
+      // Mid-batch state matches no source offset: the drive loop writes
+      // the requested snapshot at the next batch boundary.
+      op->set_window_flush_hook([this, mgr](uint64_t windows_flushed) {
+        if (mgr->ShouldWrite(windows_flushed)) snapshot_due_ = true;
       });
     }
   }
@@ -263,8 +256,8 @@ void TwoLevelRuntime::PublishReport(const RunReport& report) {
 }
 
 void TwoLevelRuntime::FillCheckpointReport(RunReport* report) const {
-  report->recovered = recovered_;
-  report->recovered_windows = recovered_windows_;
+  report->recovered_windows = recovered_windows_.load();
+  report->recovered = report->recovered_windows > 0;
   for (const auto& mgr : checkpoint_mgrs_) {
     if (mgr == nullptr) continue;
     report->checkpoints_written += mgr->writes();
@@ -274,105 +267,82 @@ void TwoLevelRuntime::FillCheckpointReport(RunReport* report) const {
   }
 }
 
-bool TwoLevelRuntime::AnyNodeRecovering() const {
-  for (const auto& node : high_) {
-    SamplingOperator* op = node->sampling_operator();
-    if (op != nullptr && op->recovering()) return true;
+void TwoLevelRuntime::FlushPendingSnapshots(const ResumableSource& source,
+                                            const LoadShedController* shed) {
+  if (!snapshot_due_) return;
+  snapshot_due_ = false;
+  // Every managed node snapshots at this one batch boundary, each under its
+  // own flush count, so the newest snapshots of all nodes name one offset.
+  for (size_t i = 0; i < checkpoint_mgrs_.size(); ++i) {
+    if (checkpoint_mgrs_[i] == nullptr) continue;
+    SamplingOperator* op = high_[i]->sampling_operator();
+    ByteWriter w;
+    op->SerializeDurableState(w);
+    w.Bool(shed != nullptr);
+    if (shed != nullptr) {
+      ByteWriter sw;
+      shed->SerializeTo(sw);
+      w.Str(sw.data());
+    }
+    ByteWriter ew;
+    obs::ExemplarStore::Default().SerializeTo(ew);
+    w.Bool(true);
+    w.Str(ew.data());
+    // Source section: at a batch boundary the operator state and the
+    // source's durable offset describe the same prefix of the input.
+    w.Bool(true);
+    w.Str(source.kind());
+    w.U64(source.stream_id());
+    w.U64(source.durable_offset());
+    checkpoint_mgrs_[i]->Write(op->windows_flushed(), w.data());
   }
-  return false;
-}
-
-void TwoLevelRuntime::WriteNodeSnapshot(SamplingOperator* op,
-                                        CheckpointManager* mgr,
-                                        uint64_t windows_flushed,
-                                        const ResumableSource* source) {
-  ByteWriter w;
-  op->SerializeDurableState(w);
-  // Shed controller state rides along while a threaded run is live (the
-  // hook runs on the consumer thread, which owns the controller, so this
-  // read is unsynchronized but single-threaded).
-  LoadShedController* shed = active_shed_.load(std::memory_order_acquire);
-  w.Bool(shed != nullptr);
-  if (shed != nullptr) {
-    ByteWriter sw;
-    shed->SerializeTo(sw);
-    w.Str(sw.data());
-  }
-  ByteWriter ew;
-  obs::ExemplarStore::Default().SerializeTo(ew);
-  w.Bool(true);
-  w.Str(ew.data());
-  // Source-offset section: present only for RunSource snapshots, which
-  // are taken at ingest batch boundaries where the operator state and the
-  // source's durable offset describe the same prefix of the input.
-  w.Bool(source != nullptr);
-  if (source != nullptr) {
-    w.Str(source->kind());
-    w.U64(source->stream_id());
-    w.U64(source->durable_offset());
-  }
-  mgr->Write(windows_flushed, w.data());
   // Checkpoint-cadence forensics: keep the flight segment in step with the
   // durable state, so a crash right after a checkpoint still leaves a
   // telemetry tail that covers the checkpointed window.
   if (flight_ != nullptr) flight_->RequestSpill();
 }
 
-void TwoLevelRuntime::FlushPendingSnapshots(const ResumableSource* source) {
-  for (size_t i = 0; i < pending_snapshots_.size(); ++i) {
-    if (pending_snapshots_[i] == 0) continue;
-    WriteNodeSnapshot(high_[i]->sampling_operator(), checkpoint_mgrs_[i].get(),
-                      pending_snapshots_[i], source);
-    pending_snapshots_[i] = 0;
-  }
-}
-
-bool TwoLevelRuntime::ApplySourceResume(ResumableSource& source) {
-  if (!recovered_ || restored_sources_.empty()) return false;
-  bool any = false;
-  uint64_t offset = 0;
+bool TwoLevelRuntime::ResumeOrStartFresh(ResumableSource& source) {
+  if (!resume_pending_) return false;
+  // Every checkpoint-managed node must have restored a snapshot naming ONE
+  // source offset: a node that restored nothing needs the input from its
+  // start, and seeking would starve it of its prefix.
+  const RestoredSourceInfo* first = nullptr;
+  bool one_offset = true;
   for (size_t i = 0; i < high_.size(); ++i) {
     if (checkpoint_mgrs_[i] == nullptr) continue;
     const RestoredSourceInfo& rs = restored_sources_[i];
-    // Every checkpoint-managed node must have been restored from a
-    // snapshot naming THIS source at ONE offset; a node restored without
-    // a source section (or not restored at all) still expects the replay-
-    // from-start contract, and seeking would starve it of its prefix.
-    if (!rs.restored || !rs.has_source) return false;
-    if (rs.kind != source.kind() || rs.stream_id != source.stream_id()) {
-      std::fprintf(stderr,
-                   "[checkpoint] %s: snapshot was taken against %s source "
-                   "id %llx, not %s — falling back to positional replay\n",
-                   high_[i]->name().c_str(), rs.kind.c_str(),
-                   static_cast<unsigned long long>(rs.stream_id),
-                   source.describe().c_str());
-      return false;
-    }
-    if (any && rs.offset != offset) return false;  // mixed offsets
-    offset = rs.offset;
-    any = true;
+    if (first == nullptr) first = &rs;
+    one_offset = one_offset && !rs.kind.empty() && rs == *first;
   }
-  if (!any) return false;
-  const Status st = source.SeekTo(offset);
-  if (!st.ok()) {
-    std::fprintf(stderr,
-                 "[checkpoint] cannot seek %s to offset %llu (%s) — "
-                 "falling back to positional replay\n",
+  Status st = Status::InvalidArgument(
+      "not every node restored a snapshot naming one source offset");
+  if (one_offset && first->kind == source.kind() &&
+      first->stream_id == source.stream_id()) {
+    st = source.SeekTo(first->offset);
+  } else if (one_offset) {
+    st = Status::InvalidArgument("the snapshots were taken against " +
+                                 first->kind + " source " +
+                                 std::to_string(first->stream_id));
+  }
+  // The seek stays pending until the source opens: a failed Open() leaves
+  // the next run to seek again.
+  if (st.ok()) {
+    std::fprintf(stderr, "[checkpoint] resuming %s at offset %llu\n",
                  source.describe().c_str(),
-                 static_cast<unsigned long long>(offset),
-                 st.message().c_str());
-    return false;
+                 static_cast<unsigned long long>(first->offset));
+    return true;
   }
-  // The source now continues exactly where the snapshots left off: no
-  // replayed prefix will arrive, so cancel the positional skip.
+  std::fprintf(stderr, "[checkpoint] cannot resume %s (%s); starting fresh\n",
+               source.describe().c_str(), st.message().c_str());
   for (size_t i = 0; i < high_.size(); ++i) {
     if (checkpoint_mgrs_[i] == nullptr) continue;
-    high_[i]->sampling_operator()->ClearRecoveryReplay();
+    high_[i]->sampling_operator()->ResetDurableState();
+    checkpoint_mgrs_[i]->DiscardAll();
   }
-  std::fprintf(stderr, "[checkpoint] resuming %s at offset %llu\n",
-               source.describe().c_str(),
-               static_cast<unsigned long long>(offset));
-  return true;
+  recovered_windows_ = 0;
+  resume_pending_ = false;
+  return false;
 }
 
 bool TwoLevelRuntime::healthy() const {
@@ -389,16 +359,8 @@ std::string TwoLevelRuntime::HealthJson() const {
   }
   // Checkpoint state is read live from the managers (not the report copy)
   // so /healthz reflects writes and failures of an in-flight run too.
-  const bool ckpt_enabled = !checkpoint_mgrs_.empty();
-  bool ckpt_degraded = false;
-  uint64_t ckpt_writes = 0, ckpt_failures = 0, ckpt_corrupt = 0;
-  for (const auto& mgr : checkpoint_mgrs_) {
-    if (mgr == nullptr) continue;
-    ckpt_writes += mgr->writes();
-    ckpt_failures += mgr->failures();
-    ckpt_corrupt += mgr->corrupt_skipped();
-    if (mgr->degraded()) ckpt_degraded = true;
-  }
+  RunReport ckpt;
+  FillCheckpointReport(&ckpt);
   // Alert summary + flight-recorder status (obs/alerts.h): a firing
   // critical alert dominates every other status and flips the endpoint to
   // 503 via healthy().
@@ -417,7 +379,7 @@ std::string TwoLevelRuntime::HealthJson() const {
                 ? "critical_alert"
                 : is_running
                       ? "running"
-                      : (ckpt_degraded || alerts.firing > 0 ||
+                      : (ckpt.checkpoint_degraded || alerts.firing > 0 ||
                          (r.shedding_enabled && r.shed_fraction > 0.0))
                             ? "degraded"
                             : "ok";
@@ -449,12 +411,13 @@ std::string TwoLevelRuntime::HealthJson() const {
       static_cast<unsigned long long>(r.late_tuples),
       static_cast<unsigned long long>(r.packets_malformed),
       static_cast<unsigned long long>(r.packets),
-      ckpt_enabled ? "true" : "false", ckpt_degraded ? "true" : "false",
-      recovered_ ? "true" : "false",
-      static_cast<unsigned long long>(recovered_windows_),
-      static_cast<unsigned long long>(ckpt_writes),
-      static_cast<unsigned long long>(ckpt_failures),
-      static_cast<unsigned long long>(ckpt_corrupt),
+      !checkpoint_mgrs_.empty() ? "true" : "false",
+      ckpt.checkpoint_degraded ? "true" : "false",
+      ckpt.recovered ? "true" : "false",
+      static_cast<unsigned long long>(ckpt.recovered_windows),
+      static_cast<unsigned long long>(ckpt.checkpoints_written),
+      static_cast<unsigned long long>(ckpt.checkpoint_failures),
+      static_cast<unsigned long long>(ckpt.checkpoint_corrupt_skipped),
       src_active ? "true" : "false",
       static_cast<unsigned long long>(
           live_source_offset_.load(std::memory_order_relaxed)),
@@ -477,139 +440,223 @@ std::string TwoLevelRuntime::HealthJson() const {
   return buf;
 }
 
-Result<RunReport> TwoLevelRuntime::Run(const Trace& trace) {
-  RunningGuard running(running_);
-  RingBuffer<const PacketRecord*> ring(options_.ring_capacity);
-  ring.AttachMetrics(&ring_metrics_);
-  const std::vector<PacketRecord>& packets = trace.packets();
-  size_t produced = 0;
-  uint64_t packets_malformed = 0;
+// RunThreaded's input: a TraceSource whose records arrive through the ring.
+// A producer thread pushes pointers into the trace arena — Gigascope's
+// zero-copy feed of the low-level queries — and Read() pops them, so the
+// durable offset is the index just past the last record popped and a
+// snapshot names a trace offset whichever run wrote it. The rest is
+// RunThreaded's own: the producer's backoff ladder and drop policy, the
+// load-shed controller's tick, the consumer stall hook and the watchdog.
+class TwoLevelRuntime::ThreadedFeed : public TraceSource {
+ public:
+  ThreadedFeed(const Trace& trace, const RuntimeOptions& options,
+               obs::MetricRegistry& reg)
+      : TraceSource(&trace),
+        options_(options),
+        ring_metrics_(obs::RingBufferMetrics::Create(reg)),
+        ring_(options.ring_capacity),
+        shed_(options.shed, &reg) {
+    ring_.AttachMetrics(&ring_metrics_);
+  }
+  ~ThreadedFeed() override { Stop(); }
 
-  // Batched data path (DESIGN.md §9): the ring drains into a reusable
-  // columnar batch, the low node filters/projects it column-at-a-time into
-  // `low_out_batch`, and the high nodes consume that batch directly — no
-  // per-tuple Value rows anywhere on the steady-state path.
-  TupleBatch batch(low_->input_width(), options_.batch_size);
-  TupleBatch low_out_batch;
-
-  while (produced < packets.size()) {
-    // Producer: fill the ring (pointers into the trace arena — no copy,
-    // matching Gigascope's zero-copy feed of low-level queries).
-    while (produced < packets.size() && ring.TryPush(&packets[produced])) {
-      ++produced;
+  // Starts the producer at the durable offset, and the watchdog.
+  Status Open() override {
+    STREAMOP_RETURN_NOT_OK(TraceSource::Open());
+    producer_ = std::thread([this, start = pos_] { Produce(start); });
+    if (options_.stall_timeout_ms > 0) {
+      watchdog_ = std::thread([this] { Watch(); });
     }
-
-    // Low-level node: drain the ring in batches; packet->batch conversion
-    // and selection both bill to the low node (these are the "memory copy"
-    // costs §7.2 attributes to low-level evaluation).
-    while (!ring.empty()) {
-      obs::SpanRing& spans = obs::SpanRing::Default();
-      obs::Profiler& prof = obs::Profiler::Default();
-      const bool span_on = spans.enabled();
-      const bool prof_on = prof.phase_accounting_enabled();
-      uint64_t t0 = NowNanos();
-      const uint64_t drain_c0 = prof_on ? obs::CycleNow() : 0;
-      batch.Clear();
-      const PacketRecord* p = nullptr;
-      for (size_t i = 0; i < options_.batch_size && ring.TryPop(&p); ++i) {
-        if (p->len < kMinPacketLen) {
-          ++packets_malformed;  // truncated/garbage header: reject, don't feed
-          OfferMalformedExemplar(*p);
-          continue;
-        }
-        batch.AppendPacket(*p);
-      }
-      const uint64_t drain_end = span_on ? NowNanos() : 0;
-      if (prof_on) {
-        prof.AddPhaseCycles(obs::Profiler::kDrain,
-                            obs::CycleNow() - drain_c0);
-      }
-      // Causal context: rows drained go down; the id of the window span the
-      // batch fed comes back up through the sampling operator, so the drain
-      // span below parents under the window root it actually filled.
-      obs::SpanContext sctx;
-      sctx.rows = batch.num_rows();
-      STREAMOP_RETURN_NOT_OK(low_->PushBatch(batch, 1.0, &low_out_batch));
-      uint64_t batch_ns = NowNanos() - t0;
-      low_->AddCpuNanos(batch_ns);
-      low_->RecordBatch(batch_ns, batch.num_rows());
-
-      // High-level nodes consume the low node's output batch.
-      for (auto& node : high_) {
-        uint64_t h0 = NowNanos();
-        STREAMOP_RETURN_NOT_OK(node->PushBatch(
-            low_out_batch, 1.0, nullptr, span_on ? &sctx : nullptr));
-        uint64_t h_ns = NowNanos() - h0;
-        node->AddCpuNanos(h_ns);
-        node->RecordBatch(h_ns, low_out_batch.num_rows());
-      }
-      if (span_on) {
-        obs::SpanRecord dr;
-        dr.name = "ring_drain";
-        dr.parent_id = sctx.window_span_id;
-        dr.window_seq = sctx.window_seq;
-        dr.ts_ns = t0;
-        dr.dur_ns = drain_end - t0;
-        dr.rows = batch.num_rows();
-        spans.Emit(dr);
-      }
-    }
+    return Status::OK();
   }
 
-  // End of stream.
-  {
-    uint64_t t0 = NowNanos();
-    STREAMOP_RETURN_NOT_OK(low_->Finish());
-    std::vector<Tuple> rows = low_->DrainOutput();
-    low_->AddCpuNanos(NowNanos() - t0);
-    for (auto& node : high_) {
-      uint64_t h0 = NowNanos();
-      for (const Tuple& t : rows) {
-        STREAMOP_RETURN_NOT_OK(node->Push(t));
-      }
-      STREAMOP_RETURN_NOT_OK(node->Finish());
-      node->AddCpuNanos(NowNanos() - h0);
-    }
+  // Waits for records, the producer's end, or the watchdog (kEnd with
+  // last_status() set).
+  ReadResult Read(PacketRecord* buf, size_t max, size_t* n_out) override;
+  Status last_status() const override { return status_; }
+
+  LoadShedController* shed() {
+    return options_.shed.enabled ? &shed_ : nullptr;
   }
 
-  RunReport report;
-  report.stream_seconds = trace.DurationSec();
-  report.packets = packets.size();
-  report.packets_malformed = packets_malformed;
-  report.ring_push_failures = ring_metrics_.enabled()
-                                  ? ring_metrics_.push_failures->value()
-                                  : 0;
-  report.ring_occupancy_hwm =
-      ring_metrics_.enabled()
-          ? static_cast<uint64_t>(ring_metrics_.occupancy_hwm->value())
-          : 0;
-  report.late_tuples = low_->late_tuples();
-  report.low = MakeReport(*low_, report.stream_seconds);
-  for (auto& node : high_) {
-    report.late_tuples += node->late_tuples();
-    report.high.push_back(MakeReport(*node, report.stream_seconds));
+  // Ends both threads: poisons the ring, which unsticks a producer that a
+  // loop stopping early left mid-backoff, and joins. Idempotent.
+  void Stop() {
+    abort_.store(true, std::memory_order_release);
+    ring_.Poison();
+    if (watchdog_.joinable()) watchdog_.join();
+    if (producer_.joinable()) producer_.join();
   }
-  FillCheckpointReport(&report);
-  PublishReport(report);
-  return report;
+
+  // This run's overload and degradation counts; call after Stop().
+  void FillReport(RunReport* report) const {
+    report->ring_push_failures = push_failures_;
+    report->ring_occupancy_hwm = ring_.occupancy_hwm();
+    report->ring_producer_retries = retries_;
+    report->packets_dropped = dropped_;
+    report->producer_backoff_sleeps = backoff_sleeps_;
+    report->producer_backoff_seconds = static_cast<double>(backoff_ns_) * 1e-9;
+    report->watchdog_fired = watchdog_fired_;
+    report->shedding_enabled = options_.shed.enabled;
+    report->tuples_offered = shed_.offered();
+    report->tuples_shed = shed_.shed();
+    report->shed_fraction = shed_.shed_fraction();
+    report->shed_p_min = shed_.min_probability_seen();
+    report->shed_p_max = shed_.max_probability_seen();
+  }
+
+ private:
+  void Produce(size_t start);
+  void Watch();
+
+  const RuntimeOptions& options_;
+  const obs::RingBufferMetrics ring_metrics_;
+  RingBuffer<const PacketRecord*> ring_;
+  LoadShedController shed_;  // consumer-owned
+  std::thread producer_;
+  std::thread watchdog_;
+  std::atomic<bool> abort_{false};  // raised by the watchdog or Stop()
+  // Heartbeat for the watchdog: bumped on every push, drop and pop.
+  std::atomic<uint64_t> progress_{0};
+  // TryPush calls that found the ring full: the controller's feedback,
+  // and this run's count in the report.
+  std::atomic<uint64_t> push_failures_{0};
+  // Producer-owned, read after the join.
+  uint64_t retries_ = 0;
+  uint64_t dropped_ = 0;
+  uint64_t backoff_sleeps_ = 0;
+  uint64_t backoff_ns_ = 0;
+  bool watchdog_fired_ = false;  // watchdog-owned, read after the join
+  // Consumer-owned.
+  std::vector<const PacketRecord*> popped_;
+  uint64_t batch_index_ = 0;
+  uint64_t last_tick_ns_ = 0;
+  uint64_t last_failures_ = 0;
+  Status status_;
+};
+
+void TwoLevelRuntime::ThreadedFeed::Produce(size_t start) {
+  const std::vector<PacketRecord>& packets = trace_->packets();
+  const bool drop = options_.drop_on_overload;
+  int yields = 0;
+  uint64_t sleep_ns = kBackoffMinSleepNs;
+  for (size_t i = start; i < packets.size(); ++i) {
+    while (!ring_.TryPush(&packets[i])) {
+      if (abort_.load(std::memory_order_acquire) || ring_.poisoned()) {
+        return;  // aborted runs leave the ring poisoned, not closed
+      }
+      push_failures_.fetch_add(1, std::memory_order_relaxed);
+      if (drop) {
+        ++dropped_;
+        break;  // overload: shed this packet, move on
+      }
+      // Bounded backoff ladder: a burst of yields, then exponentially
+      // growing sleeps capped at 1 ms — the producer never busy-spins
+      // unboundedly against a slow consumer.
+      ++retries_;
+      if (yields < kBackoffYields) {
+        ++yields;
+        std::this_thread::yield();
+      } else {
+        ++backoff_sleeps_;
+        backoff_ns_ += sleep_ns;
+        std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns));
+        sleep_ns = std::min(sleep_ns * 2, kBackoffMaxSleepNs);
+      }
+    }
+    // Ladder resets after any successful push (or drop).
+    yields = 0;
+    sleep_ns = kBackoffMinSleepNs;
+    progress_.fetch_add(1, std::memory_order_relaxed);
+  }
+  ring_.Close();  // end of stream: the consumer drains and ends
 }
 
-Result<RunReport> TwoLevelRuntime::RunSource(ResumableSource& source) {
+// If the progress heartbeat freezes for stall_timeout_ms — a hung consumer,
+// a deadlocked hook — the watchdog aborts and poisons the ring; the threads
+// exit cooperatively and the run reports ResourceExhausted instead of
+// hanging forever.
+void TwoLevelRuntime::ThreadedFeed::Watch() {
+  const uint64_t timeout_ns = options_.stall_timeout_ms * 1000000ull;
+  uint64_t last_progress = progress_.load(std::memory_order_relaxed);
+  uint64_t last_change_ns = NowNanos();
+  while (!abort_.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const uint64_t now_progress = progress_.load(std::memory_order_relaxed);
+    if (now_progress != last_progress) {
+      last_progress = now_progress;
+      last_change_ns = NowNanos();
+    } else if (NowNanos() - last_change_ns >= timeout_ns) {
+      watchdog_fired_ = true;
+      abort_.store(true, std::memory_order_release);
+      ring_.Poison();
+      return;
+    }
+  }
+}
+
+ResumableSource::ReadResult TwoLevelRuntime::ThreadedFeed::Read(
+    PacketRecord* buf, size_t max, size_t* n_out) {
+  *n_out = 0;
+  if (options_.consumer_stall_hook) {
+    options_.consumer_stall_hook(batch_index_++, abort_);
+  }
+  // Controller tick, rate-limited here so the controller itself stays pure
+  // (unit tests drive Tick directly). The loop applies the post-tick p to
+  // the whole batch.
+  if (options_.shed.enabled) {
+    const uint64_t now = NowNanos();
+    if (last_tick_ns_ == 0 ||
+        now - last_tick_ns_ >= options_.shed.tick_interval_us * 1000) {
+      const uint64_t f = push_failures_.load(std::memory_order_relaxed);
+      shed_.Tick(ring_.size(), ring_.capacity(), f - last_failures_);
+      last_failures_ = f;
+      last_tick_ns_ = now;
+    }
+  }
+  if (popped_.size() < max) popped_.resize(max);
+  size_t n = 0;
+  while ((n = ring_.PopBatch(popped_.data(), max)) == 0) {
+    if (abort_.load(std::memory_order_acquire)) {
+      status_ = Status::ResourceExhausted(
+          "pipeline stalled: no progress for " +
+          std::to_string(options_.stall_timeout_ms) +
+          " ms (watchdog); see last_report() for the degradation summary");
+      return ReadResult::kEnd;
+    }
+    if (ring_.closed() && ring_.empty()) return ReadResult::kEnd;
+    std::this_thread::yield();  // the producer is behind
+  }
+  for (size_t i = 0; i < n; ++i) buf[i] = *popped_[i];
+  pos_ = static_cast<size_t>(popped_[n - 1] - trace_->packets().data()) + 1;
+  stats_.records += n;
+  progress_.fetch_add(n, std::memory_order_relaxed);
+  *n_out = n;
+  return ReadResult::kRecords;
+}
+
+Result<RunReport> TwoLevelRuntime::Drive(ResumableSource& source,
+                                         ThreadedFeed* threaded) {
   RunningGuard running(running_);
-  obs::MetricRegistry& reg = options_.registry != nullptr
-                                 ? *options_.registry
-                                 : obs::MetricRegistry::Default();
+  const uint64_t wall0 = NowNanos();
   const obs::IngestSourceMetrics ingest =
-      obs::IngestSourceMetrics::Create(reg, source.describe());
+      obs::IngestSourceMetrics::Create(*registry_, source.describe());
 
-  // Restore-side seek must happen before Open(): pcap applies the pending
-  // seek when opening, sockets put the offset in their first HELLO.
-  const bool resumed = ApplySourceResume(source);
+  // The seek must precede Open(): pcap applies it when opening, sockets put
+  // the offset in their first HELLO, RunThreaded's producer starts there.
+  const bool resumed = ResumeOrStartFresh(source);
   STREAMOP_RETURN_NOT_OK(source.Open());
-
-  source_run_active_ = true;
+  resume_pending_ = false;
+  // RunThreaded's shed controller, when shedding runs, rides in its
+  // snapshots: a resumed run continues the restored admission sequence.
+  LoadShedController* shed = threaded != nullptr ? threaded->shed() : nullptr;
+  if (resumed && shed != nullptr && !restored_shed_blob_.empty()) {
+    ByteReader r(restored_shed_blob_);
+    shed->RestoreFrom(r);
+  }
+  restored_shed_blob_.clear();
   source_active_.store(true, std::memory_order_relaxed);
-  pending_snapshots_.assign(high_.size(), 0);
+  snapshot_due_ = false;
 
   std::vector<PacketRecord> records(options_.batch_size);
   TupleBatch batch(low_->input_width(), options_.batch_size);
@@ -618,8 +665,7 @@ Result<RunReport> TwoLevelRuntime::RunSource(ResumableSource& source) {
   uint64_t malformed = 0;
   uint64_t first_ts = 0;
   uint64_t last_ts = 0;
-  bool have_ts = false;
-  int64_t idle_since_ns = -1;
+  uint64_t idle_since_ns = 0;  // start of the current idle streak
   bool clean_end = false;
   Status status;
   SourceIngestStats prev;  // last stats pushed into the counters
@@ -651,307 +697,63 @@ Result<RunReport> TwoLevelRuntime::RunSource(ResumableSource& source) {
     size_t n = 0;
     const ResumableSource::ReadResult rr =
         source.Read(records.data(), records.size(), &n);
-    if (n > 0) {
-      delivered += n;
-      const uint64_t t0 = NowNanos();
-      batch.Clear();
-      for (size_t i = 0; i < n; ++i) {
-        const PacketRecord& p = records[i];
-        if (!have_ts) {
-          first_ts = p.ts_ns;
-          have_ts = true;
-        }
-        last_ts = std::max(last_ts, p.ts_ns);
-        if (p.len < kMinPacketLen) {
-          ++malformed;  // quarantined on arrival, never fed to the nodes
-          OfferMalformedExemplar(p);
-          continue;
-        }
-        batch.AppendPacket(p);
-      }
-      status = low_->PushBatch(batch, 1.0, &low_out_batch);
-      const uint64_t batch_ns = NowNanos() - t0;
-      low_->AddCpuNanos(batch_ns);
-      low_->RecordBatch(batch_ns, batch.num_rows());
-      if (status.ok()) {
-        for (auto& node : high_) {
-          const uint64_t h0 = NowNanos();
-          status = node->PushBatch(low_out_batch, 1.0, nullptr, nullptr);
-          const uint64_t h_ns = NowNanos() - h0;
-          node->AddCpuNanos(h_ns);
-          if (low_out_batch.num_rows() > 0) {
-            node->RecordBatch(h_ns, low_out_batch.num_rows());
-          }
-          if (!status.ok()) break;
-        }
-      }
-      if (!status.ok()) break;
-      idle_since_ns = -1;
-    } else if (rr == ResumableSource::ReadResult::kIdle) {
-      // Heartbeat-empty batch: the wire is quiet but the pipeline keeps
-      // turning — hooks run, metrics refresh, deferred snapshots land.
-      batch.Clear();
-      status = low_->PushBatch(batch, 1.0, &low_out_batch);
-      for (auto& node : high_) {
-        if (!status.ok()) break;
-        status = node->PushBatch(low_out_batch, 1.0, nullptr, nullptr);
-      }
-      if (!status.ok()) break;
-    }
-
-    // Ingest batch boundary: every record read so far is fully processed,
-    // so a deferred snapshot here can bind the operator state to the
-    // source's durable offset.
-    FlushPendingSnapshots(&source);
-    sync_metrics();
-
-    if (rr == ResumableSource::ReadResult::kEnd) {
-      clean_end = source.last_status().ok();
-      break;
-    }
-    if (options_.source_max_records > 0 &&
-        delivered >= options_.source_max_records) {
-      clean_end = true;
-      break;
-    }
-    if (rr == ResumableSource::ReadResult::kIdle &&
-        options_.source_max_idle_ms > 0) {
-      const int64_t now = static_cast<int64_t>(NowNanos());
-      if (idle_since_ns < 0) {
-        idle_since_ns = now;
-      } else if (now - idle_since_ns >=
-                 static_cast<int64_t>(options_.source_max_idle_ms) *
-                     1000000) {
-        clean_end = true;  // configured idle budget: a clean end
-        break;
-      }
-    }
-  }
-
-  // End of stream: flush the final windows, but only on a clean end — an
-  // ingest failure must not emit partial windows as if they completed.
-  if (status.ok() && clean_end) {
-    const uint64_t t0 = NowNanos();
-    status = low_->Finish();
-    if (status.ok()) {
-      std::vector<Tuple> rows = low_->DrainOutput();
-      low_->AddCpuNanos(NowNanos() - t0);
-      for (auto& node : high_) {
-        const uint64_t h0 = NowNanos();
-        for (const Tuple& t : rows) {
-          status = node->Push(t);
-          if (!status.ok()) break;
-        }
-        if (status.ok()) status = node->Finish();
-        node->AddCpuNanos(NowNanos() - h0);
-        if (!status.ok()) break;
-      }
-    }
-  }
-  // Snapshots deferred by the final flush bind to the end-of-stream offset.
-  FlushPendingSnapshots(&source);
-  source_run_active_ = false;
-  source_active_.store(false, std::memory_order_relaxed);
-  sync_metrics();
-
-  RunReport report;
-  report.stream_seconds =
-      have_ts && last_ts > first_ts
-          ? static_cast<double>(last_ts - first_ts) * 1e-9
-          : 0.0;
-  report.packets = delivered;
-  report.packets_malformed = malformed;
-  report.late_tuples = low_->late_tuples();
-  report.low = MakeReport(*low_, report.stream_seconds);
-  for (auto& node : high_) {
-    report.late_tuples += node->late_tuples();
-    report.high.push_back(MakeReport(*node, report.stream_seconds));
-  }
-  SourceReport sr;
-  sr.source = source.describe();
-  sr.resumed_from_offset = resumed;
-  sr.clean_end = clean_end && status.ok();
-  sr.durable_offset = source.durable_offset();
-  sr.offset_lag = source.offset_lag();
-  if (!source.last_status().ok()) sr.error = source.last_status().message();
-  sr.stats = source.stats();
-  report.sources.push_back(std::move(sr));
-  FillCheckpointReport(&report);
-  PublishReport(report);
-
-  if (!status.ok()) return status;
-  if (!clean_end && !source.last_status().ok()) return source.last_status();
-  return report;
-}
-
-Result<RunReport> TwoLevelRuntime::RunThreaded(const Trace& trace) {
-  RunningGuard running(running_);
-  RingBuffer<const PacketRecord*> ring(options_.ring_capacity);
-  ring.AttachMetrics(&ring_metrics_);
-  const std::vector<PacketRecord>& packets = trace.packets();
-  obs::MetricRegistry& reg = options_.registry != nullptr
-                                 ? *options_.registry
-                                 : obs::MetricRegistry::Default();
-  LoadShedController shed(options_.shed, &reg);
-  // A restored snapshot carries the controller state from the killed run;
-  // apply it so the admission probability resumes where it left off.
-  if (!restored_shed_blob_.empty()) {
-    ByteReader sr(restored_shed_blob_);
-    shed.RestoreFrom(sr);
-    restored_shed_blob_.clear();
-  }
-  // Publish for the checkpoint flush hook (runs on the consumer thread,
-  // the same thread that drives the controller).
-  active_shed_.store(&shed, std::memory_order_release);
-
-  std::atomic<bool> abort{false};         // any party: stop everything
-  std::atomic<bool> consumer_done{false};
-  // Progress heartbeat for the watchdog: bumped on every push, pop and
-  // drop. If it freezes for stall_timeout_ms the run is declared stuck.
-  std::atomic<uint64_t> progress{0};
-  // Producer->controller feedback, independent of the (compile-out-able)
-  // obs counters: TryPush failures since the controller's last tick.
-  std::atomic<uint64_t> push_failures{0};
-
-  // Overload accounting, surfaced in the report and the registry: every
-  // failed push is either retried (bounded backoff, deterministic default)
-  // or dropped (drop_on_overload, the paper's Gigascope behaviour).
-  uint64_t producer_retries = 0;
-  uint64_t packets_dropped = 0;
-  uint64_t backoff_sleeps = 0;
-  uint64_t backoff_ns = 0;
-
-  uint64_t wall0 = NowNanos();
-  std::thread producer([&] {
-    const bool drop = options_.drop_on_overload;
-    int yields = 0;
-    uint64_t sleep_ns = kBackoffMinSleepNs;
-    for (const PacketRecord& p : packets) {
-      while (!ring.TryPush(&p)) {
-        if (abort.load(std::memory_order_acquire) || ring.poisoned()) {
-          return;  // aborted runs leave the ring poisoned, not closed
-        }
-        push_failures.fetch_add(1, std::memory_order_relaxed);
-        if (drop) {
-          ++packets_dropped;
-          progress.fetch_add(1, std::memory_order_relaxed);
-          break;  // overload: shed this packet, move on
-        }
-        // Bounded backoff ladder: a burst of yields, then exponentially
-        // growing sleeps capped at 1 ms — the producer never busy-spins
-        // unboundedly against a slow consumer.
-        ++producer_retries;
-        if (yields < kBackoffYields) {
-          ++yields;
-          std::this_thread::yield();
-        } else {
-          ++backoff_sleeps;
-          backoff_ns += sleep_ns;
-          std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns));
-          sleep_ns = std::min(sleep_ns * 2, kBackoffMaxSleepNs);
-        }
-      }
-      // Ladder resets after any successful push.
-      yields = 0;
-      sleep_ns = kBackoffMinSleepNs;
-      progress.fetch_add(1, std::memory_order_relaxed);
-    }
-    ring.Close();  // end of stream: consumer drains and exits
-  });
-
-  Status status;
-  uint64_t consumer_malformed = 0;
-  std::thread consumer([&] {
-    const PacketRecord* p = nullptr;
-    const bool shed_on = options_.shed.enabled;
-    const uint64_t tick_ns = options_.shed.tick_interval_us * 1000;
-    uint64_t last_tick_ns = 0;
-    uint64_t last_failures = 0;
-    uint64_t batch_index = 0;
-    TupleBatch batch(low_->input_width(), options_.batch_size);
-    TupleBatch low_out_batch;
-    for (;;) {
-      if (abort.load(std::memory_order_acquire)) break;
-      if (options_.consumer_stall_hook) {
-        options_.consumer_stall_hook(batch_index, abort);
-        if (abort.load(std::memory_order_acquire)) break;
-      }
-      ++batch_index;
-
-      // While a restored node is still discarding its replayed prefix the
-      // shed gate is bypassed (weight 1.0, no Admit draws, no Tick): the
-      // replayed packets were already admitted before the crash, and
-      // re-shedding or re-tuning on them would double-drop / perturb the
-      // restored admission probability. Recovery is byte-exact for
-      // non-shed runs; with shedding, the RNG draws consumed before the
-      // snapshot are part of the restored controller state, so the
-      // post-replay stream continues from the same admission sequence.
-      const bool replaying = AnyNodeRecovering();
-
-      // Controller tick, rate-limited here so the controller itself stays
-      // pure (unit tests drive Tick directly). The post-tick p is constant
-      // across the batch, so one weight applies to every admitted tuple.
-      if (shed_on && !replaying) {
-        const uint64_t now = NowNanos();
-        if (last_tick_ns == 0 || now - last_tick_ns >= tick_ns) {
-          const uint64_t f = push_failures.load(std::memory_order_relaxed);
-          shed.Tick(ring.size(), ring.capacity(), f - last_failures);
-          last_failures = f;
-          last_tick_ns = now;
-        }
-      }
-      const double weight = (shed_on && !replaying) ? shed.weight() : 1.0;
-
+    // A batch through the nodes. An idle read sends a heartbeat-empty batch
+    // so the pipeline keeps turning while the wire is quiet.
+    if (n > 0 || rr == ResumableSource::ReadResult::kIdle) {
       obs::SpanRing& spans = obs::SpanRing::Default();
       obs::Profiler& prof = obs::Profiler::Default();
       const bool span_on = spans.enabled();
       const bool prof_on = prof.phase_accounting_enabled();
-      size_t popped = 0;
-      uint64_t t0 = NowNanos();
+      const uint64_t t0 = NowNanos();
       const uint64_t drain_c0 = prof_on ? obs::CycleNow() : 0;
+      const double weight = shed != nullptr ? shed->weight() : 1.0;
+      if (delivered == 0 && n > 0) first_ts = records[0].ts_ns;
       batch.Clear();
-      for (size_t i = 0; i < options_.batch_size && ring.TryPop(&p); ++i) {
-        ++popped;
-        progress.fetch_add(1, std::memory_order_relaxed);
-        if (p->len < kMinPacketLen) {
-          ++consumer_malformed;  // truncated/garbage header: reject
-          OfferMalformedExemplar(*p);
+      for (size_t i = 0; i < n; ++i) {
+        const PacketRecord& p = records[i];
+        last_ts = std::max(last_ts, p.ts_ns);
+        if (p.len < kMinPacketLen) {
+          ++malformed;  // truncated/garbage header: reject, don't feed
+          OfferMalformedExemplar(p);
           continue;
         }
-        if (shed_on && !replaying && !shed.Admit()) {  // Bernoulli pre-sample
-          OfferShedExemplar(*p, weight);
+        if (shed != nullptr && !shed->Admit()) {  // Bernoulli pre-sample
+          OfferShedExemplar(p, weight);
           continue;
         }
-        batch.AppendPacket(*p);  // weight is constant across the batch
+        batch.AppendPacket(p);  // weight is constant across the batch
       }
+      delivered += n;
       const uint64_t drain_end = span_on ? NowNanos() : 0;
       if (prof_on) {
         prof.AddPhaseCycles(obs::Profiler::kDrain,
                             obs::CycleNow() - drain_c0);
       }
+      // Causal context: rows drained go down; the id of the window span the
+      // batch fed comes back up through the sampling operator, so the drain
+      // span below parents under the window root it actually filled.
       obs::SpanContext sctx;
       sctx.shed_p = weight > 1.0 ? 1.0 / weight : 1.0;
       sctx.rows = batch.num_rows();
+      // Packet->batch conversion and selection both bill to the low node
+      // (the "memory copy" costs §7.2 attributes to low-level evaluation).
       status = low_->PushBatch(batch, weight, &low_out_batch);
-      if (!status.ok()) break;
-      if (popped > 0) {
-        uint64_t batch_ns = NowNanos() - t0;
-        low_->AddCpuNanos(batch_ns);
-        low_->RecordBatch(batch_ns, batch.num_rows());
-      }
-      for (auto& node : high_) {
-        uint64_t h0 = NowNanos();
-        status = node->PushBatch(low_out_batch, weight, nullptr,
-                                 span_on ? &sctx : nullptr);
-        uint64_t h_ns = NowNanos() - h0;
-        node->AddCpuNanos(h_ns);
+      const uint64_t batch_ns = NowNanos() - t0;
+      low_->AddCpuNanos(batch_ns);
+      if (n > 0) low_->RecordBatch(batch_ns, batch.num_rows());
+      for (size_t h = 0; h < high_.size() && status.ok(); ++h) {
+        QueryNode& node = *high_[h];
+        const uint64_t h0 = NowNanos();
+        status = node.PushBatch(low_out_batch, weight, nullptr,
+                                span_on ? &sctx : nullptr);
+        const uint64_t h_ns = NowNanos() - h0;
+        node.AddCpuNanos(h_ns);
         if (low_out_batch.num_rows() > 0) {
-          node->RecordBatch(h_ns, low_out_batch.num_rows());
+          node.RecordBatch(h_ns, low_out_batch.num_rows());
         }
-        if (!status.ok()) break;
       }
       if (!status.ok()) break;
-      if (span_on && popped > 0) {
+      if (span_on && n > 0) {
         obs::SpanRecord dr;
         dr.name = "ring_drain";
         dr.parent_id = sctx.window_span_id;
@@ -962,120 +764,100 @@ Result<RunReport> TwoLevelRuntime::RunThreaded(const Trace& trace) {
         dr.shed_p = sctx.shed_p;
         spans.Emit(dr);
       }
-      if (popped == 0) {
-        if (ring.closed() && ring.empty()) break;  // clean end of stream
-        std::this_thread::yield();
-      }
+      if (n > 0) idle_since_ns = 0;
     }
-    if (!status.ok()) {
-      // Consumer failed: poison the ring so the producer's retry loop (and
-      // any pending pushes) unstick immediately instead of live-locking.
-      abort.store(true, std::memory_order_release);
-      ring.Poison();
-    }
-    consumer_done.store(true, std::memory_order_release);
-    progress.fetch_add(1, std::memory_order_relaxed);
-  });
 
-  // Watchdog: the main thread supervises both workers. If the progress
-  // heartbeat freezes for stall_timeout_ms — a hung consumer, a deadlocked
-  // hook — it aborts and poisons the ring; both threads exit cooperatively
-  // and the run reports ResourceExhausted instead of hanging forever.
-  bool watchdog_fired = false;
-  {
-    const uint64_t timeout_ns = options_.stall_timeout_ms * 1000000ull;
-    uint64_t last_progress = progress.load(std::memory_order_relaxed);
-    uint64_t last_change_ns = NowNanos();
-    while (!consumer_done.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      const uint64_t now_progress = progress.load(std::memory_order_relaxed);
-      if (now_progress != last_progress) {
-        last_progress = now_progress;
-        last_change_ns = NowNanos();
-        continue;
-      }
-      if (timeout_ns > 0 && NowNanos() - last_change_ns >= timeout_ns) {
-        watchdog_fired = true;
-        abort.store(true, std::memory_order_release);
-        ring.Poison();
-        break;
-      }
+    // Batch boundary: every record read so far is fully processed, so a
+    // snapshot here binds the operator state to the source's offset.
+    FlushPendingSnapshots(source, shed);
+    sync_metrics();
+
+    if (rr == ResumableSource::ReadResult::kEnd) {
+      clean_end = source.last_status().ok();
+      break;
+    }
+    // The configured record and idle budgets end a run cleanly.
+    const bool idle = rr == ResumableSource::ReadResult::kIdle;
+    if (idle && idle_since_ns == 0) idle_since_ns = NowNanos();
+    if ((options_.source_max_records > 0 &&
+         delivered >= options_.source_max_records) ||
+        (idle && options_.source_max_idle_ms > 0 &&
+         NowNanos() - idle_since_ns >= options_.source_max_idle_ms * 1000000)) {
+      clean_end = true;
+      break;
     }
   }
-  producer.join();
-  consumer.join();
+  if (threaded != nullptr) threaded->Stop();
 
-  producer_retries_->Add(producer_retries);
-  packets_dropped_->Add(packets_dropped);
-
-  // End of stream (only on a clean run: an aborted pipeline must not emit
-  // partial windows as if they were complete).
-  if (status.ok() && !watchdog_fired) {
-    uint64_t t0 = NowNanos();
+  // End of stream: flush the final windows, but only on a clean end — an
+  // aborted or failed run must not emit partial windows as if they
+  // completed.
+  if (status.ok() && clean_end) {
+    const uint64_t t0 = NowNanos();
     status = low_->Finish();
-    if (status.ok()) {
-      std::vector<Tuple> rows = low_->DrainOutput();
-      low_->AddCpuNanos(NowNanos() - t0);
-      const double weight = options_.shed.enabled ? shed.weight() : 1.0;
-      for (auto& node : high_) {
-        uint64_t h0 = NowNanos();
-        for (const Tuple& t : rows) {
-          status = node->Push(t, weight);
-          if (!status.ok()) break;
-        }
-        if (status.ok()) status = node->Finish();
-        node->AddCpuNanos(NowNanos() - h0);
-        if (!status.ok()) break;
+    const std::vector<Tuple> rows = low_->DrainOutput();
+    low_->AddCpuNanos(NowNanos() - t0);
+    const double weight = shed != nullptr ? shed->weight() : 1.0;
+    for (size_t h = 0; h < high_.size() && status.ok(); ++h) {
+      const uint64_t h0 = NowNanos();
+      for (size_t i = 0; i < rows.size() && status.ok(); ++i) {
+        status = high_[h]->Push(rows[i], weight);
       }
+      if (status.ok()) status = high_[h]->Finish();
+      high_[h]->AddCpuNanos(NowNanos() - h0);
     }
   }
-
-  // The final flush (Finish above) may have snapshotted through the hook;
-  // from here the controller is about to leave scope, so unpublish it.
-  active_shed_.store(nullptr, std::memory_order_release);
+  // Snapshots requested by the final flush bind to the end-of-stream
+  // offset; a failed batch leaves no consistent state to snapshot.
+  if (status.ok()) FlushPendingSnapshots(source, shed);
+  source_active_.store(false, std::memory_order_relaxed);
+  sync_metrics();
 
   // The report — including the degradation summary — is built even for
   // failed runs and kept in last_report() for post-mortems.
   RunReport report;
-  report.stream_seconds = trace.DurationSec();
+  report.stream_seconds =
+      last_ts > first_ts ? static_cast<double>(last_ts - first_ts) * 1e-9
+                         : 0.0;
   report.pipeline_seconds = static_cast<double>(NowNanos() - wall0) * 1e-9;
-  report.packets = packets.size();
-  report.ring_producer_retries = producer_retries;
-  report.packets_dropped = packets_dropped;
-  report.producer_backoff_sleeps = backoff_sleeps;
-  report.producer_backoff_seconds = static_cast<double>(backoff_ns) * 1e-9;
-  report.packets_malformed = consumer_malformed;
-  report.watchdog_fired = watchdog_fired;
-  report.shedding_enabled = options_.shed.enabled;
-  report.tuples_offered = shed.offered();
-  report.tuples_shed = shed.shed();
-  report.shed_fraction = shed.shed_fraction();
-  report.shed_p_min = shed.min_probability_seen();
-  report.shed_p_max = shed.max_probability_seen();
-  report.ring_push_failures = ring_metrics_.enabled()
-                                  ? ring_metrics_.push_failures->value()
-                                  : push_failures.load();
-  report.ring_occupancy_hwm =
-      ring_metrics_.enabled()
-          ? static_cast<uint64_t>(ring_metrics_.occupancy_hwm->value())
-          : 0;
+  report.packets = delivered;
+  report.packets_malformed = malformed;
+  if (threaded != nullptr) threaded->FillReport(&report);
+  producer_retries_->Add(report.ring_producer_retries);
+  packets_dropped_->Add(report.packets_dropped);
   report.late_tuples = low_->late_tuples();
   report.low = MakeReport(*low_, report.stream_seconds);
   for (auto& node : high_) {
     report.late_tuples += node->late_tuples();
     report.high.push_back(MakeReport(*node, report.stream_seconds));
   }
+  report.sources.push_back({.source = source.describe(),
+                            .resumed_from_offset = resumed,
+                            .clean_end = clean_end && status.ok(),
+                            .durable_offset = source.durable_offset(),
+                            .offset_lag = source.offset_lag(),
+                            .error = source.last_status().message(),
+                            .stats = source.stats()});
   FillCheckpointReport(&report);
   PublishReport(report);
 
-  if (watchdog_fired) {
-    return Status::ResourceExhausted(
-        "pipeline stalled: no progress for " +
-        std::to_string(options_.stall_timeout_ms) +
-        " ms (watchdog); see last_report() for the degradation summary");
-  }
   if (!status.ok()) return status;
+  if (!clean_end && !source.last_status().ok()) return source.last_status();
   return report;
+}
+
+Result<RunReport> TwoLevelRuntime::RunSource(ResumableSource& source) {
+  return Drive(source, nullptr);
+}
+
+Result<RunReport> TwoLevelRuntime::Run(const Trace& trace) {
+  TraceSource source(&trace);
+  return Drive(source, nullptr);
+}
+
+Result<RunReport> TwoLevelRuntime::RunThreaded(const Trace& trace) {
+  ThreadedFeed feed(trace, options_, *registry_);
+  return Drive(feed, &feed);
 }
 
 Result<SingleRunResult> RunQueryOverTrace(const CompiledQuery& query,
@@ -1086,36 +868,24 @@ Result<SingleRunResult> RunQueryOverTrace(const CompiledQuery& query,
       registry != nullptr ? *registry : obs::MetricRegistry::Default();
   QueryNode node(name, query, &reg);
 
-  // Feed through an instrumented ring in batches — the same data path the
-  // two-level runtime uses — so single-query runs (the CLI, the figure
-  // benchmarks) surface ring occupancy and batch-latency metrics too.
-  const obs::RingBufferMetrics ring_metrics =
-      obs::RingBufferMetrics::Create(reg);
-  RingBuffer<const PacketRecord*> ring(1 << 16);
-  ring.AttachMetrics(&ring_metrics);
+  // The same batched read of the trace that Run() does, into one node.
   constexpr size_t kBatch = 512;
-
-  const std::vector<PacketRecord>& packets = trace.packets();
+  TraceSource source(&trace);
+  STREAMOP_RETURN_NOT_OK(source.Open());
+  std::vector<PacketRecord> records(kBatch);
   TupleBatch batch(node.input_width(), kBatch);
-  size_t produced = 0;
-  while (produced < packets.size()) {
-    while (produced < packets.size() && ring.TryPush(&packets[produced])) {
-      ++produced;
-    }
-    while (!ring.empty()) {
-      uint64_t t0 = NowNanos();
-      batch.Clear();
-      const PacketRecord* p = nullptr;
-      for (size_t i = 0; i < kBatch && ring.TryPop(&p); ++i) {
-        batch.AppendPacket(*p);
-      }
-      STREAMOP_RETURN_NOT_OK(node.PushBatch(batch));
-      uint64_t batch_ns = NowNanos() - t0;
-      node.AddCpuNanos(batch_ns);
-      node.RecordBatch(batch_ns, batch.num_rows());
-    }
+  size_t n = 0;
+  while (source.Read(records.data(), kBatch, &n) ==
+         ResumableSource::ReadResult::kRecords) {
+    const uint64_t t0 = NowNanos();
+    batch.Clear();
+    for (size_t i = 0; i < n; ++i) batch.AppendPacket(records[i]);
+    STREAMOP_RETURN_NOT_OK(node.PushBatch(batch));
+    const uint64_t batch_ns = NowNanos() - t0;
+    node.AddCpuNanos(batch_ns);
+    node.RecordBatch(batch_ns, batch.num_rows());
   }
-  uint64_t t0 = NowNanos();
+  const uint64_t t0 = NowNanos();
   STREAMOP_RETURN_NOT_OK(node.Finish());
   node.AddCpuNanos(NowNanos() - t0);
 

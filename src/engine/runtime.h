@@ -1,12 +1,14 @@
 // TwoLevelRuntime: the Gigascope execution architecture (§3, Fig. 1).
 //
-// Packets flow   trace arena -> ring buffer -> low-level node -> high-level
-// nodes. The low-level node is a selection (or pre-sampling selection)
-// query applied without copying off the ring buffer; its output tuples are
-// the only per-packet copies, which is why a selective low-level query
-// slashes total cost (Fig. 6). The runtime stopwatches each node and
-// reports %CPU relative to the stream's real-time duration — the paper's
-// metric of "fraction of one CPU consumed at line rate".
+// Packets flow   source -> low-level node -> high-level nodes, one batch at
+// a time, through one drive loop whatever the source: an in-memory trace
+// (stream/trace_source.h), a pcap file or a socket. RunThreaded adds the
+// paper's ring buffer between a producer thread and that loop. The
+// low-level node is a selection (or pre-sampling selection) query; its
+// output tuples are the only per-packet copies, which is why a selective
+// low-level query slashes total cost (Fig. 6). The runtime stopwatches each
+// node and reports %CPU relative to the stream's real-time duration — the
+// paper's metric of "fraction of one CPU consumed at line rate".
 
 #ifndef STREAMOP_ENGINE_RUNTIME_H_
 #define STREAMOP_ENGINE_RUNTIME_H_
@@ -27,7 +29,6 @@
 #include "obs/metrics.h"
 #include "query/analyzer.h"
 #include "stream/resumable_source.h"
-#include "stream/ring_buffer.h"
 
 namespace streamop {
 
@@ -40,10 +41,10 @@ struct NodeReport {
   double cpu_percent = 0.0;  // 100 * cpu_seconds / stream_seconds
 };
 
-/// Per-source ingest outcome of a RunSource run (stream/resumable_source.h).
+/// Ingest outcome of the source a run read (stream/resumable_source.h).
 struct SourceReport {
   std::string source;              // ResumableSource::describe()
-  bool resumed_from_offset = false;  // restore seeked instead of replaying
+  bool resumed_from_offset = false;  // seeked to a restored snapshot's offset
   bool clean_end = false;            // EOF/FIN, not an ingest failure
   uint64_t durable_offset = 0;       // final resumable offset
   uint64_t offset_lag = 0;           // producer head - consumed, at exit
@@ -52,14 +53,15 @@ struct SourceReport {
 };
 
 struct RunReport {
-  double stream_seconds = 0.0;    // the trace's wall-clock span
-  double pipeline_seconds = 0.0;  // RunThreaded: end-to-end wall time
-  uint64_t packets = 0;
+  double stream_seconds = 0.0;    // timestamp span of the records read
+  double pipeline_seconds = 0.0;  // end-to-end wall time of the run
+  uint64_t packets = 0;           // records the source delivered this run
 
-  // Ring-buffer overload accounting (RunThreaded). A full ring makes the
-  // producer either retry (default: yield until space, deterministic) or
-  // drop the packet (drop_on_overload — Gigascope's behaviour). Either
-  // way the overload is now visible instead of silent.
+  // Ring-buffer overload accounting (RunThreaded; zero for the other runs,
+  // which have no ring). A full ring makes the producer either retry
+  // (default: yield until space, deterministic) or drop the packet
+  // (drop_on_overload — Gigascope's behaviour). Either way the overload is
+  // visible instead of silent. All four count this run only.
   uint64_t ring_push_failures = 0;   // TryPush calls that found the ring full
   uint64_t ring_producer_retries = 0;  // producer yield-and-retry rounds
   uint64_t packets_dropped = 0;        // only with drop_on_overload
@@ -99,7 +101,7 @@ struct RunReport {
   uint64_t checkpoint_failures = 0;
   uint64_t checkpoint_corrupt_skipped = 0;
 
-  // Network/file ingest (RunSource): one entry per source fed this run.
+  // The source this run read: one entry (a trace run reports its trace).
   std::vector<SourceReport> sources;
 
   NodeReport low;
@@ -108,7 +110,9 @@ struct RunReport {
 
 /// Runtime tuning knobs.
 struct RuntimeOptions {
+  /// RunThreaded's ring between its producer thread and the nodes.
   size_t ring_capacity = 1 << 16;
+  /// Records per source read, i.e. per batch through the nodes.
   size_t batch_size = 512;
   /// RunThreaded only: drop packets when the ring is full instead of
   /// spinning the producer (the paper's Gigascope drops under overload).
@@ -128,28 +132,32 @@ struct RuntimeOptions {
   /// hanging. 0 disables the watchdog.
   uint64_t stall_timeout_ms = 10000;
 
-  /// Test hook: invoked by the consumer before each batch with the batch
-  /// index and the runtime's abort flag. Fault-injection tests install
-  /// cooperative stalls here (stream/fault_injection.h); the hook MUST
-  /// return promptly once the abort flag is set.
+  /// Test hook (RunThreaded): invoked by the consumer before each batch
+  /// read from the ring, with the batch index and the runtime's abort flag.
+  /// Fault-injection tests install cooperative stalls here
+  /// (stream/fault_injection.h); the hook MUST return promptly once the
+  /// abort flag is set.
   std::function<void(uint64_t, const std::atomic<bool>&)> consumer_stall_hook;
 
-  /// Durable snapshots (engine/checkpoint.h): with a non-empty dir, every
-  /// sampling node writes a versioned CRC-guarded snapshot of its durable
-  /// state (plus the load-shed controller and exemplar reservoirs) every
-  /// `checkpoint.every_n_windows` window flushes, and the runtime restores
-  /// the newest valid snapshot at construction — a killed process resumes
-  /// at the last flushed window. The `node` field is overwritten per node.
+  /// Durable snapshots (engine/checkpoint.h): with a non-empty dir, each
+  /// time a sampling node's flush count reaches a multiple of
+  /// `checkpoint.every_n_windows`, every sampling node writes a versioned
+  /// CRC-guarded snapshot of its durable state (plus the load-shed
+  /// controller and exemplar reservoirs) at the next batch boundary, bound
+  /// to the source's (kind, stream id, offset). The runtime restores the
+  /// newest valid snapshot at construction and the first run seeks its
+  /// source to the snapshot's offset — a killed process resumes at the
+  /// last snapshot. The `node` field is overwritten per node.
   CheckpointConfig checkpoint;
 
-  /// RunSource: stop after this many delivered records (0 = run until the
-  /// source ends). Lets a live socket run have a bounded footprint.
+  /// Stop after this many delivered records (0 = run until the source
+  /// ends). Lets a live socket run have a bounded footprint.
   uint64_t source_max_records = 0;
 
-  /// RunSource: end the run cleanly after this much *consecutive* idle
-  /// time (no records, only heartbeat reads). 0 = wait forever. Distinct
-  /// from the per-read timeout (SocketSourceConfig::read_timeout_ms),
-  /// which only bounds one Read() call.
+  /// End the run cleanly after this much *consecutive* idle time (no
+  /// records, only heartbeat reads — which only sockets return). 0 = wait
+  /// forever. Distinct from the per-read timeout
+  /// (SocketSourceConfig::read_timeout_ms), which only bounds one Read().
   uint64_t source_max_idle_ms = 0;
 
   /// Embedded introspection server (obs/http_server.h): -1 disables it,
@@ -197,34 +205,40 @@ class TwoLevelRuntime {
                   const std::vector<CompiledQuery>& high,
                   RuntimeOptions options = RuntimeOptions());
 
-  /// Replays the trace through the pipeline. High-level node outputs are
-  /// retained and can be drained from the nodes afterwards.
+  /// Replays the trace through the pipeline on the calling thread:
+  /// RunSource() over a TraceSource of `trace`. High-level node outputs
+  /// are retained and can be drained from the nodes afterwards.
   Result<RunReport> Run(const Trace& trace);
 
   /// Like Run(), but with true pipeline parallelism, the way Gigascope
-  /// deploys its query nodes: a producer thread feeds the ring buffer and
-  /// a consumer thread runs the low-level node + high-level operators.
-  /// Results are identical to Run() (the pipeline is deterministic); only
-  /// the wall-clock overlap differs. The report additionally carries the
-  /// end-to-end wall time in `pipeline_seconds`.
+  /// deploys its query nodes: a producer thread pushes pointers into the
+  /// trace through the ring buffer, and the calling thread reads the ring
+  /// through the same loop as Run(). Results are identical to Run() (the
+  /// pipeline is deterministic); only the wall-clock overlap differs. Its
+  /// snapshots carry the consumer's trace offset, so they resume under
+  /// Run() too and vice versa. RunThreaded alone adds load shedding, the
+  /// stall watchdog and the consumer stall hook.
   Result<RunReport> RunThreaded(const Trace& trace);
 
-  /// Feeds the pipeline from an external ingest source (a socket or a pcap
-  /// file — stream/resumable_source.h) instead of an in-memory trace. The
-  /// loop is single-threaded: read a batch from the source, push it
-  /// through the nodes, repeat; read timeouts degrade to heartbeat-empty
-  /// batches so the loop keeps turning while the wire is quiet.
+  /// Feeds the pipeline from `source` (a pcap file, a socket or a
+  /// TraceSource — stream/resumable_source.h) through the one drive loop:
+  /// read a batch, reject malformed records, push the batch through the
+  /// low and high nodes, write any due snapshot, repeat. Read() is called
+  /// on the calling thread only, once every earlier record has gone
+  /// through the nodes. Read timeouts degrade to heartbeat-empty batches
+  /// so the loop keeps turning while the wire is quiet.
   ///
-  /// Durability differs from the trace runs in one crucial way: snapshots
-  /// requested by the window-flush hook are deferred to the next ingest
+  /// Snapshots requested by the window-flush hook are written at the next
   /// batch boundary, where every record read so far has been fully
-  /// processed, and the source's durable offset is persisted alongside the
-  /// operator state. On restore, when the newest snapshots carry a source
-  /// section matching this source's kind and stream id, the runtime seeks
-  /// the source to the saved offset and cancels positional replay —
-  /// byte-identical resume for pcap, at-most-once for sockets. Any
-  /// mismatch (different source, mixed offsets, pre-source snapshot)
-  /// falls back to the armed replay-from-start path.
+  /// processed, for every sampling node and together with the source's
+  /// (kind, stream id, durable offset). The first run after a restore
+  /// seeks its source to that offset when every restored node names this
+  /// source at one offset — byte-identical resume for pcap and traces,
+  /// at-most-once for sockets; a run whose source fails to open leaves
+  /// the seek to the next run. Otherwise (another source, offsets that
+  /// disagree, a snapshot with no source section, a node that restored
+  /// nothing) the restored state and the snapshot files are discarded and
+  /// the run starts fresh, with one line on stderr.
   Result<RunReport> RunSource(ResumableSource& source);
 
   QueryNode& low_node() { return *low_; }
@@ -259,7 +273,7 @@ class TwoLevelRuntime {
     return forensic_report_;
   }
 
-  /// True while Run()/RunThreaded() is executing.
+  /// True while a run is executing.
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
   /// /healthz body: run state + the degradation summary of the most recent
@@ -269,9 +283,10 @@ class TwoLevelRuntime {
   /// /healthz verdict: false once a run was terminated by the watchdog.
   bool healthy() const;
 
-  /// True when a snapshot was restored at construction; the first
-  /// Run/RunThreaded then replays the already-processed stream prefix.
-  bool recovered() const { return recovered_; }
+  /// True when a snapshot was restored at construction; the first run then
+  /// resumes its source at the snapshot's offset. Cleared when that run
+  /// cannot resume and starts fresh instead.
+  bool recovered() const { return recovered_windows_ > 0; }
   uint64_t recovered_windows() const { return recovered_windows_; }
 
   /// The checkpoint manager of high node `i`, or nullptr when
@@ -281,65 +296,64 @@ class TwoLevelRuntime {
   }
 
  private:
+  class ThreadedFeed;  // RunThreaded's ring-fed TraceSource
+
   // What the newest restored snapshot of each high node said about the
-  // input source it was taken against (empty when nothing was restored or
-  // the snapshot predates source sections).
+  // input source it was taken against (an empty kind when nothing was
+  // restored or the snapshot has no source section).
   struct RestoredSourceInfo {
-    bool restored = false;    // this node restored any snapshot
-    bool has_source = false;  // ... carrying a source-offset section
     std::string kind;
     uint64_t stream_id = 0;
     uint64_t offset = 0;
+    bool operator==(const RestoredSourceInfo&) const = default;
   };
 
+  // The one drive loop behind every run: resume or start fresh, read
+  // `source` batch by batch through the nodes, finish the stream on a
+  // clean end, and report. `threaded` is RunThreaded's feed (the same
+  // object as `source`), nullptr otherwise.
+  Result<RunReport> Drive(ResumableSource& source, ThreadedFeed* threaded);
   // Folds the checkpoint counters and recovery state into `report`.
   void FillCheckpointReport(RunReport* report) const;
-  // True while any sampling node is still discarding replayed input.
-  bool AnyNodeRecovering() const;
   // Publishes the report to last_report_ (under the mutex, for /healthz
   // readers) and refreshes the degradation gauges in the registry.
   void PublishReport(const RunReport& report);
-  // Serializes one node's durable state (+ shed controller, exemplars and
-  // — for source runs — the source offset section) and hands it to `mgr`.
-  void WriteNodeSnapshot(SamplingOperator* op, CheckpointManager* mgr,
-                         uint64_t windows_flushed,
-                         const ResumableSource* source);
-  // RunSource restore: seek `source` to the checkpointed offset and cancel
-  // positional replay when every restored node agrees on (kind, stream_id,
-  // offset); otherwise leave the replay path armed. Returns whether the
-  // seek was applied.
-  bool ApplySourceResume(ResumableSource& source);
-  // Writes the snapshots deferred by the flush hook during RunSource.
-  void FlushPendingSnapshots(const ResumableSource* source);
+  // First run after a restore: seeks `source` to the snapshots' offset
+  // when every restored node agrees on (kind, stream_id, offset) and they
+  // match the source; otherwise discards the restored state and the
+  // snapshot files so the run starts fresh. Returns whether it seeked.
+  bool ResumeOrStartFresh(ResumableSource& source);
+  // When a flush hook requested a snapshot since the last batch boundary,
+  // writes one for every managed node: its durable state, the shed
+  // controller when one runs, the exemplars, and the source section.
+  void FlushPendingSnapshots(const ResumableSource& source,
+                             const LoadShedController* shed);
 
   Options options_;
+  obs::MetricRegistry* registry_;  // options_.registry or the default
   RunReport last_report_;
   mutable std::mutex report_mu_;
   std::atomic<bool> running_{false};
   std::unique_ptr<QueryNode> low_;
   std::vector<std::unique_ptr<QueryNode>> high_;
   // Durability (engine/checkpoint.h): one manager per high node (nullptr
-  // for selection nodes or with checkpointing disabled). active_shed_
-  // points at the live controller while RunThreaded executes so the flush
-  // hook (consumer thread) can include its state in snapshots.
+  // for selection nodes or with checkpointing disabled).
   std::vector<std::unique_ptr<CheckpointManager>> checkpoint_mgrs_;
-  std::atomic<LoadShedController*> active_shed_{nullptr};
-  bool recovered_ = false;
-  uint64_t recovered_windows_ = 0;
-  std::string restored_shed_blob_;  // applied to the next run's controller
+  // Flush count of the newest restored snapshot; 0 = nothing restored.
+  // Atomic: a run's fresh start clears it while /healthz may read it.
+  std::atomic<uint64_t> recovered_windows_{0};
+  bool resume_pending_ = false;  // the next run seeks or starts fresh
+  std::string restored_shed_blob_;  // for the resumed RunThreaded controller
   std::vector<RestoredSourceInfo> restored_sources_;  // parallel to high_
-  // RunSource state. source_run_active_ gates the flush hook onto the
-  // deferred-snapshot path; it is only mutated by the thread driving
-  // RunSource, and source runs never overlap threaded runs on one runtime.
-  bool source_run_active_ = false;
-  std::vector<uint64_t> pending_snapshots_;  // windows_flushed per node, 0=none
-  // Live ingest view for /healthz while RunSource is in flight.
+  // A flush hook requested a snapshot: every managed node writes one at
+  // the next batch boundary.
+  bool snapshot_due_ = false;
+  // Live ingest view for /healthz while a run is in flight.
   std::atomic<bool> source_active_{false};
   std::atomic<uint64_t> live_source_offset_{0};
   std::atomic<uint64_t> live_source_lag_{0};
   std::atomic<uint64_t> live_source_reconnects_{0};
   std::atomic<uint64_t> live_source_gaps_{0};
-  obs::RingBufferMetrics ring_metrics_;   // outlives the per-run rings
   obs::Counter* producer_retries_ = nullptr;
   obs::Counter* packets_dropped_ = nullptr;
   // Degradation summary as gauges (satellite of the PR 3 RunReport): what
@@ -367,8 +381,7 @@ class TwoLevelRuntime {
 };
 
 /// Single-node convenience: run one query over a trace and report stats.
-/// The trace is fed through an instrumented ring buffer in batches (the
-/// same data path the two-level runtime uses), so ring occupancy and
+/// The trace is read from a TraceSource in batches, as Run() reads it, and
 /// batch-latency metrics land in `registry` (nullptr = default registry).
 struct SingleRunResult {
   NodeReport report;

@@ -1,10 +1,6 @@
 #include "obs/flight_recorder.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -63,44 +59,6 @@ std::string Humanize(double v) {
     std::snprintf(buf, sizeof(buf), "%.3f", v);
   }
   return buf;
-}
-
-Status WriteFileAtomic(const std::string& dir, const std::string& name,
-                       const std::string& bytes) {
-  const std::string tmp = dir + "/" + name + ".tmp";
-  const std::string path = dir + "/" + name;
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::Internal("flight recorder: open " + tmp + ": " +
-                            std::strerror(errno));
-  }
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n <= 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return Status::Internal("flight recorder: write " + tmp + ": " +
-                              std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return Status::Internal("flight recorder: fsync " + tmp);
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return Status::Internal("flight recorder: rename " + tmp);
-  }
-  const int dfd = ::open(dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    (void)::fsync(dfd);
-    ::close(dfd);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -228,14 +186,9 @@ Status FlightRecorder::Spill(const TimeSeries& ts, const AlertEngine* alerts) {
   std::memcpy(&framed[28], &header_crc, 4);
   framed += payload;
 
-  // mkdir -p on every spill, as CheckpointManager::WriteOnce does: a
-  // fresh --flight-dir needs no pre-creating, and a recorder that never
-  // spills never touches the disk.
-  Status st = EnsureDir(options_.dir)
-                  ? WriteFileAtomic(options_.dir, "flight.seg", framed)
-                  : Status::Internal("flight recorder: mkdir " +
-                                     options_.dir + ": " +
-                                     std::strerror(errno));
+  // The write creates the dir, so a fresh --flight-dir needs no
+  // pre-creating, and a recorder that never spills never touches the disk.
+  Status st = WriteFileAtomic(options_.dir, "flight.seg", framed);
   if (!st.ok()) {
     spill_failures_.fetch_add(1, std::memory_order_relaxed);
     return st;

@@ -342,14 +342,6 @@ OperatorMetrics OperatorMetrics::Create(MetricRegistry& reg,
   return m;
 }
 
-SourceMetrics SourceMetrics::Create(MetricRegistry& reg,
-                                    const std::string& source_name) {
-  const std::string labels = "source=\"" + source_name + "\"";
-  SourceMetrics m;
-  m.tuples = reg.GetCounter("streamop_source_tuples_total", labels);
-  return m;
-}
-
 IngestSourceMetrics IngestSourceMetrics::Create(
     MetricRegistry& reg, const std::string& source_name) {
   const std::string labels = "source=\"" + source_name + "\"";

@@ -297,20 +297,12 @@ struct OperatorMetrics {
                                 const std::string& node_name);
 };
 
-/// StreamSource metrics (tuples produced).
-struct SourceMetrics {
-  Counter* tuples = nullptr;
-
-  bool enabled() const { return kStatsEnabled && tuples != nullptr; }
-  static SourceMetrics Create(MetricRegistry& reg,
-                              const std::string& source_name);
-};
-
-/// Network/file ingest metrics (stream/resumable_source.h): frame and
-/// record flow, connection churn, sequence anomalies, and the durable
-/// offset the crash-recovery handshake would resume from. offset_lag is
-/// how far the consumer trails the producer's announced head (records) or
-/// the file end (bytes) — the first gauge to watch on a slow consumer.
+/// Ingest metrics of one ResumableSource (stream/resumable_source.h):
+/// frame and record flow, connection churn, sequence anomalies, and the
+/// durable offset a restart would resume from. offset_lag is how far the
+/// consumer trails the producer's announced head (records), the file end
+/// (bytes) or the trace end (records) — the first gauge to watch on a slow
+/// consumer.
 struct IngestSourceMetrics {
   Counter* frames = nullptr;            // well-formed frames / pcap records
   Counter* records = nullptr;           // PacketRecords delivered

@@ -22,7 +22,6 @@
 #include "common/random.h"
 #include "net/trace_generator.h"
 #include "stream/resumable_source.h"
-#include "stream/stream_source.h"
 
 namespace streamop {
 
@@ -60,29 +59,6 @@ struct FaultInjectionConfig {
 /// Applies the configured faults to a copy of `trace`. Deterministic: the
 /// same (trace, config) pair always yields the same faulty trace.
 Trace InjectFaults(const Trace& trace, const FaultInjectionConfig& config);
-
-/// StreamSource wrapper applying the same fault model on the fly to the
-/// tuple pull path (single-threaded Run / RunQueryOverTrace). Owns a faulty
-/// copy of the trace so replays (Reset) are deterministic too.
-class FaultyStreamSource : public StreamSource {
- public:
-  FaultyStreamSource(const Trace* trace, const FaultInjectionConfig& config)
-      : faulty_(InjectFaults(*trace, config)), inner_(&faulty_) {}
-
-  SchemaPtr schema() const override { return inner_.schema(); }
-  bool Next(Tuple* out) override {
-    if (!inner_.Next(out)) return false;
-    CountTuple();
-    return true;
-  }
-  void Reset() override { inner_.Reset(); }
-
-  const Trace& faulty_trace() const { return faulty_; }
-
- private:
-  Trace faulty_;
-  TraceTupleSource inner_;
-};
 
 /// Consumer-stall fault: what a hook built by MakeConsumerStallHook does.
 struct ConsumerStallSpec {

@@ -1,11 +1,13 @@
-// ResumableSource: an external ingest source (socket, capture file) whose
-// read position can be persisted and restored (DESIGN.md §11).
+// ResumableSource: the one input interface of the engine — an in-memory
+// trace, a capture file or a socket — whose read position can be persisted
+// and restored (DESIGN.md §11).
 //
 // This is the contract between the ingest layer and crash recovery. Each
 // implementation exposes a *durable offset* — a monotonically advancing
 // position in the input that, together with the source's identity (kind +
 // stream_id), names exactly which records have been delivered:
 //
+//   trace_source:   the record index, so a restore resumes at that record;
 //   pcap_reader:    the file byte position at a record boundary, so a
 //                   restore seeks and re-reads byte-identically;
 //   socket_source:  the producer's record sequence number, re-announced to
@@ -14,9 +16,9 @@
 //                   offset is booked as a gap, never silently replayed).
 //
 // CheckpointManager persists (kind, stream_id, durable_offset) next to the
-// operator snapshot; TwoLevelRuntime::RunSource only snapshots at ingest
-// batch boundaries, where every record read up to durable_offset() has
-// been fully processed, so the pair is always consistent.
+// operator snapshot; TwoLevelRuntime's drive loop only snapshots at batch
+// boundaries, where every record read up to durable_offset() has been
+// fully processed, so the pair is always consistent.
 //
 // The interface is single-threaded and poll-driven: Read() blocks at most
 // the configured timeout and returns kIdle on quiet periods (the runtime
@@ -72,18 +74,19 @@ class ResumableSource {
 
   virtual ~ResumableSource() = default;
 
-  /// Stable source family tag persisted in checkpoints ("pcap", "udp",
-  /// "tcp"). A restored checkpoint whose kind doesn't match the configured
-  /// source falls back to positional replay instead of seeking.
+  /// Stable source family tag persisted in checkpoints ("trace", "pcap",
+  /// "udp", "tcp"). A restored checkpoint whose kind doesn't match the
+  /// configured source is discarded: the run starts fresh.
   virtual const char* kind() const = 0;
 
   /// Identity within the kind (FNV-1a hash of describe(): the file path
-  /// or the endpoint). Guards against resuming an offset into a different
-  /// file or stream than the one that was checkpointed.
+  /// or the endpoint; for a trace, of its size and end records). Guards
+  /// against resuming an offset into a different file or stream than the
+  /// one that was checkpointed.
   virtual uint64_t stream_id() const = 0;
 
-  /// Human-readable description for logs and RunReport ("pcap:trace.pcap",
-  /// "udp:9901", "tcp:127.0.0.1:9902").
+  /// Human-readable description for logs and RunReport ("trace:N records",
+  /// "pcap:trace.pcap", "udp:9901", "tcp:127.0.0.1:9902").
   virtual std::string describe() const = 0;
 
   /// Acquires the underlying resource (opens the file, binds/connects the

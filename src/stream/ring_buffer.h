@@ -84,13 +84,19 @@ class RingBuffer {
     }
     buf_[t] = item;
     tail_.store(next, std::memory_order_release);
+    const size_t occupancy = (next - h) & mask_;
+    if (occupancy > occupancy_hwm_) occupancy_hwm_ = occupancy;
     if (obs::kStatsEnabled && metrics_ != nullptr) {
       metrics_->pushes->Add();
-      metrics_->occupancy_hwm->SetMax(
-          static_cast<double>((next - h) & mask_));
+      metrics_->occupancy_hwm->SetMax(static_cast<double>(occupancy));
     }
     return true;
   }
+
+  /// The highest occupancy a push left behind, in every build. A plain
+  /// field written by the producer only; read it after the producer has
+  /// been joined.
+  size_t occupancy_hwm() const { return occupancy_hwm_; }
 
   /// Pushes up to n items; returns how many were accepted.
   size_t PushBatch(const T* items, size_t n) {
@@ -125,6 +131,7 @@ class RingBuffer {
   std::atomic<size_t> tail_{0};
   std::atomic<bool> closed_{false};
   std::atomic<bool> poisoned_{false};
+  size_t occupancy_hwm_ = 0;  // producer-owned
 };
 
 }  // namespace streamop

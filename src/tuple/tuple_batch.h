@@ -149,7 +149,8 @@ class TupleBatch {
   }
 
   /// Fast path: appends one packet as the 8-column PKT row (all kUInt),
-  /// bypassing per-tuple Value construction entirely.
+  /// bypassing per-tuple Value construction entirely. PacketToTuple below
+  /// is the same mapping as a row.
   void AppendPacket(const PacketRecord& p) {
     const uint64_t vals[8] = {p.ts_sec(), p.ts_ns,    p.src_ip, p.dst_ip,
                               p.src_port, p.dst_port, p.proto,  p.len};
@@ -282,6 +283,16 @@ class TupleBatch {
   // packet workloads — the zero-allocation steady state never touches it.
   std::deque<std::string> owned_;
 };
+
+/// Converts a PacketRecord into a tuple matching MakePacketSchema():
+/// (time, ts_ns, srcIP, destIP, srcPort, destPort, proto, len) — the row
+/// form of TupleBatch::AppendPacket.
+inline Tuple PacketToTuple(const PacketRecord& p) {
+  return Tuple({Value::UInt(p.ts_sec()), Value::UInt(p.ts_ns),
+                Value::UInt(p.src_ip), Value::UInt(p.dst_ip),
+                Value::UInt(p.src_port), Value::UInt(p.dst_port),
+                Value::UInt(p.proto), Value::UInt(p.len)});
+}
 
 }  // namespace streamop
 

@@ -18,7 +18,6 @@
 #include "engine/query_node.h"
 #include "net/trace_generator.h"
 #include "query/query.h"
-#include "stream/stream_source.h"
 #include "tuple/tuple_batch.h"
 
 namespace streamop {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -18,6 +19,8 @@
 #include "engine/checkpoint.h"
 #include "engine/load_shed.h"
 #include "engine/query_node.h"
+#include "engine/runtime.h"
+#include "net/pcap_format.h"
 #include "net/trace_generator.h"
 #include "obs/exemplar.h"
 #include "query/query.h"
@@ -31,7 +34,9 @@
 #include "sampling/subset_sum.h"
 #include "sampling/threshold_core.h"
 #include "stream/fault_injection.h"
-#include "stream/stream_source.h"
+#include "stream/pcap_reader.h"
+#include "stream/trace_source.h"
+#include "tuple/tuple_batch.h"
 
 namespace streamop {
 namespace {
@@ -367,13 +372,9 @@ TEST(OperatorCheckpointTest, MidWindowRoundTripContinuesByteIdentically) {
   SamplingOperator b(plan);
   ByteReader r(w.data());
   ASSERT_TRUE(b.RestoreDurableState(r));
-  EXPECT_EQ(b.recovery_skip_remaining(), prefix.size());
-  EXPECT_TRUE(b.recovering());
 
-  // The restored operator replays the full stream; the prefix is skipped
-  // positionally, then both process the suffix from identical state.
-  for (const Tuple& t : prefix) ASSERT_TRUE(b.Process(t).ok());
-  EXPECT_FALSE(b.recovering());
+  // The restored operator continues from the snapshot point: both process
+  // the suffix from identical state.
   for (const Tuple& t : suffix) {
     ASSERT_TRUE(a.Process(t).ok());
     ASSERT_TRUE(b.Process(t).ok());
@@ -381,8 +382,8 @@ TEST(OperatorCheckpointTest, MidWindowRoundTripContinuesByteIdentically) {
   ASSERT_TRUE(a.FinishStream().ok());
   ASSERT_TRUE(b.FinishStream().ok());
 
-  // b's replay emits nothing for already-flushed windows; output after the
-  // snapshot point must be byte-identical to the uninterrupted run's.
+  // b emits nothing for already-flushed windows; output after the snapshot
+  // point must be byte-identical to the uninterrupted run's.
   std::vector<Tuple> a_rows = a.DrainOutput();
   std::vector<Tuple> b_rows = b.DrainOutput();
   EXPECT_EQ(RowsAsStrings(a_rows), RowsAsStrings(b_rows));
@@ -429,8 +430,6 @@ TEST(OperatorCheckpointTest, StringKeysAndExtremaRoundTripMidWindow) {
   b.SerializeDurableState(restored);
   EXPECT_EQ(restored.data(), w.data());
 
-  for (const Tuple& t : prefix) ASSERT_TRUE(b.Process(t).ok());
-  EXPECT_FALSE(b.recovering());
   for (const Tuple& t : suffix) {
     ASSERT_TRUE(a.Process(t).ok());
     ASSERT_TRUE(b.Process(t).ok());
@@ -466,7 +465,6 @@ TEST(OperatorCheckpointTest, RestoreRejectsMismatchedPlan) {
   SamplingOperator b(other);
   ByteReader r(w.data());
   EXPECT_FALSE(b.RestoreDurableState(r));
-  EXPECT_EQ(b.recovery_skip_remaining(), 0u);
 
   // The rejecting operator still works from scratch.
   ASSERT_TRUE(b.Process(Row(1, 1, 2)).ok());
@@ -504,9 +502,6 @@ TEST(OperatorCheckpointTest, RestoreRejectsCorruptPayloadWithoutCrashing) {
   }
   ByteReader good(payload);
   ASSERT_TRUE(b.RestoreDurableState(good));
-  for (uint64_t i = 0; i < 95; ++i) {
-    ASSERT_TRUE(b.Process(Row(100, 1, 0)).ok());  // burn the replay skip
-  }
   ASSERT_TRUE(b.Process(Row(200, 1, 2)).ok());
   ASSERT_TRUE(b.FinishStream().ok());
 }
@@ -535,10 +530,8 @@ TEST(OperatorCheckpointTest, SfunQueryRoundTripMatchesUninterruptedRun) {
   ASSERT_NE(b, nullptr);
 
   std::vector<Tuple> rows;
-  {
-    TraceTupleSource src(&trace);
-    Tuple t;
-    while (src.Next(&t)) rows.push_back(t);
+  for (const PacketRecord& p : trace.packets()) {
+    rows.push_back(PacketToTuple(p));
   }
   const size_t half = rows.size() / 2;
   for (size_t i = 0; i < half; ++i) ASSERT_TRUE(a->Process(rows[i]).ok());
@@ -546,12 +539,11 @@ TEST(OperatorCheckpointTest, SfunQueryRoundTripMatchesUninterruptedRun) {
   a->SerializeDurableState(w);
   ByteReader r(w.data());
   ASSERT_TRUE(b->RestoreDurableState(r));
-  EXPECT_EQ(b->recovery_skip_remaining(), half);
   EXPECT_EQ(b->restore_states_skipped(), 0u)
       << "every SFUN must have serialize/restore hooks";
 
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (i >= half) ASSERT_TRUE(a->Process(rows[i]).ok());
+  for (size_t i = half; i < rows.size(); ++i) {
+    ASSERT_TRUE(a->Process(rows[i]).ok());
     ASSERT_TRUE(b->Process(rows[i]).ok());
   }
   ASSERT_TRUE(a->FinishStream().ok());
@@ -798,6 +790,353 @@ TEST_F(CheckpointDirTest, DisabledManagerIsInert) {
   EXPECT_FALSE(mgr.ShouldWrite(1));
   EXPECT_FALSE(mgr.Write(1, "x"));
   EXPECT_FALSE(mgr.LoadLatest().has_value());
+}
+
+// --- Runtime resume: every snapshot is bound to a source offset ----------
+
+constexpr char kPassThroughLow[] =
+    "SELECT time, ts_ns, srcIP, destIP, srcPort, destPort, proto, len "
+    "FROM PKT";
+
+constexpr char kAggQuery[] =
+    "SELECT tb, srcIP, count(*), sum(len) FROM PKT GROUP BY time/5 as tb, "
+    "srcIP";
+
+// The same aggregate over windows four times as long.
+constexpr char kSlowAggQuery[] =
+    "SELECT tb, srcIP, count(*), sum(len) FROM PKT GROUP BY time/20 as tb, "
+    "srcIP";
+
+// The paper's dynamic subset-sum query: resuming it byte-identically needs
+// the sampler's threshold and RNG state to line up with the source offset.
+constexpr char kSubsetSumQuery[] = R"(
+    SELECT tb, srcIP, destIP, UMAX(sum(len), ssthreshold())
+    FROM PKTS
+    WHERE ssample(len, 500, 2, 10) = TRUE
+    GROUP BY time/5 as tb, srcIP, destIP, ts_ns
+    HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
+    CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
+    CLEANING BY ssclean_with(sum(len)) = TRUE
+)";
+
+// A trace source that fails the way a real one can: Open() fails
+// `failed_opens` times, and once `crash_at` records have been read the
+// reads end in an error, as a crash there would: the run stops without
+// flushing its open windows and leaves the snapshots written so far.
+class FlakyTraceSource : public TraceSource {
+ public:
+  FlakyTraceSource(const Trace* trace, uint64_t crash_at, int failed_opens)
+      : TraceSource(trace), crash_at_(crash_at), failed_opens_(failed_opens) {}
+
+  Status Open() override {
+    if (failed_opens_ > 0) {
+      --failed_opens_;
+      return Status::IOError("simulated open failure");
+    }
+    return TraceSource::Open();
+  }
+  ReadResult Read(PacketRecord* buf, size_t max, size_t* n_out) override {
+    if (pos_ >= crash_at_) {
+      *n_out = 0;
+      return ReadResult::kEnd;
+    }
+    return TraceSource::Read(buf, std::min<uint64_t>(max, crash_at_ - pos_),
+                             n_out);
+  }
+  Status last_status() const override {
+    return pos_ >= crash_at_ ? Status::IOError("simulated crash")
+                             : Status::OK();
+  }
+
+ private:
+  uint64_t crash_at_;
+  int failed_opens_;
+};
+
+class RuntimeResumeTest : public CheckpointDirTest {
+ protected:
+  RuntimeOptions Checkpointed() const {
+    RuntimeOptions opt;
+    opt.checkpoint.dir = dir_.string();
+    opt.checkpoint.every_n_windows = 1;
+    opt.checkpoint.retain = 100;  // keep every window's snapshot
+    return opt;
+  }
+
+  // Runs the pipeline from the start of `trace` and crashes after 2/5 of
+  // it, leaving the snapshots of the windows that closed before.
+  static void CrashMidStream(const CompiledQuery& low,
+                             const std::vector<CompiledQuery>& high,
+                             const Trace& trace, const RuntimeOptions& opt) {
+    TwoLevelRuntime rt(low, high, opt);
+    FlakyTraceSource source(&trace, trace.size() * 2 / 5, 0);
+    EXPECT_FALSE(rt.RunSource(source).ok());
+    ASSERT_EQ(rt.last_report().sources.size(), 1u);
+    EXPECT_FALSE(rt.last_report().sources[0].resumed_from_offset);
+    EXPECT_GT(rt.last_report().checkpoints_written, 0u);
+  }
+
+  // `resumed` is a non-empty suffix of the uninterrupted `reference`.
+  static void ExpectSuffix(const std::vector<std::string>& resumed,
+                           const std::vector<std::string>& reference) {
+    ASSERT_FALSE(resumed.empty());
+    ASSERT_LE(resumed.size(), reference.size());
+    const std::vector<std::string> tail(reference.end() - resumed.size(),
+                                        reference.end());
+    EXPECT_EQ(resumed, tail);
+  }
+
+  // Runs `rt` over `source`, which must resume from an offset and emit a
+  // proper, byte-identical suffix of the uninterrupted output.
+  static void ExpectResumedSuffix(TwoLevelRuntime& rt, ResumableSource& source,
+                                  const CompiledQuery& low,
+                                  const CompiledQuery& high,
+                                  const Trace& trace) {
+    auto report = rt.RunSource(source);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report->sources.size(), 1u);
+    EXPECT_TRUE(report->sources[0].resumed_from_offset);
+    const std::vector<std::string> reference = ReferenceRows(low, high, trace);
+    const std::vector<std::string> resumed =
+        RowsAsStrings(rt.high_node(0).DrainOutput());
+    EXPECT_LT(resumed.size(), reference.size());
+    ExpectSuffix(resumed, reference);
+  }
+
+  // Leaves only the snapshot written at `windows`, as a crash right after
+  // that window would.
+  void KeepOnlySnapshot(uint64_t windows) const {
+    char keep[32];
+    std::snprintf(keep, sizeof(keep), "high0.ckpt.%012llu",
+                  static_cast<unsigned long long>(windows));
+    ASSERT_TRUE(fs::exists(dir_ / keep)) << keep;
+    for (const auto& e : fs::directory_iterator(dir_)) {
+      const std::string name = e.path().filename().string();
+      if (name.find(".ckpt.") != std::string::npos && name != keep) {
+        fs::remove(e.path());
+      }
+    }
+  }
+
+  static std::vector<std::string> ReferenceRows(const CompiledQuery& low,
+                                                const CompiledQuery& high,
+                                                const Trace& trace) {
+    TwoLevelRuntime ref(low, {high});
+    EXPECT_TRUE(ref.Run(trace).ok());
+    return RowsAsStrings(ref.high_node(0).DrainOutput());
+  }
+
+  // A checkpointed run by one entry point, then a resume from its window-2
+  // snapshot by the other: the resumed run seeks the trace and emits a
+  // byte-identical suffix of the uninterrupted output.
+  void ExpectResumeAcrossEntryPoints(bool written_threaded) {
+    Trace trace = TraceGenerator::MakeResearchFeed(31.0, 42);
+    auto low = CompileQuery(kPassThroughLow, Catalog::Default(), {.seed = 3});
+    auto high = CompileQuery(kSubsetSumQuery, Catalog::Default(), {.seed = 3});
+    ASSERT_TRUE(low.ok() && high.ok());
+    const std::vector<std::string> reference =
+        ReferenceRows(*low, *high, trace);
+    {
+      TwoLevelRuntime writer(*low, {*high}, Checkpointed());
+      auto report =
+          written_threaded ? writer.RunThreaded(trace) : writer.Run(trace);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      ASSERT_GE(report->checkpoints_written, 4u);
+    }
+    KeepOnlySnapshot(2);
+
+    TwoLevelRuntime rt(*low, {*high}, Checkpointed());
+    ASSERT_TRUE(rt.recovered());
+    EXPECT_EQ(rt.recovered_windows(), 2u);
+    auto report = written_threaded ? rt.Run(trace) : rt.RunThreaded(trace);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->recovered);
+    ASSERT_EQ(report->sources.size(), 1u);
+    EXPECT_TRUE(report->sources[0].resumed_from_offset);
+    EXPECT_GT(report->sources[0].stats.resume_offset, 0u);
+    EXPECT_EQ(report->sources[0].stats.resume_offset + report->packets,
+              trace.size());
+
+    const std::vector<std::string> resumed =
+        RowsAsStrings(rt.high_node(0).DrainOutput());
+    EXPECT_LT(resumed.size(), reference.size());
+    ExpectSuffix(resumed, reference);
+  }
+
+  // Restores whatever the checkpoint dir holds into a trace run, which
+  // must start fresh: no seek, and the full uninterrupted output.
+  void ExpectTraceRunStartsFresh(const CompiledQuery& low,
+                                 const CompiledQuery& high,
+                                 const Trace& trace) {
+    TwoLevelRuntime rt(low, {high}, Checkpointed());
+    ASSERT_TRUE(rt.recovered());
+    auto report = rt.Run(trace);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_FALSE(report->recovered);
+    EXPECT_FALSE(rt.recovered());
+    ASSERT_EQ(report->sources.size(), 1u);
+    EXPECT_FALSE(report->sources[0].resumed_from_offset);
+    EXPECT_EQ(report->packets, trace.size());
+    EXPECT_EQ(RowsAsStrings(rt.high_node(0).DrainOutput()),
+              ReferenceRows(low, high, trace));
+  }
+};
+
+TEST_F(RuntimeResumeTest, ThreadedSnapshotResumesUnderRun) {
+  ExpectResumeAcrossEntryPoints(/*written_threaded=*/true);
+}
+
+TEST_F(RuntimeResumeTest, RunSnapshotResumesUnderRunThreaded) {
+  ExpectResumeAcrossEntryPoints(/*written_threaded=*/false);
+}
+
+TEST_F(RuntimeResumeTest, PcapSnapshotRestoredIntoTraceRunStartsFresh) {
+  Trace trace = TraceGenerator::MakeResearchFeed(20.0, 42);
+  auto low = CompileQuery(kPassThroughLow, Catalog::Default(), {.seed = 3});
+  auto high = CompileQuery(kAggQuery, Catalog::Default(), {.seed = 3});
+  ASSERT_TRUE(low.ok() && high.ok());
+  const std::string pcap = (dir_ / "stream.pcap").string();
+  ASSERT_TRUE(WritePcap(trace, pcap).ok());
+  {
+    TwoLevelRuntime writer(*low, {*high}, Checkpointed());
+    PcapReader reader(PcapReaderConfig{pcap});
+    auto report = writer.RunSource(reader);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+  }
+  // A mid-stream pcap snapshot: its byte offset means nothing to a trace.
+  KeepOnlySnapshot(2);
+  ExpectTraceRunStartsFresh(*low, *high, trace);
+}
+
+TEST_F(RuntimeResumeTest, FreshStartDiscardsTheStaleSnapshots) {
+  // A finished pcap run leaves its newest snapshots, which a trace run
+  // cannot seek for. The trace run starts fresh and must discard them: at
+  // the default retention their higher flush counts would outrank its own
+  // snapshots, and a crash would restore the pcap state all over again.
+  Trace trace = TraceGenerator::MakeResearchFeed(30.0, 42);
+  auto low = CompileQuery(kPassThroughLow, Catalog::Default(), {.seed = 3});
+  auto high = CompileQuery(kAggQuery, Catalog::Default(), {.seed = 3});
+  ASSERT_TRUE(low.ok() && high.ok());
+  RuntimeOptions opt = Checkpointed();
+  opt.checkpoint.retain = 3;
+  const std::string pcap = (dir_ / "stream.pcap").string();
+  ASSERT_TRUE(WritePcap(trace, pcap).ok());
+  {
+    TwoLevelRuntime writer(*low, {*high}, opt);
+    PcapReader reader(PcapReaderConfig{pcap});
+    auto report = writer.RunSource(reader);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_GT(report->checkpoints_written, opt.checkpoint.retain);
+  }
+  CrashMidStream(*low, {*high}, trace, opt);
+
+  // The restart resumes from the crashed fresh run's newest snapshot.
+  TwoLevelRuntime rt(*low, {*high}, opt);
+  ASSERT_TRUE(rt.recovered());
+  TraceSource source(&trace);
+  ExpectResumedSuffix(rt, source, *low, *high, trace);
+}
+
+TEST_F(RuntimeResumeTest, FreshStartDiscardsCorruptSnapshots) {
+  // Snapshots that all fail validation restore nothing; the fresh run
+  // deletes them too, so a crash resumes from its own snapshots.
+  Trace trace = TraceGenerator::MakeResearchFeed(30.0, 42);
+  auto low = CompileQuery(kPassThroughLow, Catalog::Default(), {.seed = 3});
+  auto high = CompileQuery(kAggQuery, Catalog::Default(), {.seed = 3});
+  ASSERT_TRUE(low.ok() && high.ok());
+  RuntimeOptions opt = Checkpointed();
+  opt.checkpoint.retain = 3;
+  {
+    TwoLevelRuntime writer(*low, {*high}, opt);
+    ASSERT_TRUE(writer.Run(trace).ok());
+  }
+  for (const auto& e : fs::directory_iterator(dir_)) {
+    ASSERT_TRUE(InjectCheckpointFault(e.path().string(),
+                                      CheckpointFault::kBitFlip, 1));
+  }
+  CrashMidStream(*low, {*high}, trace, opt);
+
+  TwoLevelRuntime rt(*low, {*high}, opt);
+  ASSERT_TRUE(rt.recovered());
+  EXPECT_EQ(rt.checkpoint_manager(0)->corrupt_skipped(), 0u);
+  TraceSource source(&trace);
+  ExpectResumedSuffix(rt, source, *low, *high, trace);
+}
+
+TEST_F(RuntimeResumeTest, NodesWithDifferentWindowsResumeAtOneOffset) {
+  // Every snapshot boundary writes both sampling nodes, so their newest
+  // snapshots name one offset even though their windows flush at
+  // different times, and the restart seeks instead of starting fresh.
+  Trace trace = TraceGenerator::MakeResearchFeed(31.0, 42);
+  auto low = CompileQuery(kPassThroughLow, Catalog::Default(), {.seed = 3});
+  auto fast = CompileQuery(kSubsetSumQuery, Catalog::Default(), {.seed = 3});
+  auto slow = CompileQuery(kSlowAggQuery, Catalog::Default(), {.seed = 3});
+  ASSERT_TRUE(low.ok() && fast.ok() && slow.ok());
+  const std::vector<CompiledQuery> high = {*fast, *slow};
+  std::vector<std::vector<std::string>> reference(2);
+  {
+    TwoLevelRuntime ref(*low, high);
+    ASSERT_TRUE(ref.Run(trace).ok());
+    for (size_t h = 0; h < 2; ++h) {
+      reference[h] = RowsAsStrings(ref.high_node(h).DrainOutput());
+    }
+  }
+  CrashMidStream(*low, high, trace, Checkpointed());
+
+  TwoLevelRuntime rt(*low, high, Checkpointed());
+  ASSERT_TRUE(rt.recovered());
+  auto report = rt.Run(trace);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->sources.size(), 1u);
+  EXPECT_TRUE(report->sources[0].resumed_from_offset);
+  const std::vector<std::string> fast_rows =
+      RowsAsStrings(rt.high_node(0).DrainOutput());
+  EXPECT_LT(fast_rows.size(), reference[0].size());
+  ExpectSuffix(fast_rows, reference[0]);
+  // The slow node had closed no 20-second window at the snapshots' offset:
+  // its restored partial window yields its whole uninterrupted output.
+  EXPECT_EQ(RowsAsStrings(rt.high_node(1).DrainOutput()), reference[1]);
+}
+
+TEST_F(RuntimeResumeTest, FailedOpenLeavesTheResumeToTheNextRun) {
+  // A run whose source fails to open reads nothing; the next run must
+  // still seek to the restored offset, not read the restored state's
+  // prefix a second time.
+  Trace trace = TraceGenerator::MakeResearchFeed(20.0, 42);
+  auto low = CompileQuery(kPassThroughLow, Catalog::Default(), {.seed = 3});
+  auto high = CompileQuery(kAggQuery, Catalog::Default(), {.seed = 3});
+  ASSERT_TRUE(low.ok() && high.ok());
+  CrashMidStream(*low, {*high}, trace, Checkpointed());
+
+  TwoLevelRuntime rt(*low, {*high}, Checkpointed());
+  ASSERT_TRUE(rt.recovered());
+  FlakyTraceSource unopenable(&trace, trace.size(), 1);
+  EXPECT_FALSE(rt.RunSource(unopenable).ok());
+  EXPECT_TRUE(rt.recovered());
+  TraceSource source(&trace);
+  ExpectResumedSuffix(rt, source, *low, *high, trace);
+}
+
+TEST_F(RuntimeResumeTest, SnapshotWithoutSourceSectionStartsFresh) {
+  // The layout trace runs wrote before every snapshot named its source:
+  // operator state, no shed controller, no exemplars, nothing after.
+  Trace trace = TraceGenerator::MakeResearchFeed(20.0, 42);
+  auto low = CompileQuery(kPassThroughLow, Catalog::Default(), {.seed = 3});
+  auto high = CompileQuery(kAggQuery, Catalog::Default(), {.seed = 3});
+  ASSERT_TRUE(low.ok() && high.ok());
+  QueryNode node("high0", *high);
+  for (size_t i = 0; i < trace.size() / 2; ++i) {
+    ASSERT_TRUE(node.Push(PacketToTuple(trace.at(i))).ok());
+  }
+  ByteWriter w;
+  node.sampling_operator()->SerializeDurableState(w);
+  w.Bool(false);
+  w.Bool(false);
+  CheckpointConfig cfg = Config();
+  cfg.node = "high0";
+  ASSERT_TRUE(CheckpointManager(cfg).Write(
+      node.sampling_operator()->windows_flushed(), w.data()));
+  ExpectTraceRunStartsFresh(*low, *high, trace);
 }
 
 }  // namespace

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
+#include "common/file_util.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/serde.h"
@@ -387,6 +391,81 @@ TEST(ChiSquareTest, ZeroForPerfectUniform) {
 
 TEST(ChiSquareTest, PositiveForSkew) {
   EXPECT_GT(ChiSquareUniform({100, 0, 0, 0}), 0.0);
+}
+
+// ---------- WriteFileAtomic ----------
+
+class WriteFileAtomicTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           ("atomic_" + std::string(::testing::UnitTest::GetInstance()
+                                        ->current_test_info()
+                                        ->name()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string Contents(const std::string& name) const {
+    std::ifstream in(dir_ / name, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  }
+
+  size_t NumFiles() const {
+    size_t n = 0;
+    for ([[maybe_unused]] const auto& e :
+         std::filesystem::directory_iterator(dir_)) {
+      ++n;
+    }
+    return n;
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(WriteFileAtomicTest, ReplacesTheFileInPlace) {
+  ASSERT_TRUE(WriteFileAtomic(dir_.string(), "seg", "first version").ok());
+  EXPECT_EQ(Contents("seg"), "first version");
+  ASSERT_TRUE(WriteFileAtomic(dir_.string(), "seg", "v2").ok());
+  EXPECT_EQ(Contents("seg"), "v2");  // shorter: the old tail is gone
+  ASSERT_TRUE(WriteFileAtomic(dir_.string(), "seg", "").ok());
+  EXPECT_EQ(Contents("seg"), "");
+}
+
+TEST_F(WriteFileAtomicTest, LeavesNoTmpFileBehind) {
+  ASSERT_TRUE(WriteFileAtomic(dir_.string(), "a", std::string(1 << 20, 'x'))
+                  .ok());
+  ASSERT_TRUE(WriteFileAtomic(dir_.string(), "b", "bytes").ok());
+  EXPECT_EQ(NumFiles(), 2u);
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "a.tmp"));
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "b.tmp"));
+  EXPECT_EQ(Contents("a").size(), 1u << 20);
+}
+
+TEST_F(WriteFileAtomicTest, CreatesAMissingDirectory) {
+  const std::filesystem::path nested = dir_ / "a" / "b";
+  ASSERT_TRUE(WriteFileAtomic(nested.string(), "seg", "bytes").ok());
+  std::ifstream in(nested / "seg");
+  std::string got;
+  in >> got;
+  EXPECT_EQ(got, "bytes");
+}
+
+TEST_F(WriteFileAtomicTest, FailsCleanlyOnAnUnwritablePath) {
+  // A regular file where a directory must go: mkdir fails (ENOTDIR) even
+  // for root, the call reports it, and nothing is created.
+  { std::ofstream blocker(dir_ / "blocker"); }
+  for (const char* sub : {"", "/sub"}) {
+    const Status st = WriteFileAtomic((dir_ / "blocker").string() + sub,
+                                      "seg", "bytes");
+    EXPECT_FALSE(st.ok()) << sub;
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << sub;
+    EXPECT_NE(st.message().find("blocker"), std::string::npos) << sub;
+  }
+  EXPECT_EQ(NumFiles(), 1u);  // just the blocker
 }
 
 }  // namespace

@@ -20,7 +20,7 @@
 #include "query/query.h"
 #include "stream/fault_injection.h"
 #include "stream/ring_buffer.h"
-#include "stream/stream_source.h"
+#include "tuple/tuple_batch.h"
 
 namespace streamop {
 namespace {
@@ -422,27 +422,6 @@ TEST(ChaosTest, ProducerBackoffSurfacesInReport) {
   EXPECT_GT(report->producer_backoff_seconds, 0.0);
   // And no data was lost: every packet reached the low node.
   EXPECT_EQ(report->low.tuples_in, trace.size());
-}
-
-TEST(ChaosTest, FaultyStreamSourceReplaysDeterministically) {
-  Trace trace = TraceGenerator::MakeResearchFeed(5.0, 77);
-  FaultInjectionConfig cfg;
-  cfg.seed = 21;
-  cfg.p_duplicate = 0.05;
-  cfg.p_truncate = 0.02;
-  FaultyStreamSource src(&trace, cfg);
-  std::vector<uint64_t> first_pass;
-  Tuple t;
-  while (src.Next(&t)) first_pass.push_back(t[1].AsUInt());  // ts_ns column
-  EXPECT_EQ(first_pass.size(), src.faulty_trace().size());
-  src.Reset();
-  size_t i = 0;
-  while (src.Next(&t)) {
-    ASSERT_LT(i, first_pass.size());
-    EXPECT_EQ(t[1].AsUInt(), first_pass[i]) << i;
-    ++i;
-  }
-  EXPECT_EQ(i, first_pass.size());
 }
 
 // Weighted aggregation invariants, independent of threading: weight w makes

@@ -27,6 +27,7 @@
 #include "obs/trace_ring.h"
 #include "query/query.h"
 #include "stream/socket_source.h"
+#include "stream/trace_source.h"
 #include "tuple/tuple.h"
 #include "tuple/tuple_batch.h"
 #include "tuple/value.h"
@@ -262,8 +263,8 @@ TEST(HotPathAllocTest, BatchedInstrumentedSteadyStateAllocatesNothing) {
             0u);
 }
 
-// Refilling a reused batch from packets (the runtime's ring-drain loop)
-// must also be allocation-free once the batch owns its capacity.
+// Refilling a reused batch from packets (the runtime's drive loop) must
+// also be allocation-free once the batch owns its capacity.
 TEST(HotPathAllocTest, BatchRefillFromPacketsAllocatesNothing) {
   TupleBatch batch(8, 512);
   PacketRecord p{};
@@ -400,6 +401,33 @@ TEST(HotPathAllocTest, TcpSocketSourceSteadyStateReadAllocatesNothing) {
   EXPECT_GE(warm, 50000u);
   EXPECT_GE(measured, 200000u);
   EXPECT_EQ(src.stats().reconnects, 0u);
+  EXPECT_EQ(after - before, 0u);
+}
+
+// The in-memory trace source copies records straight out of the trace's
+// arena into the caller's array: reading a trace allocates nothing.
+TEST(HotPathAllocTest, TraceSourceSteadyStateReadAllocatesNothing) {
+  std::vector<PacketRecord> records(200000);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].ts_ns = i;
+    records[i].len = static_cast<uint16_t>(40 + i % 1460);
+  }
+  Trace trace(std::move(records));
+  TraceSource src(&trace);
+  ASSERT_TRUE(src.Open().ok());
+  std::vector<PacketRecord> buf(512);
+  size_t n = 0;
+  ASSERT_EQ(src.Read(buf.data(), buf.size(), &n),
+            ResumableSource::ReadResult::kRecords);
+
+  size_t got = n;
+  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  while (src.Read(buf.data(), buf.size(), &n) ==
+         ResumableSource::ReadResult::kRecords) {
+    got += n;
+  }
+  uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(got, trace.size());
   EXPECT_EQ(after - before, 0u);
 }
 

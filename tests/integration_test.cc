@@ -16,7 +16,7 @@
 #include "query/query.h"
 #include "sampling/distinct.h"
 #include "sampling/kmv.h"
-#include "stream/stream_source.h"
+#include "tuple/tuple_batch.h"
 
 namespace streamop {
 namespace {

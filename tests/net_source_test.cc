@@ -31,6 +31,7 @@
 #include "stream/fault_injection.h"
 #include "stream/pcap_reader.h"
 #include "stream/socket_source.h"
+#include "stream/trace_source.h"
 
 namespace streamop {
 namespace {
@@ -742,6 +743,69 @@ TEST(RunSourceTest, MaxRecordsBoundsALiveRun) {
   EXPECT_GE(report->packets, 1000u);
   EXPECT_LT(report->packets, 1000u + opt.batch_size);
   fs::remove(path);
+}
+
+// A source wrapper that checks the read contract wrappers such as the
+// end-to-end benchmark's emit probe rely on: RunSource calls Read() on the
+// calling thread only, and only once every record delivered so far has
+// gone through the nodes.
+class ReadContractProbe : public ResumableSource {
+ public:
+  ReadContractProbe(ResumableSource* inner, TwoLevelRuntime* rt)
+      : inner_(inner), rt_(rt), caller_(std::this_thread::get_id()) {}
+
+  const char* kind() const override { return inner_->kind(); }
+  uint64_t stream_id() const override { return inner_->stream_id(); }
+  std::string describe() const override { return inner_->describe(); }
+  Status Open() override { return inner_->Open(); }
+  uint64_t durable_offset() const override { return inner_->durable_offset(); }
+  Status SeekTo(uint64_t offset) override { return inner_->SeekTo(offset); }
+  uint64_t offset_lag() const override { return inner_->offset_lag(); }
+  const SourceIngestStats& stats() const override { return inner_->stats(); }
+  Status last_status() const override { return inner_->last_status(); }
+
+  ReadResult Read(PacketRecord* buf, size_t max, size_t* n_out) override {
+    ++reads_;
+    if (std::this_thread::get_id() != caller_) ++off_thread_reads_;
+    if (rt_->low_node().tuples_in() != delivered_ ||
+        rt_->high_node(0).tuples_in() != delivered_) {
+      ++early_reads_;
+    }
+    const ReadResult rr = inner_->Read(buf, max, n_out);
+    delivered_ += *n_out;
+    return rr;
+  }
+
+  uint64_t reads() const { return reads_; }
+  uint64_t off_thread_reads() const { return off_thread_reads_; }
+  uint64_t early_reads() const { return early_reads_; }
+
+ private:
+  ResumableSource* inner_;
+  TwoLevelRuntime* rt_;
+  std::thread::id caller_;
+  uint64_t delivered_ = 0;
+  uint64_t reads_ = 0;
+  uint64_t off_thread_reads_ = 0;
+  uint64_t early_reads_ = 0;
+};
+
+TEST(RunSourceTest, ReadsOnTheCallingThreadAfterEachBatchIsProcessed) {
+  Trace trace = TraceGenerator::MakeResearchFeed(6.0, 44);
+  auto low = CompileQuery(kPassThroughLow, Catalog::Default(), {.seed = 3});
+  auto high = CompileQuery(kAggQuery, Catalog::Default(), {.seed = 3});
+  ASSERT_TRUE(low.ok() && high.ok());
+  RuntimeOptions opt;
+  opt.batch_size = 100;
+  TwoLevelRuntime rt(*low, {*high}, opt);
+  TraceSource inner(&trace);
+  ReadContractProbe probe(&inner, &rt);
+  auto report = rt.RunSource(probe);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(probe.reads(), trace.size() / opt.batch_size);
+  EXPECT_EQ(probe.off_thread_reads(), 0u);
+  EXPECT_EQ(probe.early_reads(), 0u);
+  EXPECT_EQ(rt.low_node().tuples_in(), trace.size());
 }
 
 // ---------------------------------------------------------------------------

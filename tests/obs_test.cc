@@ -19,7 +19,6 @@
 #include "obs/trace_ring.h"
 #include "query/query.h"
 #include "stream/ring_buffer.h"
-#include "stream/stream_source.h"
 
 namespace streamop {
 namespace {
@@ -471,22 +470,6 @@ TEST(RingBufferMetricsTest, CountsPushesPopsFailuresAndHwm) {
   EXPECT_DOUBLE_EQ(m.occupancy_hwm->value(), 3.0);
 }
 
-// ---------- stream source instrumentation ----------
-
-TEST(SourceMetricsTest, TraceTupleSourceCountsProduction) {
-  MetricRegistry reg;
-  Trace trace = TraceGenerator::MakeResearchFeed(1.0, 7);
-  TraceTupleSource source(&trace);
-  source.AttachMetrics(obs::SourceMetrics::Create(reg, "trace"));
-  Tuple t;
-  size_t n = 0;
-  while (source.Next(&t)) ++n;
-  EXPECT_EQ(n, trace.size());
-  EXPECT_EQ(reg.GetCounter("streamop_source_tuples_total", "source=\"trace\"")
-                ->value(),
-            trace.size());
-}
-
 // ---------- end-to-end: runtimes populate the registry ----------
 
 TEST(RuntimeMetricsTest, SingleQueryRunPopulatesOperatorAndRingMetrics) {
@@ -500,9 +483,10 @@ TEST(RuntimeMetricsTest, SingleQueryRunPopulatesOperatorAndRingMetrics) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
 
   const std::string node = "node=\"q\"";
-  EXPECT_EQ(reg.GetCounter("streamop_ring_pushes_total")->value(),
-            trace.size());
-  EXPECT_EQ(reg.GetCounter("streamop_ring_pops_total")->value(), trace.size());
+  // The single-query path reads the trace in batches: no ring, so the
+  // ring counters stay at zero.
+  EXPECT_EQ(reg.GetCounter("streamop_ring_pushes_total")->value(), 0u);
+  EXPECT_EQ(reg.GetCounter("streamop_ring_pops_total")->value(), 0u);
   EXPECT_EQ(reg.GetCounter("streamop_operator_tuples_total", node)->value(),
             trace.size());
   EXPECT_GT(reg.GetCounter("streamop_operator_windows_total", node)->value(),
@@ -544,6 +528,41 @@ TEST(RuntimeMetricsTest, ThreadedRunOnTinyRingCountsRetries) {
   EXPECT_GT(report->ring_occupancy_hwm, 0u);
   EXPECT_EQ(reg.GetCounter("streamop_runtime_producer_retries_total")->value(),
             report->ring_producer_retries);
+}
+
+TEST(RuntimeMetricsTest, RingCountersCountOneRunOnASharedRegistry) {
+  // Two runtimes on one registry, each with a 2-slot ring: every report
+  // counts its own run's push failures (one per producer retry) and ring
+  // high-water mark, not the registry's process-lifetime totals. A Run()
+  // after them has no ring at all.
+  MetricRegistry reg;
+  Trace trace = TraceGenerator::MakeResearchFeed(31.0, 9);
+  auto low = CompileQuery(
+      "SELECT time, ts_ns, srcIP, destIP, srcPort, destPort, proto, len "
+      "FROM PKT",
+      Catalog::Default());
+  auto high = CompileQuery("SELECT tb, sum(len) FROM PKT GROUP BY time/20 as tb",
+                           Catalog::Default());
+  ASSERT_TRUE(low.ok());
+  ASSERT_TRUE(high.ok());
+  RuntimeOptions options;
+  options.ring_capacity = 2;
+  options.batch_size = 1;
+  options.registry = &reg;
+  for (int run = 0; run < 2; ++run) {
+    TwoLevelRuntime rt(*low, {*high}, options);
+    auto report = rt.RunThreaded(trace);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_GT(report->ring_producer_retries, 0u) << "run " << run;
+    EXPECT_EQ(report->ring_push_failures, report->ring_producer_retries)
+        << "run " << run;
+    EXPECT_GT(report->ring_occupancy_hwm, 0u) << "run " << run;
+  }
+  TwoLevelRuntime rt(*low, {*high}, options);
+  auto report = rt.Run(trace);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->ring_push_failures, 0u);
+  EXPECT_EQ(report->ring_occupancy_hwm, 0u);
 }
 
 TEST(RuntimeMetricsTest, DropOnOverloadAccountsForEveryPacket) {

@@ -9,7 +9,6 @@
 #include "core/sfun_subset_sum.h"
 #include "core/superagg.h"
 #include "expr/stateful.h"
-#include "stream/stream_source.h"
 
 namespace streamop {
 namespace {
@@ -406,17 +405,6 @@ TEST(SamplingOperatorTest, NoGroupByOrderedMeansSingleWindow) {
   EXPECT_TRUE(op.DrainOutput().empty());
   ASSERT_TRUE(op.FinishStream().ok());
   EXPECT_EQ(op.window_stats().size(), 1u);
-}
-
-TEST(SamplingOperatorTest, RunToCompletionDriver) {
-  auto plan = MakeAggregationPlan();
-  SchemaPtr schema = TestSchema();
-  std::vector<Tuple> rows = {Row(1, 1, 5), Row(2, 1, 5), Row(11, 2, 3)};
-  VectorTupleSource src(schema, rows);
-  SamplingOperator op(plan);
-  Result<std::vector<Tuple>> out = RunToCompletion(op, src);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->size(), 2u);
 }
 
 // ---------- SuperAggState in isolation ----------

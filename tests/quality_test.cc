@@ -22,7 +22,7 @@
 #include "obs/metrics.h"
 #include "obs/quality.h"
 #include "query/query.h"
-#include "stream/stream_source.h"
+#include "tuple/tuple_batch.h"
 
 namespace streamop {
 namespace {
@@ -273,9 +273,9 @@ TEST(QualityReportTest, SubsetSumQueryReportsThresholdAndBounds) {
   SamplingOperator op(cq->sampling);
   op.set_metrics(obs::OperatorMetrics::Create(reg, "ss"));
   op.set_quality(&ring, "ss");
-  TraceTupleSource source(&trace);
-  Tuple t;
-  while (source.Next(&t)) ASSERT_TRUE(op.Process(t).ok());
+  for (const PacketRecord& p : trace.packets()) {
+    ASSERT_TRUE(op.Process(PacketToTuple(p)).ok());
+  }
   ASSERT_TRUE(op.FinishStream().ok());
 
   std::vector<WindowQualityReport> reps = ring.Snapshot();
@@ -333,9 +333,9 @@ TEST(QualityReportTest, ReservoirQueryReportsCoverage) {
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
   SamplingOperator op(cq->sampling);
   op.set_quality(&ring, "rs");
-  TraceTupleSource source(&trace);
-  Tuple t;
-  while (source.Next(&t)) ASSERT_TRUE(op.Process(t).ok());
+  for (const PacketRecord& p : trace.packets()) {
+    ASSERT_TRUE(op.Process(PacketToTuple(p)).ok());
+  }
   ASSERT_TRUE(op.FinishStream().ok());
 
   bool saw_reservoir = false;
@@ -371,9 +371,9 @@ TEST(QualityReportTest, KmvSuperaggReportsSampleSize) {
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
   SamplingOperator op(cq->sampling);
   op.set_quality(&ring, "mh");
-  TraceTupleSource source(&trace);
-  Tuple t;
-  while (source.Next(&t)) ASSERT_TRUE(op.Process(t).ok());
+  for (const PacketRecord& p : trace.packets()) {
+    ASSERT_TRUE(op.Process(PacketToTuple(p)).ok());
+  }
   ASSERT_TRUE(op.FinishStream().ok());
 
   bool saw_kmv = false;

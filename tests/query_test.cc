@@ -8,7 +8,7 @@
 #include "query/parser.h"
 #include "query/query.h"
 #include "query/selection_operator.h"
-#include "stream/stream_source.h"
+#include "tuple/tuple_batch.h"
 
 namespace streamop {
 namespace {

@@ -1,5 +1,5 @@
 // Unit tests for src/stream: the SPSC ring buffer (single- and
-// multi-threaded) and the tuple sources.
+// multi-threaded), the packet-to-tuple mapping and the trace source.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,8 @@
 
 #include "net/trace_generator.h"
 #include "stream/ring_buffer.h"
-#include "stream/stream_source.h"
+#include "stream/trace_source.h"
+#include "tuple/tuple_batch.h"
 
 namespace streamop {
 namespace {
@@ -109,43 +110,101 @@ TEST(StreamSourceTest, PacketToTupleFieldMapping) {
   EXPECT_EQ(t[schema->FieldIndex("len")].uint_value(), 99u);
 }
 
-TEST(StreamSourceTest, TraceSourceReplaysAll) {
-  Trace trace = TraceGenerator::MakeResearchFeed(1.0, 3);
-  TraceTupleSource src(&trace);
-  Tuple t;
+bool SameRecord(const PacketRecord& a, const PacketRecord& b) {
+  return a.ts_ns == b.ts_ns && a.src_ip == b.src_ip && a.dst_ip == b.dst_ip &&
+         a.src_port == b.src_port && a.dst_port == b.dst_port &&
+         a.len == b.len && a.proto == b.proto;
+}
+
+// Reads `src` to its end in batches of `batch`, appending to `out`.
+void ReadToEnd(TraceSource& src, size_t batch, std::vector<PacketRecord>* out) {
+  std::vector<PacketRecord> buf(batch);
   size_t n = 0;
-  while (src.Next(&t)) ++n;
-  EXPECT_EQ(n, trace.size());
-  EXPECT_FALSE(src.Next(&t));  // stays exhausted
+  while (src.Read(buf.data(), batch, &n) ==
+         ResumableSource::ReadResult::kRecords) {
+    ASSERT_GT(n, 0u);
+    ASSERT_LE(n, batch);
+    out->insert(out->end(), buf.begin(), buf.begin() + n);
+  }
+  EXPECT_EQ(n, 0u);
 }
 
-TEST(StreamSourceTest, TraceSourceReset) {
+TEST(TraceSourceTest, BatchesDeliverEveryRecordInOrder) {
+  Trace trace = TraceGenerator::MakeResearchFeed(1.0, 3);
+  TraceSource src(&trace);
+  ASSERT_TRUE(src.Open().ok());
+  std::vector<PacketRecord> got;
+  ReadToEnd(src, 100, &got);
+  ASSERT_EQ(got.size(), trace.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(SameRecord(got[i], trace.at(i))) << "record " << i;
+  }
+  EXPECT_EQ(src.durable_offset(), trace.size());
+  EXPECT_EQ(src.offset_lag(), 0u);
+  EXPECT_EQ(src.stats().records, trace.size());
+  // Stays at its end.
+  size_t n = 1;
+  PacketRecord p;
+  EXPECT_EQ(src.Read(&p, 1, &n), ResumableSource::ReadResult::kEnd);
+  EXPECT_EQ(n, 0u);
+  EXPECT_TRUE(src.last_status().ok());
+}
+
+TEST(TraceSourceTest, SeekToResumesAtRecord) {
+  Trace trace = TraceGenerator::MakeResearchFeed(5.0, 3);
+  ASSERT_GT(trace.size(), 1000u);
+  const size_t k = 777;
+  TraceSource src(&trace);
+  ASSERT_TRUE(src.SeekTo(k).ok());
+  ASSERT_TRUE(src.Open().ok());
+  EXPECT_EQ(src.stats().resume_offset, k);
+  EXPECT_EQ(src.durable_offset(), k);
+  std::vector<PacketRecord> got;
+  ReadToEnd(src, 64, &got);
+  ASSERT_EQ(got.size(), trace.size() - k);
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(SameRecord(got[i], trace.at(k + i))) << "record " << k + i;
+  }
+  // Seeking back to 0 rereads the whole trace; the end itself is a valid
+  // resume point with nothing left to read.
+  ASSERT_TRUE(src.SeekTo(0).ok());
+  got.clear();
+  ReadToEnd(src, 64, &got);
+  EXPECT_EQ(got.size(), trace.size());
+  ASSERT_TRUE(src.SeekTo(trace.size()).ok());
+  got.clear();
+  ReadToEnd(src, 64, &got);
+  EXPECT_TRUE(got.empty());
+}
+
+TEST(TraceSourceTest, SeekPastTheEndFails) {
   Trace trace = TraceGenerator::MakeResearchFeed(0.5, 3);
-  TraceTupleSource src(&trace);
-  Tuple t;
-  size_t first = 0;
-  while (src.Next(&t)) ++first;
-  src.Reset();
-  size_t second = 0;
-  while (src.Next(&t)) ++second;
-  EXPECT_EQ(first, second);
+  TraceSource src(&trace);
+  ASSERT_TRUE(src.SeekTo(5).ok());
+  const Status st = src.SeekTo(trace.size() + 1);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(src.durable_offset(), 5u);  // a failed seek moves nothing
 }
 
-TEST(StreamSourceTest, VectorSource) {
-  SchemaPtr schema = MakePacketSchema();
-  std::vector<Tuple> tuples = {Tuple({Value::UInt(1)}),
-                               Tuple({Value::UInt(2)})};
-  VectorTupleSource src(schema, tuples);
-  EXPECT_EQ(src.schema()->name(), "PKT");
-  Tuple t;
-  ASSERT_TRUE(src.Next(&t));
-  EXPECT_EQ(t[0].uint_value(), 1u);
-  ASSERT_TRUE(src.Next(&t));
-  EXPECT_EQ(t[0].uint_value(), 2u);
-  EXPECT_FALSE(src.Next(&t));
-  src.Reset();
-  ASSERT_TRUE(src.Next(&t));
-  EXPECT_EQ(t[0].uint_value(), 1u);
+TEST(TraceSourceTest, StreamIdIdentifiesTheTrace) {
+  Trace trace = TraceGenerator::MakeResearchFeed(0.5, 3);
+  Trace same = TraceGenerator::MakeResearchFeed(0.5, 3);
+  Trace other = TraceGenerator::MakeResearchFeed(0.5, 4);
+  TraceSource a(&trace);
+  TraceSource b(&trace);
+  TraceSource c(&same);
+  TraceSource d(&other);
+  EXPECT_STREQ(a.kind(), "trace");
+  EXPECT_EQ(a.describe().rfind("trace:", 0), 0u);
+  EXPECT_EQ(a.stream_id(), b.stream_id());
+  EXPECT_EQ(a.stream_id(), c.stream_id());  // identical records
+  EXPECT_NE(a.stream_id(), d.stream_id());
+  // A trace cut short is a different stream too.
+  std::vector<PacketRecord> prefix(trace.packets().begin(),
+                                   trace.packets().end() - 1);
+  Trace shorter(std::move(prefix));
+  EXPECT_NE(a.stream_id(), TraceSource(&shorter).stream_id());
 }
 
 }  // namespace
