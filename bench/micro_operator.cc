@@ -136,8 +136,9 @@ BENCHMARK(BM_QueryCompilation);
 // DESIGN.md §9: prebuilt 512-row TupleBatches through ProcessBatch, one
 // batch per iteration, items scaled by the batch size so `tuples_per_sec`
 // stays comparable across the perf trajectory (bench/run_bench.sh). The
-// *RowAtATime variants keep the old tuple-at-a-time drive for an in-run
-// before/after of the batching work.
+// *RowAtATime variants drive Process() one tuple at a time, which runs
+// each tuple as a one-row batch: the price of the per-tuple entry point
+// (cascades, tests), not a second execution path.
 // ---------------------------------------------------------------------------
 
 // Packet-shaped tuples over a fixed (srcIP, destIP) key grid, all within one
@@ -237,8 +238,8 @@ void RunSteadyState(benchmark::State& state, const std::string& sql,
   SetSteadyStateCounters(state, kSteadyBatchRows, groups_at_steady_state);
 }
 
-// Tuple-at-a-time driver (the pre-§9 hot path), kept for the in-run
-// before/after: real_time is ns/tuple.
+// Tuple-at-a-time driver through Process()'s one-row batches: real_time is
+// ns/tuple.
 void RunSteadyStateRow(benchmark::State& state, const std::string& sql,
                        uint64_t num_src, uint64_t num_dst) {
   std::unique_ptr<SamplingOperator> op;

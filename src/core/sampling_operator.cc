@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/hash.h"
-#include "expr/evaluator.h"
 
 namespace streamop {
 
@@ -20,77 +19,49 @@ SamplingOperator::SamplingOperator(
 }
 
 void SamplingOperator::CompilePrograms() {
+  ClauseCompiler cc;
   const size_t ngb = plan_->group_by_exprs.size();
-  bool ok = true;
-
-  // Group-by variables: must all compile AND be batchable (they read only
-  // the input tuple, so a compiled program always is; an uncompilable one
-  // disables the whole columnar path — every later stage needs key columns).
-  gb_progs_.reserve(ngb);
-  for (const ExprPtr& e : plan_->group_by_exprs) {
-    gb_progs_.push_back(ExprProgram::TryCompile(e.get()));
-    if (!gb_progs_.back().has_value() || !gb_progs_.back()->batchable()) {
-      ok = false;
-    }
+  gb_progs_.resize(ngb);
+  for (size_t j = 0; j < ngb; ++j) {
+    cc.Compile(plan_->group_by_exprs[j].get(), &gb_progs_[j]);
   }
+  cc.Compile(plan_->where.get(), &where_prog_);
+  cc.Compile(plan_->cleaning_when.get(), &cleaning_when_prog_);
+  cc.Compile(plan_->cleaning_by.get(), &cleaning_by_prog_);
+  cc.Compile(plan_->having.get(), &having_prog_);
+  select_progs_.resize(plan_->select_exprs.size());
+  for (size_t c = 0; c < select_progs_.size(); ++c) {
+    cc.Compile(plan_->select_exprs[c].get(), &select_progs_[c]);
+  }
+  agg_arg_progs_.resize(plan_->aggregates.size());
+  for (size_t a = 0; a < agg_arg_progs_.size(); ++a) {
+    const AggregateSpec& spec = plan_->aggregates[a];
+    cc.Compile(spec.star ? nullptr : spec.arg.get(), &agg_arg_progs_[a]);
+  }
+  superagg_arg_progs_.resize(plan_->superaggs.size());
+  for (size_t s = 0; s < superagg_arg_progs_.size(); ++s) {
+    cc.Compile(plan_->superaggs[s].arg.get(), &superagg_arg_progs_[s]);
+  }
+  compile_status_ = cc.status;
+  row_stack_.resize(cc.stack_size);
   for (size_t i = 0; i < plan_->group_by_ordered.size(); ++i) {
     if (plan_->group_by_ordered[i]) ordered_gb_slots_.push_back(i);
   }
-
-  // WHERE / CLEANING WHEN: a compiled program suffices — sfun- or
-  // superagg-reading predicates (ssample admission) run in compiled row
-  // mode on each lane rather than column-at-a-time.
-  if (plan_->where != nullptr) {
-    where_prog_ = ExprProgram::TryCompile(plan_->where.get());
-    if (!where_prog_.has_value()) ok = false;
-  }
-  if (plan_->cleaning_when != nullptr) {
-    cleaning_when_prog_ = ExprProgram::TryCompile(plan_->cleaning_when.get());
-    if (!cleaning_when_prog_.has_value()) ok = false;
-  }
-
-  agg_arg_progs_.reserve(plan_->aggregates.size());
-  for (const AggregateSpec& spec : plan_->aggregates) {
-    agg_arg_progs_.push_back(spec.star || spec.arg == nullptr
-                                 ? std::nullopt
-                                 : ExprProgram::TryCompile(spec.arg.get()));
-    if (!spec.star && spec.arg != nullptr && !agg_arg_progs_.back()) ok = false;
-  }
-  superagg_arg_progs_.reserve(plan_->superaggs.size());
-  for (const SuperAggSpec& spec : plan_->superaggs) {
-    superagg_arg_progs_.push_back(
-        spec.arg == nullptr ? std::nullopt
-                            : ExprProgram::TryCompile(spec.arg.get()));
-    const bool tuple_level = spec.kind == SuperAggKind::kSum ||
-                             spec.kind == SuperAggKind::kCount ||
-                             spec.kind == SuperAggKind::kFirst;
-    if (tuple_level && spec.arg != nullptr && !superagg_arg_progs_.back()) {
-      ok = false;
-    }
-  }
-  batched_ok_ = ok;
 
   // Identity programs (a bare column reference, the common case for keys
   // like srcIP and arguments like len) need no evaluation at all: their
   // result column IS the batch's input column, so ProcessBatch aliases it.
   gb_identity_.assign(ngb, -1);
   for (size_t j = 0; j < ngb; ++j) {
-    if (gb_progs_[j].has_value()) {
-      gb_identity_[j] = gb_progs_[j]->identity_input_slot();
-    }
+    gb_identity_[j] = gb_progs_[j].identity_input_slot();
   }
   agg_arg_identity_.assign(plan_->aggregates.size(), -1);
   for (size_t a = 0; a < agg_arg_progs_.size(); ++a) {
-    if (agg_arg_progs_[a].has_value()) {
-      agg_arg_identity_[a] = agg_arg_progs_[a]->identity_input_slot();
-    }
+    agg_arg_identity_[a] = agg_arg_progs_[a].identity_input_slot();
   }
   superagg_arg_identity_.assign(plan_->superaggs.size(), -1);
   for (size_t s = 0; s < superagg_arg_progs_.size(); ++s) {
-    if (superagg_arg_progs_[s].has_value()) {
-      superagg_arg_identity_[s] =
-          superagg_arg_progs_[s]->identity_input_slot();
-    }
+    superagg_arg_identity_[s] = superagg_arg_progs_[s].identity_input_slot();
   }
   for (size_t s = 0; s < plan_->superaggs.size(); ++s) {
     const SuperAggKind kind = plan_->superaggs[s].kind;
@@ -109,7 +80,6 @@ void SamplingOperator::CompilePrograms() {
   superagg_arg_cols_.resize(plan_->superaggs.size());
   superagg_arg_ptrs_.assign(plan_->superaggs.size(), nullptr);
   superagg_arg_col_ok_.assign(plan_->superaggs.size(), 0);
-  row_stack_.resize(ExprProgram::kMaxRowStack);
 }
 
 SamplingOperator::~SamplingOperator() {
@@ -184,291 +154,10 @@ void SamplingOperator::AggFinalsInto(const GroupEntry& g,
 }
 
 Status SamplingOperator::Process(const Tuple& input, double weight) {
-  // Observability: one plain increment per tuple; the admission-path timer
-  // and the batched flush of pending counts into the registry's atomics
-  // both ride the same 1-in-256 tick, so the steady state pays no clock
-  // reads and no atomic RMWs (§7 of DESIGN.md). All of this folds away
-  // under STREAMOP_NO_STATS.
-  const bool obs_on = metrics_.enabled();
-  uint64_t admit_t0 = 0;
-  bool time_this_tuple = false;
-  if (obs_on) {
-    ++pending_tuples_;
-    time_this_tuple = ((++admission_sample_tick_ & 0xFFu) == 0);
-    if (time_this_tuple) {
-      admit_t0 = obs::NowNanos();
-      FlushPendingMetrics();
-    }
-  }
-
-  // 1. Compute every group-by variable into the scratch key. The key's
-  // hash folds in incrementally, and its vector capacity is reused, so the
-  // steady-state path performs no allocation here.
-  scratch_gk_.Clear();
-  {
-    EvalContext gb_ctx;
-    gb_ctx.input = &input;
-    for (const ExprPtr& e : plan_->group_by_exprs) {
-      STREAMOP_ASSIGN_OR_RETURN(Value v, Evaluate(*e, gb_ctx));
-      scratch_gk_.Append(std::move(v));
-    }
-  }
-  // 2. Window placement: lexicographic three-way compare of the ordered
-  // group-by variables against the current window id. Greater → window
-  // boundary (advance). Smaller → a *late* tuple: its window already closed
-  // and was emitted, so instead of corrupting the boundary sequence by
-  // reopening it, the tuple is clamped into the current window (ordered
-  // slots overwritten with the current window's values) and counted in the
-  // late_tuples metric. Equal → same window.
-  bool boundary = !window_open_;
-  bool late = false;
-  if (window_open_) {
-    const std::vector<Value>& gbv = scratch_gk_.values();
-    size_t oi = 0;
-    for (size_t i = 0; i < gbv.size(); ++i) {
-      if (!plan_->group_by_ordered[i]) continue;
-      if (oi >= current_window_id_.size()) {
-        boundary = true;
-        break;
-      }
-      if (ValueLess(current_window_id_[oi], gbv[i])) {
-        boundary = true;
-        break;
-      }
-      if (ValueLess(gbv[i], current_window_id_[oi])) {
-        late = true;
-        break;
-      }
-      ++oi;
-    }
-  }
-  if (late) {
-    // Rare path: rebuild the scratch key with the ordered slots clamped to
-    // the current window. The clamped-values vector reuses capacity, but
-    // Value copies may allocate — acceptable off the steady-state path.
-    scratch_clamped_.assign(scratch_gk_.values().begin(),
-                            scratch_gk_.values().end());
-    size_t oi = 0;
-    for (size_t i = 0; i < scratch_clamped_.size(); ++i) {
-      if (!plan_->group_by_ordered[i]) continue;
-      scratch_clamped_[i] = current_window_id_[oi];
-      ++oi;
-    }
-    scratch_gk_.Clear();
-    for (Value& v : scratch_clamped_) scratch_gk_.Append(std::move(v));
-    ++live_stats_.late_tuples;
-    ++late_tuples_total_;
-    if (obs_on && metrics_.late_tuples != nullptr) {
-      metrics_.late_tuples->Add();  // rare: direct atomic is fine
-    }
-    if constexpr (obs::kStatsEnabled) {
-      // Exemplar: which tuple was late, not just how many were. Dims carry
-      // the first raw group-key values (srcIP/destIP-style context).
-      if (exemplars_->enabled()) {
-        obs::Exemplar ex;
-        ex.ts_ns = obs::NowNanos();
-        ex.value = weight;
-        ex.weight = weight;
-        ex.window_seq = window_seq_;
-        const std::vector<Value>& kv = scratch_gk_.values();
-        for (size_t i = 0; i < kv.size() && ex.ndims < ex.dims.size(); ++i) {
-          ex.dims[ex.ndims++] = kv[i].AsUInt();
-        }
-        exemplars_->Offer(obs::ExemplarStore::kLateTuple, ex);
-      }
-    }
-  }
-  const std::vector<Value>& gb_values = scratch_gk_.values();
-  if (boundary) {
-    const bool flushed = window_open_;
-    if (window_open_) {
-      STREAMOP_RETURN_NOT_OK(FlushWindow());
-    }
-    window_open_ = true;
-    current_window_id_.clear();
-    for (size_t i = 0; i < gb_values.size(); ++i) {
-      if (plan_->group_by_ordered[i]) current_window_id_.push_back(gb_values[i]);
-    }
-    live_stats_ = WindowStats{};
-    live_stats_.window_id = current_window_id_;
-    live_max_weight_ = 1.0;
-    OpenWindowSpan();
-    // Window-flush hook, between windows: the flushed window's stats are in
-    // window_stats_ and the next window is open with zero tuples counted.
-    if (flushed && window_flush_hook_) window_flush_hook_(windows_flushed_);
-  }
-  ++live_stats_.tuples_in;
-  if constexpr (obs::kStatsEnabled) {
-    if (weight > live_max_weight_) live_max_weight_ = weight;
-  }
-
-  // 3. Supergroup lookup / creation (with previous-window state hand-off).
-  scratch_sk_.Clear();
-  for (int slot : plan_->supergroup_slots) {
-    scratch_sk_.Append(gb_values[static_cast<size_t>(slot)]);
-  }
-  SupergroupEntry& sg = GetOrCreateSupergroup(scratch_sk_);
-
-  // 4. WHERE: the sampling admission predicate.
-  SuperAggFinalsInto(sg, &scratch_superagg_finals_);
-  {
-    EvalContext ctx;
-    ctx.input = &input;
-    ctx.group_key = &scratch_gk_;
-    ctx.superaggs = &scratch_superagg_finals_;
-    ctx.sfun_states = sg.states.data();
-    ctx.num_sfun_states = sg.states.size();
-    ctx.sfun_calls = &pending_sfun_calls_;
-    STREAMOP_ASSIGN_OR_RETURN(bool admitted,
-                              EvaluatePredicate(plan_->where.get(), ctx));
-    if (!admitted) {
-      if (time_this_tuple) {
-        metrics_.admission_ns->Record(obs::NowNanos() - admit_t0);
-      }
-      return Status::OK();
-    }
-  }
-  ++live_stats_.tuples_admitted;
-  if (obs_on) ++pending_admitted_;
-
-  // 5. Tuple-level superaggregate updates (sum$/count$/first$).
-  uint64_t superagg_updates = 0;
-  for (size_t i = 0; i < plan_->superaggs.size(); ++i) {
-    const SuperAggSpec& spec = plan_->superaggs[i];
-    if (spec.kind == SuperAggKind::kSum || spec.kind == SuperAggKind::kCount ||
-        spec.kind == SuperAggKind::kFirst) {
-      Value v = Value::Null();
-      if (spec.arg != nullptr) {
-        EvalContext ctx;
-        ctx.input = &input;
-        ctx.group_key = &scratch_gk_;
-        ctx.sfun_states = sg.states.data();
-        ctx.num_sfun_states = sg.states.size();
-        ctx.sfun_calls = &pending_sfun_calls_;
-        STREAMOP_ASSIGN_OR_RETURN(v, Evaluate(*spec.arg, ctx));
-      }
-      sg.superaggs[i].OnTuple(v, weight);
-      ++superagg_updates;
-    }
-  }
-  if (obs_on) pending_superagg_updates_ += superagg_updates;
-
-  // 6. Group lookup / creation + aggregate update. The lookup probes with
-  // the scratch key (cached hash); a persistent copy is made only when the
-  // group is new.
-  auto git = groups_.find(scratch_gk_);
-  if (git == groups_.end()) {
-    GroupEntry entry;
-    entry.aggs.reserve(plan_->aggregates.size());
-    for (const AggregateSpec& spec : plan_->aggregates) {
-      entry.aggs.emplace_back(spec.kind, spec.param);
-    }
-    git = groups_.emplace(scratch_gk_, std::move(entry)).first;
-    for (SuperAggState& s : sg.superaggs) s.OnGroupCreated(scratch_gk_);
-    supergroup_groups_[scratch_sk_].push_back(scratch_gk_);
-    ++live_stats_.groups_created;
-    if (groups_.size() > live_stats_.peak_groups) {
-      live_stats_.peak_groups = groups_.size();
-    }
-    if (obs_on) {
-      metrics_.groups_created->Add();
-      metrics_.peak_groups->SetMax(static_cast<double>(groups_.size()));
-    }
-  }
-  {
-    EvalContext ctx;
-    ctx.input = &input;
-    ctx.group_key = &scratch_gk_;
-    ctx.sfun_states = sg.states.data();
-    ctx.num_sfun_states = sg.states.size();
-    ctx.sfun_calls = &pending_sfun_calls_;
-    for (size_t i = 0; i < plan_->aggregates.size(); ++i) {
-      const AggregateSpec& spec = plan_->aggregates[i];
-      if (spec.star || spec.arg == nullptr) {
-        git->second.aggs[i].Update(Value::Null(), weight);
-      } else {
-        STREAMOP_ASSIGN_OR_RETURN(Value v, Evaluate(*spec.arg, ctx));
-        git->second.aggs[i].Update(v, weight);
-      }
-    }
-  }
-
-  if (time_this_tuple) {
-    const uint64_t lat = obs::NowNanos() - admit_t0;
-    metrics_.admission_ns->Record(lat);
-    if constexpr (obs::kStatsEnabled) {
-      // The sampled tuple doubles as the latency-band exemplar: same
-      // 1-in-256 cadence, so exemplars add no clock reads of their own.
-      if (exemplars_->enabled()) {
-        obs::Exemplar ex;
-        ex.ts_ns = admit_t0;
-        ex.weight = weight;
-        ex.window_seq = window_seq_;
-        exemplars_->OfferLatency(lat, ex);
-      }
-    }
-  }
-
-  // 7. CLEANING WHEN: the cleaning trigger, evaluated against the
-  // supergroup state and fresh superaggregates (scratch buffer reused).
-  if (plan_->cleaning_when != nullptr) {
-    SuperAggFinalsInto(sg, &scratch_superagg_finals_);
-    EvalContext ctx;
-    ctx.input = &input;
-    ctx.group_key = &scratch_gk_;
-    ctx.superaggs = &scratch_superagg_finals_;
-    ctx.sfun_states = sg.states.data();
-    ctx.num_sfun_states = sg.states.size();
-    ctx.sfun_calls = &pending_sfun_calls_;
-    STREAMOP_ASSIGN_OR_RETURN(bool trigger,
-                              EvaluatePredicate(plan_->cleaning_when.get(), ctx));
-    if (trigger) {
-      ++live_stats_.cleaning_phases;
-      // Cleaning phases are rare (a handful per window), so each one is
-      // timed fully, traced, and emitted as a child span of the window.
-      const bool tracing = trace_ring_->enabled();
-      const bool span_on = span_ring_->enabled();
-      const bool prof_on = profiler_->phase_accounting_enabled();
-      const uint64_t t0 = (obs_on || tracing || span_on) ? obs::NowNanos() : 0;
-      const uint64_t c0 = prof_on ? obs::CycleNow() : 0;
-      STREAMOP_RETURN_NOT_OK(RunCleaningPhase(scratch_sk_, sg));
-      if (prof_on) {
-        profiler_->AddPhaseCycles(obs::Profiler::kClean, obs::CycleNow() - c0);
-      }
-      if (obs_on || tracing || span_on) {
-        const uint64_t dur = obs::NowNanos() - t0;
-        if (obs_on) {
-          metrics_.cleaning_phases->Add();
-          metrics_.cleaning_ns->Record(dur);
-        }
-        if (tracing) trace_ring_->Record("cleaning_phase", t0, dur);
-        if (span_on) {
-          obs::SpanRecord sr;
-          sr.name = "clean";
-          sr.parent_id = window_span_id_;
-          sr.window_seq = window_seq_;
-          sr.ts_ns = t0;
-          sr.dur_ns = dur;
-          sr.max_weight = live_max_weight_;
-          span_ring_->Emit(sr);
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status SamplingOperator::ProcessBatchFallback(const TupleBatch& batch,
-                                              size_t first_lane,
-                                              double weight) {
-  const size_t n = batch.num_rows();
-  const uint8_t* sel = batch.selection();
-  for (size_t i = first_lane; i < n; ++i) {
-    if (!sel[i]) continue;
-    batch.MaterializeRow(i, &batch_row_);
-    STREAMOP_RETURN_NOT_OK(Process(batch_row_, weight));
-  }
-  return Status::OK();
+  // One execution path: a tuple is a one-row batch. The batch keeps its
+  // capacity, so a steady stream of numeric tuples allocates nothing here.
+  row_batch_.SetSingleRow(input);
+  return ProcessBatch(row_batch_, weight);
 }
 
 void SamplingOperator::OpenWindowSpan() {
@@ -487,13 +176,98 @@ void SamplingOperator::OpenWindowSpan() {
   }
 }
 
+size_t SamplingOperator::EvalKeysByLane(const TupleBatch& batch,
+                                        Status* error) {
+  const size_t n = batch.num_rows();
+  const size_t ngb = gb_progs_.size();
+  for (size_t j = 0; j < ngb; ++j) {
+    if (key_col_ptrs_[j] != &key_cols_[j]) continue;  // aliased input
+    // Lanes at and after a failing lane stay null, never garbage.
+    key_cols_[j].raw.assign(n, 0);
+    key_cols_[j].type.assign(n, static_cast<uint8_t>(FieldType::kNull));
+  }
+  ExprProgram::RowContext rc;
+  rc.batch = &batch;
+  rc.scratch_stack = row_stack_.data();
+  const uint8_t* sel = batch.selection();
+  for (size_t i = 0; i < n; ++i) {
+    if (!sel[i]) continue;
+    rc.row = i;
+    for (size_t j = 0; j < ngb; ++j) {
+      VecCol& col = key_cols_[j];
+      if (key_col_ptrs_[j] != &col) continue;
+      Result<Value> v = gb_progs_[j].EvalRow(rc);
+      if (!v.ok()) {
+        *error = v.status();
+        return i;
+      }
+      col.raw[i] = EncodeRawValue(*v, &batch_scratch_.owned);
+      col.type[i] = static_cast<uint8_t>(v->type());
+    }
+  }
+  return n;
+}
+
+void SamplingOperator::ClampLateLane(size_t i, double weight) {
+  // Instead of reopening its closed window (which would corrupt the
+  // boundary sequence), the lane takes the open window's ordered values.
+  // An aliased input column is copied first: the batch is read-only.
+  size_t oi = 0;
+  for (size_t slot : ordered_gb_slots_) {
+    VecCol& col = key_cols_[slot];
+    if (key_col_ptrs_[slot] != &col) {
+      col = *key_col_ptrs_[slot];
+      key_col_ptrs_[slot] = &col;
+    }
+    const Value& w = current_window_id_[oi++];
+    col.raw[i] = EncodeRawValue(w, &batch_scratch_.owned);
+    col.type[i] = static_cast<uint8_t>(w.type());
+  }
+  uint64_t gk_hash = GroupKey::kSeed;
+  for (const VecCol* c : key_col_ptrs_) {
+    gk_hash = HashCombine(gk_hash, RawValueHash(c->type[i], c->raw[i]));
+  }
+  lane_gk_hash_[i] = gk_hash;
+  if (!plan_->supergroup_slots.empty()) {
+    uint64_t sk_hash = GroupKey::kSeed;
+    for (int slot : plan_->supergroup_slots) {
+      const VecCol& c = *key_col_ptrs_[static_cast<size_t>(slot)];
+      sk_hash = HashCombine(sk_hash, RawValueHash(c.type[i], c.raw[i]));
+    }
+    lane_sk_hash_[i] = sk_hash;
+  }
+
+  ++live_stats_.late_tuples;
+  ++late_tuples_total_;
+  if (metrics_.enabled() && metrics_.late_tuples != nullptr) {
+    metrics_.late_tuples->Add();  // rare: direct atomic is fine
+  }
+  if constexpr (obs::kStatsEnabled) {
+    // Exemplar: which tuple was late, not just how many were. Dims carry
+    // the first clamped key values (srcIP/destIP-style context).
+    if (exemplars_->enabled()) {
+      obs::Exemplar ex;
+      ex.ts_ns = obs::NowNanos();
+      ex.value = weight;
+      ex.weight = weight;
+      ex.window_seq = window_seq_;
+      for (size_t j = 0; j < key_col_ptrs_.size() && ex.ndims < ex.dims.size();
+           ++j) {
+        const VecCol& c = *key_col_ptrs_[j];
+        ex.dims[ex.ndims++] = MaterializeRawValue(c.type[i], c.raw[i]).AsUInt();
+      }
+      exemplars_->Offer(obs::ExemplarStore::kLateTuple, ex);
+    }
+  }
+}
+
 Status SamplingOperator::ProcessBatch(const TupleBatch& batch, double weight,
                                       obs::SpanContext* span_ctx) {
   const Status st = ProcessBatchInner(batch, weight, span_ctx);
   if constexpr (obs::kStatsEnabled) {
-    // Causal back-report: whatever path the batch took (columnar, fallback,
-    // error), tell the caller which window lifecycle it last fed so the
-    // runtime's drain span can parent under the window root.
+    // Causal back-report: whether the batch succeeded or failed, tell the
+    // caller which window lifecycle it last fed so the runtime's drain
+    // span can parent under the window root.
     if (span_ctx != nullptr) {
       span_ctx->window_span_id = window_span_id_;
       span_ctx->window_seq = window_seq_;
@@ -505,9 +279,9 @@ Status SamplingOperator::ProcessBatch(const TupleBatch& batch, double weight,
 Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
                                            double weight,
                                            obs::SpanContext* span_ctx) {
-  const size_t n = batch.num_rows();
-  if (n == 0) return Status::OK();
-  if (!batched_ok_) return ProcessBatchFallback(batch, 0, weight);
+  STREAMOP_RETURN_NOT_OK(compile_status_);
+  const size_t num_rows = batch.num_rows();
+  if (num_rows == 0) return Status::OK();
 
   // Span/profiler context for this batch. The shed probability comes from
   // the caller's SpanContext when threaded (the runtime knows the post-tick
@@ -521,16 +295,16 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
   const uint64_t sel_c0 = prof_on ? obs::CycleNow() : 0;
 
   // ---- Columnar precompute (side-effect-free) -------------------------
-  // Everything here is a pure function of the batch, so any evaluation
-  // error can abandon the columns and replay the whole batch tuple-at-a-
-  // time: Process() then reproduces the exact per-tuple error position
-  // (and silently succeeds when the error was an artifact of evaluating a
-  // lane the per-tuple path never would have — e.g. an aggregate argument
-  // on a lane its WHERE rejects).
+  // Everything here is a pure function of the batch. A clause whose column
+  // evaluation fails is evaluated lane by lane in row mode in the loop
+  // below instead, which reproduces the tuple-at-a-time error position —
+  // and succeeds when the error came from a lane the clause never sees
+  // (an aggregate argument on a lane its WHERE rejects).
   batch_scratch_.Reset();
   const size_t ngb = plan_->group_by_exprs.size();
   ExprProgram::BatchContext bctx;
   bctx.batch = &batch;  // mask defaults to the batch's selection vector
+  bool keys_ok = true;
   for (size_t j = 0; j < ngb; ++j) {
     const int id_slot = gb_identity_[j];
     if (id_slot >= 0 && static_cast<size_t>(id_slot) < batch.num_cols()) {
@@ -539,18 +313,20 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
       continue;
     }
     key_col_ptrs_[j] = &key_cols_[j];
-    if (!gb_progs_[j]->EvalBatch(bctx, &batch_scratch_, &key_cols_[j]).ok()) {
-      return ProcessBatchFallback(batch, 0, weight);
-    }
+    keys_ok = keys_ok && gb_progs_[j].batchable() &&
+              gb_progs_[j].EvalBatch(bctx, &batch_scratch_, &key_cols_[j]).ok();
   }
+  // Keys that fail column-wise are computed lane by lane: the lanes before
+  // the first failing one are processed, then its error is returned.
+  Status key_error;
+  const size_t n = keys_ok ? num_rows : EvalKeysByLane(batch, &key_error);
   bctx.key_cols = key_col_ptrs_.data();
   bctx.num_key_cols = ngb;
 
   // Per-lane key hashes, replicated column-wise: a fold of RawValueHash
   // over the key columns starting from GroupKey::kSeed is bit-equal to the
-  // hash of the GroupKey Process() would have built, so table probes below
-  // need no materialized key.
-  lane_gk_hash_.assign(n, GroupKey::kSeed);
+  // hash of the materialized GroupKey, so table probes below need no key.
+  lane_gk_hash_.assign(num_rows, GroupKey::kSeed);
   for (size_t j = 0; j < ngb; ++j) {
     const VecCol& c = *key_col_ptrs_[j];
     for (size_t i = 0; i < n; ++i) {
@@ -560,7 +336,7 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
   }
   const size_t nsk = plan_->supergroup_slots.size();
   if (nsk > 0) {
-    lane_sk_hash_.assign(n, GroupKey::kSeed);
+    lane_sk_hash_.assign(num_rows, GroupKey::kSeed);
     for (size_t j = 0; j < nsk; ++j) {
       const VecCol& c =
           *key_col_ptrs_[static_cast<size_t>(plan_->supergroup_slots[j])];
@@ -572,62 +348,45 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
   }
 
   // WHERE column: only for predicates with no per-supergroup inputs
-  // (ssample admission reads SFUN state and must run lane-by-lane below).
-  bool where_col_ok = false;
-  if (plan_->where != nullptr && where_prog_->batchable()) {
-    if (!where_prog_->EvalBatch(bctx, &batch_scratch_, &where_col_).ok()) {
-      return ProcessBatchFallback(batch, 0, weight);
-    }
-    where_col_ok = true;
-  }
+  // (ssample admission reads SFUN state and runs lane by lane below).
+  const uint8_t* sel = batch.selection();
+  const bool where_col_ok =
+      plan_->where != nullptr && where_prog_.batchable() &&
+      where_prog_.EvalBatch(bctx, &batch_scratch_, &where_col_).ok();
 
   // Aggregate / tuple-level superaggregate argument columns, masked down
   // to admitted lanes when the WHERE column is available — both for work
-  // and because the per-tuple path never evaluates arguments of rejected
-  // tuples (a division by zero there must not abort the batch).
-  const uint8_t* sel = batch.selection();
+  // and because a rejected lane's arguments are never evaluated (a
+  // division by zero there must not fail the batch).
   if (where_col_ok) {
-    admit_mask_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
+    admit_mask_.resize(num_rows);
+    for (size_t i = 0; i < num_rows; ++i) {
       admit_mask_[i] = sel[i] != 0 &&
                        RawValueAsBool(where_col_.type[i], where_col_.raw[i]);
     }
     bctx.mask = admit_mask_.data();
   }
+  auto arg_column = [&](const ExprProgram& prog, int id_slot, VecCol* col,
+                        const VecCol** ptr) -> uint8_t {
+    if (id_slot >= 0 && static_cast<size_t>(id_slot) < batch.num_cols()) {
+      *ptr = &batch.col(static_cast<size_t>(id_slot));
+      return 1;
+    }
+    *ptr = col;
+    return prog.batchable() && prog.EvalBatch(bctx, &batch_scratch_, col).ok();
+  };
   for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
-    agg_arg_col_ok_[a] = 0;
-    const int id_slot = agg_arg_identity_[a];
-    if (id_slot >= 0 && static_cast<size_t>(id_slot) < batch.num_cols()) {
-      agg_arg_ptrs_[a] = &batch.col(static_cast<size_t>(id_slot));
-      agg_arg_col_ok_[a] = 1;
-      continue;
-    }
-    const auto& prog = agg_arg_progs_[a];
-    if (prog.has_value() && prog->batchable()) {
-      if (!prog->EvalBatch(bctx, &batch_scratch_, &agg_arg_cols_[a]).ok()) {
-        return ProcessBatchFallback(batch, 0, weight);
-      }
-      agg_arg_ptrs_[a] = &agg_arg_cols_[a];
-      agg_arg_col_ok_[a] = 1;
-    }
+    const AggregateSpec& spec = plan_->aggregates[a];
+    agg_arg_col_ok_[a] =
+        !spec.star && spec.arg != nullptr &&
+        arg_column(agg_arg_progs_[a], agg_arg_identity_[a], &agg_arg_cols_[a],
+                   &agg_arg_ptrs_[a]);
   }
-  for (size_t s = 0; s < plan_->superaggs.size(); ++s) {
-    superagg_arg_col_ok_[s] = 0;
-    const int id_slot = superagg_arg_identity_[s];
-    if (id_slot >= 0 && static_cast<size_t>(id_slot) < batch.num_cols()) {
-      superagg_arg_ptrs_[s] = &batch.col(static_cast<size_t>(id_slot));
-      superagg_arg_col_ok_[s] = 1;
-      continue;
-    }
-    const auto& prog = superagg_arg_progs_[s];
-    if (prog.has_value() && prog->batchable()) {
-      if (!prog->EvalBatch(bctx, &batch_scratch_, &superagg_arg_cols_[s])
-               .ok()) {
-        return ProcessBatchFallback(batch, 0, weight);
-      }
-      superagg_arg_ptrs_[s] = &superagg_arg_cols_[s];
-      superagg_arg_col_ok_[s] = 1;
-    }
+  for (size_t s : tuple_level_superaggs_) {
+    superagg_arg_col_ok_[s] =
+        plan_->superaggs[s].arg != nullptr &&
+        arg_column(superagg_arg_progs_[s], superagg_arg_identity_[s],
+                   &superagg_arg_cols_[s], &superagg_arg_ptrs_[s]);
   }
 
   // Precompute done: close the batch-select phase (the span is emitted at
@@ -638,10 +397,9 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
                               obs::CycleNow() - sel_c0);
   }
 
-  // ---- Per-lane loop, mirroring Process() steps 2-7 -------------------
+  // ---- Per-lane loop ---------------------------------------------------
   // Observability is batched: one clock read pair and one pending-counter
-  // flush per batch instead of per tuple (lanes that detour through
-  // Process() — late tuples, fallbacks — count themselves).
+  // flush per batch instead of per tuple.
   const bool obs_on = metrics_.enabled();
   const uint64_t batch_t0 = obs_on ? obs::NowNanos() : 0;
   const uint64_t adm_t0 = span_on ? (obs_on ? batch_t0 : obs::NowNanos()) : 0;
@@ -657,15 +415,15 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
   size_t cached_lane = 0;
   // Superaggregate finals currently sitting in scratch_superagg_finals_
   // belong to this supergroup; reset to null whenever any superagg state
-  // may have changed (OnTuple, group create/remove, cleaning, detours).
+  // may have changed (OnTuple, group create/remove, cleaning).
   const SupergroupEntry* finals_sg = nullptr;
   // Lane already placed inside current_window_id_: later lanes revalidate
   // with a bitwise compare of the ordered key columns instead of
   // materializing Values (conservative — a mismatch runs full placement).
   ptrdiff_t win_lane = -1;
 
-  // One row context for every compiled row-mode evaluation below; only the
-  // lane, the supergroup's SFUN states, and the finals pointer vary.
+  // One row context for every row-mode evaluation below; only the lane,
+  // the supergroup's SFUN states, and the finals pointer vary.
   ExprProgram::RowContext rc;
   rc.batch = &batch;
   rc.key_cols = key_col_ptrs_.data();
@@ -688,7 +446,8 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
       groups_.prefetch_hashed(lane_gk_hash_[i + kProbeAhead]);
     }
 
-    // Window placement (Process step 2) straight off the key columns.
+    // Window placement straight off the key columns: a lane past the open
+    // window closes it; a lane before it is late.
     bool boundary = !window_open_;
     bool late = false;
     bool placed = false;
@@ -724,15 +483,9 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
       }
       if (!boundary && !late) win_lane = static_cast<ptrdiff_t>(i);
     }
-    if (late) {
-      // Rare path: clamping rebuilds the key, so hand the whole lane to
-      // Process() (which also does its own accounting).
-      batch.MaterializeRow(i, &batch_row_);
-      STREAMOP_RETURN_NOT_OK(Process(batch_row_, weight));
-      cached_sg = nullptr;  // Process may have created supergroups
-      finals_sg = nullptr;  // ... and advanced superaggregates
-      continue;
-    }
+    // A late lane's column results were computed from its unclamped key,
+    // so every clause runs in row mode on it.
+    if (late) ClampLateLane(i, weight);
     if (boundary) {
       const bool flushed = window_open_;
       if (window_open_) {
@@ -751,7 +504,9 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
       live_stats_.window_id = current_window_id_;
       live_max_weight_ = 1.0;
       OpenWindowSpan();
-      // Same between-windows hook point as the tuple path.
+      // Window-flush hook, between windows: the flushed window's stats are
+      // in window_stats_ and the next window is open with zero tuples
+      // counted.
       if (flushed && window_flush_hook_) window_flush_hook_(windows_flushed_);
     }
     ++inline_lanes;
@@ -760,9 +515,9 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
       if (weight > live_max_weight_) live_max_weight_ = weight;
     }
 
-    // Supergroup lookup / creation (step 3): last-lane cache, then a
-    // hash-first probe against the lane columns, materializing a key only
-    // on creation.
+    // Supergroup lookup / creation (with the previous window's state
+    // hand-off): last-lane cache, then a hash-first probe against the lane
+    // columns, materializing a key only on creation.
     const uint64_t skh = nsk > 0 ? lane_sk_hash_[i] : GroupKey::kSeed;
     SupergroupEntry* sg = cached_sg;
     bool cache_hit = cached_sg != nullptr && cached_hash == skh;
@@ -806,15 +561,16 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
     rc.sfun_states = sg->states.data();
     rc.num_sfun_states = sg->states.size();
 
-    // WHERE (step 4): precomputed column, else compiled row mode with the
-    // supergroup's SFUN states (and superaggregate finals only if the
-    // predicate actually reads them — ssample admission does not).
+    // WHERE, the sampling admission predicate: precomputed column, else
+    // row mode with the supergroup's SFUN states (and superaggregate
+    // finals only if the predicate reads them — ssample admission does
+    // not).
     if (plan_->where != nullptr) {
       bool admitted;
-      if (where_col_ok) {
+      if (where_col_ok && !late) {
         admitted = admit_mask_[i] != 0;
       } else {
-        if (where_prog_->reads_superagg()) {
+        if (where_prog_.reads_superagg()) {
           if (finals_sg != sg) {
             SuperAggFinalsInto(*sg, &scratch_superagg_finals_);
             finals_sg = sg;
@@ -823,7 +579,7 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
         } else {
           rc.superaggs = nullptr;
         }
-        STREAMOP_ASSIGN_OR_RETURN(Value wv, where_prog_->EvalRow(rc));
+        STREAMOP_ASSIGN_OR_RETURN(Value wv, where_prog_.EvalRow(rc));
         admitted = wv.AsBool();
       }
       if (!admitted) continue;
@@ -831,18 +587,18 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
     ++live_stats_.tuples_admitted;
     ++batch_admitted;
 
-    // Tuple-level superaggregate updates (step 5).
+    // Tuple-level superaggregate updates (sum$/count$/first$).
     if (!tuple_level_superaggs_.empty()) {
       for (size_t s : tuple_level_superaggs_) {
         const SuperAggSpec& spec = plan_->superaggs[s];
         Value v = Value::Null();
         if (spec.arg != nullptr) {
-          if (superagg_arg_col_ok_[s]) {
+          if (superagg_arg_col_ok_[s] && !late) {
             const VecCol& c = *superagg_arg_ptrs_[s];
             v = MaterializeRawValue(c.type[i], c.raw[i]);
           } else {
             rc.superaggs = nullptr;
-            STREAMOP_ASSIGN_OR_RETURN(v, superagg_arg_progs_[s]->EvalRow(rc));
+            STREAMOP_ASSIGN_OR_RETURN(v, superagg_arg_progs_[s].EvalRow(rc));
           }
         }
         sg->superaggs[s].OnTuple(v, weight);
@@ -851,9 +607,9 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
       finals_sg = nullptr;
     }
 
-    // Group lookup / creation + aggregate update (step 6): the probe runs
-    // on the lane hash and column compare; a GroupKey is materialized only
-    // when the group is new.
+    // Group lookup / creation + aggregate update: the probe runs on the
+    // lane hash and column compare; a GroupKey is materialized only when
+    // the group is new.
     auto git = groups_.find_hashed(lane_gk_hash_[i], [&](const GroupKey& k) {
       for (size_t j = 0; j < ngb; ++j) {
         const VecCol& c = *key_col_ptrs_[j];
@@ -895,22 +651,23 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
       const AggregateSpec& spec = plan_->aggregates[a];
       if (spec.star || spec.arg == nullptr) {
         git->second.aggs[a].Update(Value::Null(), weight);
-      } else if (agg_arg_col_ok_[a]) {
+      } else if (agg_arg_col_ok_[a] && !late) {
         const VecCol& c = *agg_arg_ptrs_[a];
         git->second.aggs[a].Update(MaterializeRawValue(c.type[i], c.raw[i]),
                                    weight);
       } else {
         rc.superaggs = nullptr;
-        STREAMOP_ASSIGN_OR_RETURN(Value v, agg_arg_progs_[a]->EvalRow(rc));
+        STREAMOP_ASSIGN_OR_RETURN(Value v, agg_arg_progs_[a].EvalRow(rc));
         git->second.aggs[a].Update(v, weight);
       }
     }
 
-    // CLEANING WHEN (step 7), compiled row mode. Finals are recomputed only
-    // when this supergroup's superaggregates may have moved since the last
-    // time they were materialized (usually once per batch, not per lane).
+    // CLEANING WHEN, the cleaning trigger, in row mode against the
+    // supergroup state. Finals are recomputed only when this supergroup's
+    // superaggregates may have moved since the last time they were
+    // materialized (usually once per batch, not per lane).
     if (plan_->cleaning_when != nullptr) {
-      if (cleaning_when_prog_->reads_superagg()) {
+      if (cleaning_when_prog_.reads_superagg()) {
         if (finals_sg != sg) {
           SuperAggFinalsInto(*sg, &scratch_superagg_finals_);
           finals_sg = sg;
@@ -919,9 +676,11 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
       } else {
         rc.superaggs = nullptr;
       }
-      STREAMOP_ASSIGN_OR_RETURN(Value cv, cleaning_when_prog_->EvalRow(rc));
+      STREAMOP_ASSIGN_OR_RETURN(Value cv, cleaning_when_prog_.EvalRow(rc));
       if (cv.AsBool()) {
         ++live_stats_.cleaning_phases;
+        // Cleaning phases are rare (a handful per window), so each one is
+        // timed fully, traced, and emitted as a child span of the window.
         const bool tracing = trace_ring_->enabled();
         const uint64_t t0 =
             (obs_on || tracing || span_on) ? obs::NowNanos() : 0;
@@ -1002,7 +761,7 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
     sel.window_seq = window_seq_;
     sel.ts_ns = sel_t0;
     sel.dur_ns = sel_dur;
-    sel.rows = n;
+    sel.rows = num_rows;
     sel.shed_p = batch_shed_p;
     span_ring_->Emit(sel);
     obs::SpanRecord adm;
@@ -1017,7 +776,7 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
     adm.max_weight = live_max_weight_;
     span_ring_->Emit(adm);
   }
-  return Status::OK();
+  return key_error;
 }
 
 void SamplingOperator::RemoveGroup(const GroupKey& gk, SupergroupEntry& sg) {
@@ -1049,21 +808,26 @@ Status SamplingOperator::RunCleaningPhase(const GroupKey& sk,
   std::vector<Value> sa_finals;
   SuperAggFinalsInto(sg, &sa_finals);
 
+  ExprProgram::RowContext rc;
+  rc.aggregates = &scratch_agg_finals_;
+  rc.superaggs = &sa_finals;
+  rc.sfun_states = sg.states.data();
+  rc.num_sfun_states = sg.states.size();
+  rc.sfun_calls = &pending_sfun_calls_;
+  rc.scratch_stack = row_stack_.data();
+
   std::vector<GroupKey> survivors;
   survivors.reserve(mit->second.size());
   for (const GroupKey& gk : mit->second) {
     auto git = groups_.find(gk);
     if (git == groups_.end()) continue;  // already removed
-    AggFinalsInto(git->second, &scratch_agg_finals_);
-    EvalContext ctx;
-    ctx.group_key = &gk;
-    ctx.aggregates = &scratch_agg_finals_;
-    ctx.superaggs = &sa_finals;
-    ctx.sfun_states = sg.states.data();
-    ctx.num_sfun_states = sg.states.size();
-    ctx.sfun_calls = &pending_sfun_calls_;
-    STREAMOP_ASSIGN_OR_RETURN(bool keep,
-                              EvaluatePredicate(plan_->cleaning_by.get(), ctx));
+    bool keep = true;  // an absent CLEANING BY keeps every group
+    if (plan_->cleaning_by != nullptr) {
+      AggFinalsInto(git->second, &scratch_agg_finals_);
+      rc.group_key = &gk;
+      STREAMOP_ASSIGN_OR_RETURN(Value v, cleaning_by_prog_.EvalRow(rc));
+      keep = v.AsBool();
+    }
     if (keep) {
       survivors.push_back(gk);
     } else {
@@ -1142,30 +906,31 @@ Status SamplingOperator::FlushWindow() {
     SupergroupEntry& sg = sgit->second;
     std::vector<Value> sa_finals;
     SuperAggFinalsInto(sg, &sa_finals);
+    ExprProgram::RowContext rc;
+    rc.aggregates = &scratch_agg_finals_;
+    rc.superaggs = &sa_finals;
+    rc.sfun_states = sg.states.data();
+    rc.num_sfun_states = sg.states.size();
+    rc.sfun_calls = &pending_sfun_calls_;
+    rc.scratch_stack = row_stack_.data();
 
     for (const GroupKey& gk : mit->second) {
       auto git = groups_.find(gk);
       if (git == groups_.end()) continue;
       AggFinalsInto(git->second, &scratch_agg_finals_);
-      EvalContext ctx;
-      ctx.group_key = &gk;
-      ctx.aggregates = &scratch_agg_finals_;
-      ctx.superaggs = &sa_finals;
-      ctx.sfun_states = sg.states.data();
-      ctx.num_sfun_states = sg.states.size();
-      ctx.sfun_calls = &pending_sfun_calls_;
-
-      STREAMOP_ASSIGN_OR_RETURN(bool sampled,
-                                EvaluatePredicate(plan_->having.get(), ctx));
-      if (!sampled) {
-        RemoveGroup(gk, sg);
-        continue;
+      rc.group_key = &gk;
+      if (plan_->having != nullptr) {
+        STREAMOP_ASSIGN_OR_RETURN(Value sampled, having_prog_.EvalRow(rc));
+        if (!sampled.AsBool()) {
+          RemoveGroup(gk, sg);
+          continue;
+        }
       }
       // Emit the output row.
       std::vector<Value> row;
-      row.reserve(plan_->select_exprs.size());
-      for (const ExprPtr& e : plan_->select_exprs) {
-        STREAMOP_ASSIGN_OR_RETURN(Value v, Evaluate(*e, ctx));
+      row.reserve(select_progs_.size());
+      for (const ExprProgram& prog : select_progs_) {
+        STREAMOP_ASSIGN_OR_RETURN(Value v, prog.EvalRow(rc));
         row.push_back(std::move(v));
       }
       output_.emplace_back(std::move(row));

@@ -19,7 +19,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,8 +106,8 @@ class SamplingOperator {
   SamplingOperator(const SamplingOperator&) = delete;
   SamplingOperator& operator=(const SamplingOperator&) = delete;
 
-  /// Processes one input tuple; output rows of any window it closes become
-  /// available via DrainOutput().
+  /// Processes one input tuple as a one-row batch (ProcessBatch); output
+  /// rows of any window it closes become available via DrainOutput().
   Status Process(const Tuple& input) { return Process(input, 1.0); }
 
   /// Weighted variant for load shedding: the tuple was admitted upstream
@@ -117,14 +116,15 @@ class SamplingOperator {
   /// bit-identical to the unweighted path.
   Status Process(const Tuple& input, double weight);
 
-  /// Batched hot path (DESIGN.md §9): processes every selected lane of
-  /// `batch` in row order, equivalent tuple-for-tuple to calling Process()
-  /// on each lane — including window boundaries mid-batch, late-tuple
-  /// clamping, error positions, and every sampled output bit. Group-by
-  /// keys, WHERE, and aggregate arguments run column-at-a-time through
-  /// compiled expression programs where possible; clauses that touch
-  /// per-supergroup state (ssample et al.) drop to compiled row mode on the
-  /// lane, and anything uncompilable falls back to Process() per lane.
+  /// The operator's one execution path (DESIGN.md §9): processes every
+  /// selected lane of `batch` in row order, so a batch gives the same
+  /// result as its lanes fed one at a time — across window boundaries
+  /// mid-batch, late-tuple clamping, error positions, and every sampled
+  /// output bit. Group-by keys, WHERE and aggregate arguments run
+  /// column-at-a-time through compiled expression programs; clauses that
+  /// touch per-supergroup state (ssample et al.), clauses whose column
+  /// evaluation fails, and late lanes run in compiled row mode on the lane.
+  /// On an error, the lanes before the failing one have been processed.
   Status ProcessBatch(const TupleBatch& batch) {
     return ProcessBatch(batch, 1.0);
   }
@@ -286,19 +286,21 @@ class SamplingOperator {
 
   // The batched hot path behind the public ProcessBatch overloads; the
   // wrapper reports the window span id/seq back through span_ctx after the
-  // body returns (covering every exit, fallback included).
+  // body returns (covering every exit, error included).
   Status ProcessBatchInner(const TupleBatch& batch, double weight,
                            obs::SpanContext* span_ctx);
 
-  // Replays batch lanes [first_lane, num_rows) through the tuple-at-a-time
-  // Process(). Used whole-batch when a clause has no compiled program, and
-  // as the error path when a column-wise precompute fails (precompute is
-  // side-effect-free, so replaying from lane 0 reproduces the exact
-  // tuple-at-a-time error position).
-  Status ProcessBatchFallback(const TupleBatch& batch, size_t first_lane,
-                              double weight);
+  // Fills the computed key columns lane by lane in row mode, for a batch
+  // whose column evaluation failed. Returns the first lane whose key
+  // fails, with its error in *error, or the row count if none does.
+  size_t EvalKeysByLane(const TupleBatch& batch, Status* error);
 
-  // Compiles the plan's clauses into bytecode programs (constructor).
+  // A late lane (its window already closed) joins the open window: its
+  // ordered key values are rewritten in place to the window's, its key
+  // hashes recomputed, and it is counted and offered as an exemplar.
+  void ClampLateLane(size_t lane, double weight);
+
+  // Compiles every clause of the plan into bytecode (constructor).
   void CompilePrograms();
 
   // Builds the WindowQualityReport for the window just closed (stats
@@ -326,28 +328,33 @@ class SamplingOperator {
   // order (the flat tables' order shifts with capacity and churn).
   std::vector<GroupKey> supergroup_order_;
 
-  // Scratch state for the allocation-free steady-state Process path: the
-  // projected group / supergroup keys and the materialized superaggregate
-  // finals are rebuilt in place each tuple, reusing capacity. Persistent
-  // copies are made only when a new group or supergroup is created.
+  // Scratch state for the allocation-free steady state: the group /
+  // supergroup keys of a new group and the materialized aggregate and
+  // superaggregate finals are rebuilt in place, reusing capacity.
+  // Persistent copies are made only when a group or supergroup is created.
   GroupKey scratch_gk_;
   GroupKey scratch_sk_;
   std::vector<Value> scratch_superagg_finals_;
   std::vector<Value> scratch_agg_finals_;
-  std::vector<Value> scratch_clamped_;  // late-tuple key rebuild (rare path)
 
-  // ---- Batched execution (DESIGN.md §9) -------------------------------
-  // Programs are compiled once at construction (never re-compiled on the
-  // hot path; tests/hotpath_alloc_test.cc pins this down) and cached for
-  // the operator's lifetime. batched_ok_ gates the columnar path: it
-  // requires a compiled program for every clause the batch loop needs;
-  // otherwise ProcessBatch degrades to a per-lane Process() replay.
-  std::vector<std::optional<ExprProgram>> gb_progs_;  // per group-by expr
-  std::optional<ExprProgram> where_prog_;
-  std::optional<ExprProgram> cleaning_when_prog_;
-  std::vector<std::optional<ExprProgram>> agg_arg_progs_;       // per agg
-  std::vector<std::optional<ExprProgram>> superagg_arg_progs_;  // per s-agg
-  bool batched_ok_ = false;
+  // ---- Compiled programs (DESIGN.md §9) -------------------------------
+  // Every clause is compiled once, at construction (never on the hot
+  // path; tests/hotpath_alloc_test.cc pins this down), and its program is
+  // the only way it is evaluated. A clause the plan lacks keeps an empty
+  // program. An expression that does not compile (only a plan assembled
+  // without the analyzer has one) sets compile_status_, which every batch
+  // then returns.
+  std::vector<ExprProgram> gb_progs_;  // per group-by expr
+  ExprProgram where_prog_;
+  ExprProgram cleaning_when_prog_;
+  ExprProgram cleaning_by_prog_;
+  ExprProgram having_prog_;
+  std::vector<ExprProgram> select_progs_;
+  std::vector<ExprProgram> agg_arg_progs_;       // per agg (empty: no arg)
+  std::vector<ExprProgram> superagg_arg_progs_;  // per s-agg (empty: no arg)
+  Status compile_status_;
+  std::vector<Value> row_stack_;  // row-mode value stack, deepest program
+  TupleBatch row_batch_;  // Process()'s one-row batch
   std::vector<size_t> ordered_gb_slots_;  // group-by slots defining windows
   // Identity detection (program == one input-column load): the "result" of
   // such a program is its input column, so ProcessBatch aliases the batch
@@ -377,8 +384,6 @@ class SamplingOperator {
   std::vector<uint8_t> superagg_arg_col_ok_;
   std::vector<uint8_t> admit_mask_;
   ExprProgram::BatchScratch batch_scratch_;
-  std::vector<Value> row_stack_;  // reusable EvalRow stack (kMaxRowStack)
-  Tuple batch_row_;  // materialized lane for fallback / late paths
 
   bool window_open_ = false;
   std::vector<Value> current_window_id_;
@@ -399,12 +404,11 @@ class SamplingOperator {
   // Flushes the pending_* deltas below into the registry counters.
   void FlushPendingMetrics();
 
-  // Observability (see DESIGN.md §7). The admission histogram is sampled
-  // 1-in-256 tuples so the steady-state hot path pays no clock reads, and
-  // per-tuple counts accumulate in the plain pending_* fields (one
-  // increment each), batched into the registry's atomics on the same
-  // 1-in-256 tick and at window boundaries — an atomic RMW per tuple would
-  // alone blow the <=2% overhead budget.
+  // Observability (see DESIGN.md §7). The admission histogram records one
+  // mean per-lane latency per batch, and per-lane counts accumulate in the
+  // plain pending_* fields, batched into the registry's atomics once per
+  // batch and at window boundaries — an atomic RMW per tuple would alone
+  // blow the <=2% overhead budget.
   obs::OperatorMetrics metrics_;
   obs::TraceRing* trace_ring_ = &obs::TraceRing::Default();
   // Per-window sample-quality reporting (obs/quality.h). live_max_weight_
@@ -427,7 +431,6 @@ class SamplingOperator {
   std::string quality_node_ = "operator";
   uint64_t quality_seq_ = 0;
   double live_max_weight_ = 1.0;
-  uint32_t admission_sample_tick_ = 0;
   uint64_t pending_tuples_ = 0;
   uint64_t pending_admitted_ = 0;
   uint64_t pending_superagg_updates_ = 0;

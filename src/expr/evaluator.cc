@@ -10,10 +10,6 @@ namespace streamop {
 
 namespace {
 
-// Call arguments at or below this count are marshalled on the stack; no
-// in-repo builtin takes more (max today is 5, ssample's).
-constexpr size_t kInlineArgs = 8;
-
 // Numeric tower for arithmetic: double if either side is double; signed if
 // either side is signed; otherwise unsigned.
 enum class NumClass { kUInt, kInt, kDouble };
@@ -66,20 +62,27 @@ Result<Value> Arith(BinaryOp op, const Value& l, const Value& r) {
       break;
     }
     case NumClass::kInt: {
+      // Signed arithmetic wraps in two's complement, as UInt arithmetic
+      // does: computed in uint64_t, so overflow is never undefined, and
+      // INT64_MIN / -1 (which traps in hardware) is INT64_MIN.
       int64_t a = l.AsInt();
       int64_t b = r.AsInt();
+      const uint64_t ua = static_cast<uint64_t>(a);
+      const uint64_t ub = static_cast<uint64_t>(b);
       switch (op) {
         case BinaryOp::kAdd:
-          return Value::Int(a + b);
+          return Value::Int(static_cast<int64_t>(ua + ub));
         case BinaryOp::kSub:
-          return Value::Int(a - b);
+          return Value::Int(static_cast<int64_t>(ua - ub));
         case BinaryOp::kMul:
-          return Value::Int(a * b);
+          return Value::Int(static_cast<int64_t>(ua * ub));
         case BinaryOp::kDiv:
           if (b == 0) return Status::InvalidArgument("division by zero");
+          if (b == -1) return Value::Int(static_cast<int64_t>(0 - ua));
           return Value::Int(a / b);
         case BinaryOp::kMod:
           if (b == 0) return Status::InvalidArgument("modulo by zero");
+          if (b == -1) return Value::Int(0);
           return Value::Int(a % b);
         default:
           break;
@@ -94,11 +97,9 @@ Result<Value> Arith(BinaryOp op, const Value& l, const Value& r) {
           return Value::UInt(a + b);
         case BinaryOp::kSub:
           // Unsigned subtraction that would underflow switches to signed,
-          // matching user expectations for timestamp deltas.
-          if (b > a) {
-            return Value::Int(static_cast<int64_t>(a) -
-                              static_cast<int64_t>(b));
-          }
+          // matching user expectations for timestamp deltas. The wrapped
+          // difference is the two's complement of the signed one.
+          if (b > a) return Value::Int(static_cast<int64_t>(a - b));
           return Value::UInt(a - b);
         case BinaryOp::kMul:
           return Value::UInt(a * b);
@@ -115,6 +116,18 @@ Result<Value> Arith(BinaryOp op, const Value& l, const Value& r) {
     }
   }
   return Status::Internal("unhandled arithmetic operator");
+}
+
+// A call's arguments, left to right.
+Result<std::vector<Value>> EvaluateArgs(const Expr& call,
+                                        const EvalContext& ctx) {
+  std::vector<Value> args;
+  args.reserve(call.children.size());
+  for (const ExprPtr& c : call.children) {
+    STREAMOP_ASSIGN_OR_RETURN(Value v, Evaluate(*c, ctx));
+    args.push_back(std::move(v));
+  }
+  return args;
 }
 
 }  // namespace
@@ -161,7 +174,9 @@ Result<Value> EvalBinaryValues(BinaryOp op, const Value& l, const Value& r) {
 Value EvalUnaryValue(UnaryOp op, const Value& v) {
   if (op == UnaryOp::kNot) return Value::Bool(!v.AsBool());
   if (v.type() == FieldType::kDouble) return Value::Double(-v.double_value());
-  return Value::Int(-v.AsInt());
+  // Two's-complement negation: -INT64_MIN wraps to INT64_MIN.
+  return Value::Int(
+      static_cast<int64_t>(0 - static_cast<uint64_t>(v.AsInt())));
 }
 
 Result<Value> Evaluate(const Expr& expr, const EvalContext& ctx) {
@@ -210,21 +225,9 @@ Result<Value> Evaluate(const Expr& expr, const EvalContext& ctx) {
     }
 
     case ExprKind::kScalarCall: {
-      // Arguments land in a stack buffer (heap fallback only past
-      // kInlineArgs) — the per-tuple hot path makes several calls and must
-      // not allocate for each.
-      Value inline_args[kInlineArgs];
-      std::vector<Value> spill;
-      Value* args = inline_args;
-      if (expr.children.size() > kInlineArgs) {
-        spill.resize(expr.children.size());
-        args = spill.data();
-      }
-      for (size_t i = 0; i < expr.children.size(); ++i) {
-        STREAMOP_ASSIGN_OR_RETURN(Value v, Evaluate(*expr.children[i], ctx));
-        args[i] = std::move(v);
-      }
-      return expr.scalar->fn(args, expr.children.size());
+      STREAMOP_ASSIGN_OR_RETURN(std::vector<Value> args,
+                                EvaluateArgs(expr, ctx));
+      return expr.scalar->fn(args.data(), args.size());
     }
 
     case ExprKind::kStatefulCall: {
@@ -233,22 +236,13 @@ Result<Value> Evaluate(const Expr& expr, const EvalContext& ctx) {
         return Status::Internal("stateful function '" + expr.func_name +
                                 "' called without live state");
       }
-      Value inline_args[kInlineArgs];
-      std::vector<Value> spill;
-      Value* args = inline_args;
-      if (expr.children.size() > kInlineArgs) {
-        spill.resize(expr.children.size());
-        args = spill.data();
-      }
-      for (size_t i = 0; i < expr.children.size(); ++i) {
-        STREAMOP_ASSIGN_OR_RETURN(Value v, Evaluate(*expr.children[i], ctx));
-        args[i] = std::move(v);
-      }
+      STREAMOP_ASSIGN_OR_RETURN(std::vector<Value> args,
+                                EvaluateArgs(expr, ctx));
       void* state = ctx.sfun_states[expr.sfun_state_slot];
       if (obs::kStatsEnabled && ctx.sfun_calls != nullptr) {
         ++*ctx.sfun_calls;
       }
-      return expr.sfun->call(state, args, expr.children.size());
+      return expr.sfun->call(state, args.data(), args.size());
     }
 
     case ExprKind::kAggregateRef: {

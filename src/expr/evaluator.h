@@ -1,9 +1,13 @@
-// Interpreted expression evaluation against an EvalContext.
+// The operator semantics kernels shared by every evaluator, and the
+// tree-walk interpreter kept as the reference implementation.
 //
-// The same analyzed expression may be evaluated in several contexts during
-// operator execution (per input tuple for WHERE, per supergroup for
-// CLEANING WHEN, per group for CLEANING BY / HAVING / SELECT); the context
-// simply exposes whichever sources are live at that point.
+// EvalBinaryValues / EvalUnaryValue / CompareValues define what each
+// operator does; the bytecode interpreters (src/expr/program.h), which run
+// every clause in the engine, apply operators only through them.
+// Evaluate() walks an analyzed expression against an EvalContext. The
+// engine does not call it: it is the oracle the expression tests compare
+// the bytecode against, one node at a time and with no shared control
+// flow, so a compiler or interpreter bug cannot hide in both.
 
 #ifndef STREAMOP_EXPR_EVALUATOR_H_
 #define STREAMOP_EXPR_EVALUATOR_H_

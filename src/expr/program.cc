@@ -1,8 +1,10 @@
 #include "expr/program.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
+#include "expr/evaluator.h"
 #include "expr/scalar_function.h"
 #include "expr/stateful.h"
 #include "obs/metrics.h"
@@ -38,14 +40,7 @@ inline double RawAsDouble(uint8_t t, uint64_t raw) {
   }
 }
 
-/// A column operand during batch evaluation: borrowed pointers plus a
-/// stride so literal splats (stride 0) read lane 0 everywhere, branch-free.
-struct ColRef {
-  const uint64_t* raw;
-  const uint8_t* type;
-  size_t stride;  // 1 = per-lane column, 0 = splat
-  int slot;       // backing scratch slot, or -1 if borrowed
-};
+using ColRef = ExprProgram::ColRef;
 
 inline uint8_t LaneType(const ColRef& c, size_t i) {
   return c.type[i * c.stride];
@@ -61,30 +56,8 @@ inline Value LaneValue(const ColRef& c, size_t i) {
 /// into the scratch-owned deque so their addresses survive the batch.
 inline void WriteLane(VecCol* col, size_t i, const Value& v,
                       std::deque<std::string>* owned) {
-  uint8_t t = static_cast<uint8_t>(v.type());
-  uint64_t raw = 0;
-  switch (v.type()) {
-    case FieldType::kNull:
-      break;
-    case FieldType::kBool:
-      raw = v.bool_value() ? 1 : 0;
-      break;
-    case FieldType::kUInt:
-      raw = v.uint_value();
-      break;
-    case FieldType::kInt:
-      raw = static_cast<uint64_t>(v.int_value());
-      break;
-    case FieldType::kDouble:
-      raw = std::bit_cast<uint64_t>(v.double_value());
-      break;
-    case FieldType::kString:
-      owned->push_back(v.string_value());
-      raw = reinterpret_cast<uint64_t>(&owned->back());
-      break;
-  }
-  col->raw[i] = raw;
-  col->type[i] = t;
+  col->raw[i] = EncodeRawValue(v, owned);
+  col->type[i] = static_cast<uint8_t>(v.type());
 }
 
 inline void ClearLane(VecCol* col, size_t i) {
@@ -155,18 +128,23 @@ struct ExprProgram::CompileState {
   ExprProgram prog;
   size_t depth = 0;       // simulated value-stack depth
   size_t mask_depth = 0;  // simulated AND/OR nesting depth
-  bool ok = true;
 
   void Emit(OpCode op, int32_t a = 0, int32_t b = 0,
             const void* fn = nullptr) {
     prog.code_.push_back(Instr{op, a, b, fn});
   }
   bool Push() {
-    if (++depth > kMaxRowStack) return false;
-    if (depth > prog.max_stack_) prog.max_stack_ = depth;
+    if (++depth > prog.max_stack_) prog.max_stack_ = depth;
     return true;
   }
   void Pop(size_t n) { depth -= n; }
+  // Records a call's argument count; zero-argument calls push their result.
+  bool Call(size_t nargs) {
+    if (nargs > prog.max_args_) prog.max_args_ = nargs;
+    if (nargs == 0) return Push();
+    Pop(nargs - 1);
+    return true;
+  }
 };
 
 bool ExprProgram::CompileNode(const Expr& e, CompileState* st) {
@@ -179,7 +157,7 @@ bool ExprProgram::CompileNode(const Expr& e, CompileState* st) {
     }
 
     case ExprKind::kColumnRef: {
-      if (e.slot < 0) return false;  // unresolved: let the tree walk error
+      if (e.slot < 0) return false;  // unresolved reference
       if (e.source == RefSource::kInput) {
         st->prog.reads_input_ = true;
         st->Emit(OpCode::kLoadInput, e.slot);
@@ -199,8 +177,7 @@ bool ExprProgram::CompileNode(const Expr& e, CompileState* st) {
 
     case ExprKind::kBinary: {
       if (e.bop == BinaryOp::kAnd || e.bop == BinaryOp::kOr) {
-        if (++st->mask_depth > kMaxMaskDepth) return false;
-        if (st->mask_depth > st->prog.max_masks_) {
+        if (++st->mask_depth > st->prog.max_masks_) {
           st->prog.max_masks_ = st->mask_depth;
         }
         if (!CompileNode(*e.children[0], st)) return false;
@@ -261,33 +238,24 @@ bool ExprProgram::CompileNode(const Expr& e, CompileState* st) {
     }
 
     case ExprKind::kScalarCall: {
-      if (e.scalar == nullptr || e.children.size() > kMaxCallArgs) {
-        return false;
-      }
+      if (e.scalar == nullptr) return false;
       for (const ExprPtr& c : e.children) {
         if (!CompileNode(*c, st)) return false;
       }
       st->Emit(OpCode::kScalarCall,
                static_cast<int32_t>(e.children.size()), 0, e.scalar);
-      if (e.children.empty()) return st->Push();
-      st->Pop(e.children.size() - 1);
-      return true;
+      return st->Call(e.children.size());
     }
 
     case ExprKind::kStatefulCall: {
-      if (e.sfun == nullptr || e.sfun_state_slot < 0 ||
-          e.children.size() > kMaxCallArgs) {
-        return false;
-      }
+      if (e.sfun == nullptr || e.sfun_state_slot < 0) return false;
       for (const ExprPtr& c : e.children) {
         if (!CompileNode(*c, st)) return false;
       }
       st->prog.has_sfun_ = true;
       st->Emit(OpCode::kSfunCall, static_cast<int32_t>(e.children.size()),
                e.sfun_state_slot, e.sfun);
-      if (e.children.empty()) return st->Push();
-      st->Pop(e.children.size() - 1);
-      return true;
+      return st->Call(e.children.size());
     }
 
     case ExprKind::kAggregateRef:
@@ -303,7 +271,7 @@ bool ExprProgram::CompileNode(const Expr& e, CompileState* st) {
       return st->Push();
 
     case ExprKind::kCall:
-      return false;  // unanalyzed; the tree walk reports the bug
+      return false;  // unanalyzed call
   }
   return false;
 }
@@ -367,14 +335,27 @@ void ExprProgram::DetectFastCall() {
   fast_call_ = f;
 }
 
-std::optional<ExprProgram> ExprProgram::TryCompile(const Expr* expr) {
-  if (expr == nullptr) return std::nullopt;
+Result<ExprProgram> ExprProgram::TryCompile(const Expr* expr) {
+  if (expr == nullptr) return Status::Internal("no expression to compile");
   CompileState st;
-  if (!CompileNode(*expr, &st)) return std::nullopt;
-  if (st.depth != 1) return std::nullopt;  // malformed tree
+  if (!CompileNode(*expr, &st) || st.depth != 1) {
+    return Status::Internal("expression was not analyzed: " +
+                            expr->ToString());
+  }
   st.prog.FinalizeLiterals();
   st.prog.DetectFastCall();
   return std::move(st.prog);
+}
+
+void ClauseCompiler::Compile(const Expr* expr, ExprProgram* out) {
+  if (expr == nullptr) return;
+  Result<ExprProgram> prog = ExprProgram::TryCompile(expr);
+  if (!prog.ok()) {
+    if (status.ok()) status = prog.status();
+    return;
+  }
+  stack_size = std::max(stack_size, prog->stack_size());
+  *out = std::move(*prog);
 }
 
 std::string ExprProgram::ToString() const {
@@ -423,13 +404,9 @@ std::string ExprProgram::ToString() const {
 // Row mode
 
 Result<Value> ExprProgram::EvalRow(const RowContext& ctx) const {
-  if (ctx.scratch_stack != nullptr) {
-    if (fast_call_.has_value()) return EvalFastCall(ctx, ctx.scratch_stack);
-    return EvalRowOn(ctx, ctx.scratch_stack);
-  }
-  Value local_stack[kMaxRowStack];
-  if (fast_call_.has_value()) return EvalFastCall(ctx, local_stack);
-  return EvalRowOn(ctx, local_stack);
+  if (ctx.scratch_stack != nullptr) return EvalRowOn(ctx, ctx.scratch_stack);
+  std::vector<Value> stack(max_stack_);
+  return EvalRowOn(ctx, stack.data());
 }
 
 Result<Value> ExprProgram::EvalFastCall(const RowContext& ctx,
@@ -443,16 +420,10 @@ Result<Value> ExprProgram::EvalFastCall(const RowContext& ctx,
         break;
       case OpCode::kLoadInput: {
         const size_t slot = static_cast<size_t>(in.a);
-        if (ctx.batch != nullptr) {
-          if (slot >= ctx.batch->num_cols()) {
-            return Status::Internal("input column out of range");
-          }
-          stack[k] = ctx.batch->ValueAt(ctx.row, slot);
-        } else if (ctx.input != nullptr && slot < ctx.input->size()) {
-          stack[k] = ctx.input->at(slot);
-        } else {
+        if (ctx.batch == nullptr || slot >= ctx.batch->num_cols()) {
           return Status::Internal("input tuple unavailable");
         }
+        stack[k] = ctx.batch->ValueAt(ctx.row, slot);
         break;
       }
       case OpCode::kLoadGroupBy: {
@@ -512,6 +483,7 @@ Result<Value> ExprProgram::EvalFastCall(const RowContext& ctx,
 
 Result<Value> ExprProgram::EvalRowOn(const RowContext& ctx,
                                      Value* stack) const {
+  if (fast_call_.has_value()) return EvalFastCall(ctx, stack);
   size_t sp = 0;
   size_t pc = 0;
   const size_t n = code_.size();
@@ -524,16 +496,10 @@ Result<Value> ExprProgram::EvalRowOn(const RowContext& ctx,
 
       case OpCode::kLoadInput: {
         const size_t slot = static_cast<size_t>(in.a);
-        if (ctx.batch != nullptr) {
-          if (slot >= ctx.batch->num_cols()) {
-            return Status::Internal("input column out of range");
-          }
-          stack[sp++] = ctx.batch->ValueAt(ctx.row, slot);
-        } else if (ctx.input != nullptr && slot < ctx.input->size()) {
-          stack[sp++] = ctx.input->at(slot);
-        } else {
+        if (ctx.batch == nullptr || slot >= ctx.batch->num_cols()) {
           return Status::Internal("input tuple unavailable");
         }
+        stack[sp++] = ctx.batch->ValueAt(ctx.row, slot);
         break;
       }
 
@@ -676,10 +642,10 @@ Status SlowBinaryLane(BinaryOp op, const ColRef& l, const ColRef& r,
 }
 
 /// Column-at-a-time binary op over the masked lanes. Fast lanes: uint/uint
-/// (replicating the evaluator's unsigned arithmetic exactly, including the
-/// underflow-to-signed SUB) and string-free comparisons via double
-/// promotion (exactly CompareValues' fallback). Everything else drops to
-/// the per-lane slow path.
+/// (replicating the evaluator's wrapping unsigned arithmetic exactly,
+/// including the underflow-to-signed SUB) and string-free comparisons via
+/// double promotion (exactly CompareValues' fallback). Everything else
+/// drops to the per-lane slow path.
 Status EvalBinaryBatch(OpCode opcode, BinaryOp op, const ColRef& l,
                        const ColRef& r, const uint8_t* mask, size_t n,
                        VecCol* out, std::deque<std::string>* owned) {
@@ -702,14 +668,10 @@ Status EvalBinaryBatch(OpCode opcode, BinaryOp op, const ColRef& l,
           break;
         case OpCode::kSub:
           // Underflow switches to signed, as the evaluator does for
-          // timestamp deltas.
-          if (b > a) {
-            res = static_cast<uint64_t>(static_cast<int64_t>(a) -
-                                        static_cast<int64_t>(b));
-            tag = kIntTag;
-          } else {
-            res = a - b;
-          }
+          // timestamp deltas: the wrapped difference is the two's
+          // complement of the signed one.
+          res = a - b;
+          if (b > a) tag = kIntTag;
           break;
         case OpCode::kMul:
           res = a * b;
@@ -818,9 +780,14 @@ Status ExprProgram::EvalBatch(const BatchContext& ctx, BatchScratch* scratch,
     scratch->slots[s].raw.resize(n);
     scratch->slots[s].type.resize(n);
   }
+  if (scratch->refs.size() < max_stack_) scratch->refs.resize(max_stack_);
+  if (scratch->mask_refs.size() <= max_masks_) {
+    scratch->mask_refs.resize(max_masks_ + 1);
+  }
+  if (scratch->args.size() < max_args_) scratch->args.resize(max_args_);
 
-  ColRef refs[kMaxRowStack];
-  const uint8_t* mask_refs[kMaxMaskDepth + 1];
+  ColRef* refs = scratch->refs.data();
+  const uint8_t** mask_refs = scratch->mask_refs.data();
   size_t sp = 0;
   size_t mtop = 0;  // index of current mask in mask_refs
   mask_refs[0] = ctx.mask != nullptr ? ctx.mask : batch.selection();
@@ -969,7 +936,7 @@ Status ExprProgram::EvalBatch(const BatchContext& ctx, BatchScratch* scratch,
         auto* def = static_cast<const ScalarFunctionDef*>(in.fn);
         const size_t base = sp - nargs;
         VecCol& dst = scratch->slots[base];
-        Value argv[kMaxCallArgs];
+        Value* argv = scratch->args.data();
         // The destination slot may back one of the argument refs; read all
         // argument lanes before writing the output lane, per lane.
         for (size_t i = 0; i < n; ++i) {

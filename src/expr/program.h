@@ -1,16 +1,17 @@
 // Compiled expression programs: the analyzed Expr tree flattened into a
-// compact postfix bytecode, executed either one row at a time (a faster
-// drop-in for the tree walk) or column-at-a-time over a TupleBatch with a
-// selection-vector mask (the batched hot path, DESIGN.md §9).
+// compact postfix bytecode, executed either one row at a time or
+// column-at-a-time over a TupleBatch with a selection-vector mask (the
+// batched hot path, DESIGN.md §9). This is the engine's only expression
+// evaluator: every clause of every query runs through it.
 //
-// The compiler covers every analyzed expression kind; anything it cannot
-// express (unanalyzed calls, unresolved references, pathological stack
-// depth) makes TryCompile return nullopt and the caller keeps the tree-walk
-// Evaluate() — bytecode is an optimization, never a semantic fork. Both
-// interpreters route binary/unary operator application through the
-// evaluator's EvalBinaryValues/EvalUnaryValue kernels, so results are
-// bit-identical to the tree walk by construction (and differentially
-// tested in tests/expr_program_test.cc and tests/query_fuzz_test.cc).
+// The compiler covers every analyzed expression kind at any depth: each
+// program measures its own value-stack, mask-stack and call-argument needs
+// at compile time, so TryCompile fails only for an unresolved column
+// reference or an unanalyzed call. Both interpreters route
+// binary/unary operator application through the evaluator's
+// EvalBinaryValues/EvalUnaryValue kernels, so results are bit-identical to
+// the tree-walk Evaluate(), which stays as the reference the tests compare
+// against (tests/expr_program_test.cc, tests/expr_test.cc).
 //
 // Short-circuit AND/OR compile to probe/end opcode pairs. In row mode the
 // probe jumps over the right operand exactly as the tree walk
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "expr/evaluator.h"
 #include "expr/expr.h"
 #include "tuple/tuple.h"
 #include "tuple/tuple_batch.h"
@@ -77,11 +77,9 @@ struct Instr {
 
 class ExprProgram {
  public:
-  // Fixed evaluation limits; TryCompile refuses programs that exceed them
-  // (the caller then stays on the tree walk).
-  static constexpr size_t kMaxRowStack = 32;
-  static constexpr size_t kMaxMaskDepth = 32;
-  static constexpr size_t kMaxCallArgs = 8;
+  /// An empty program: the slot of a clause the query does not have. It is
+  /// never evaluated.
+  ExprProgram() = default;
 
   // String literals are referenced by address from the flattened literal
   // pool, so programs move but never copy.
@@ -90,9 +88,10 @@ class ExprProgram {
   ExprProgram(ExprProgram&&) = default;
   ExprProgram& operator=(ExprProgram&&) = default;
 
-  /// Compiles an analyzed expression. nullopt if any node is outside the
-  /// instruction set (the caller falls back to Evaluate()).
-  static std::optional<ExprProgram> TryCompile(const Expr* expr);
+  /// Compiles an analyzed expression. Fails only for a null expression, an
+  /// unresolved column reference or an unanalyzed call — never for an
+  /// expression the analyzer accepted.
+  static Result<ExprProgram> TryCompile(const Expr* expr);
 
   // What the program reads / mutates — the operator uses these to decide
   // which clauses may run column-at-a-time.
@@ -120,16 +119,19 @@ class ExprProgram {
 
   size_t num_instructions() const { return code_.size(); }
 
+  /// Value-stack slots row mode needs (see RowContext::scratch_stack).
+  size_t stack_size() const { return max_stack_; }
+
   /// Disassembly for golden-program tests and debugging.
   std::string ToString() const;
 
   // ---------------------------------------------------------------------
-  // Row mode: evaluate one row. Input may come from a materialized Tuple
-  // or directly from a batch lane; group-by variables from a GroupKey or
-  // from precomputed key columns. Semantics identical to Evaluate().
+  // Row mode: evaluate one row. Input comes from a batch lane; group-by
+  // variables from precomputed key columns or from a GroupKey (the
+  // group-scope clauses HAVING, SELECT and CLEANING BY, which have no
+  // input). Semantics identical to Evaluate().
   struct RowContext {
-    const Tuple* input = nullptr;
-    const TupleBatch* batch = nullptr;  // alternative input source
+    const TupleBatch* batch = nullptr;  // input source
     size_t row = 0;                     // lane for batch / key_cols reads
     const GroupKey* group_key = nullptr;
     const VecCol* const* key_cols = nullptr;  // per group-by slot
@@ -139,10 +141,9 @@ class ExprProgram {
     void* const* sfun_states = nullptr;
     size_t num_sfun_states = 0;
     uint64_t* sfun_calls = nullptr;
-    // Optional reusable value stack (>= kMaxRowStack slots). Hot per-lane
-    // callers pass one to skip constructing/destroying kMaxRowStack Values
-    // per evaluation; left null, EvalRow uses a local array. Never shared
-    // across concurrent evaluations.
+    // Reusable value stack of at least stack_size() slots. Hot callers
+    // pass one sized once for all their programs; left null, EvalRow
+    // allocates one per call. Never shared across concurrent evaluations.
     Value* scratch_stack = nullptr;
   };
 
@@ -158,14 +159,27 @@ class ExprProgram {
     size_t num_key_cols = 0;
   };
 
-  /// Reusable per-caller evaluation state. Reaches steady-state capacity
-  /// after one evaluation and never allocates again for string-free data.
+  /// A column operand during batch evaluation: borrowed pointers plus a
+  /// stride so literal splats (stride 0) read lane 0 everywhere.
+  struct ColRef {
+    const uint64_t* raw;
+    const uint8_t* type;
+    size_t stride;  // 1 = per-lane column, 0 = splat
+    int slot;       // backing scratch slot, or -1 if borrowed
+  };
+
+  /// Reusable per-caller evaluation state, sized by each program's measured
+  /// depths. Reaches steady-state capacity after one evaluation of the
+  /// deepest program and never allocates again for string-free data.
   /// String results accumulate in `owned` across evaluations (their
   /// addresses are stored in result columns); call Reset() once per batch,
   /// after all columns derived from the previous batch are dead.
   struct BatchScratch {
     std::vector<VecCol> slots;                // value stack backing
+    std::vector<ColRef> refs;                 // value stack operands
     std::vector<std::vector<uint8_t>> masks;  // pushed mask backing
+    std::vector<const uint8_t*> mask_refs;    // mask stack
+    std::vector<Value> args;                  // one lane's call arguments
     std::deque<std::string> owned;            // string results (stable addrs)
 
     void Reset() {
@@ -176,15 +190,13 @@ class ExprProgram {
   /// Evaluates over all masked-in lanes of the batch into `out` (lanes
   /// outside the mask hold nulls — callers must not read them). Any lane
   /// error (division by zero on an *active* lane, scalar-call failure)
-  /// aborts the whole batch with that Status; the caller is expected to
-  /// fall back to per-row evaluation to reproduce exact tuple-at-a-time
-  /// error positioning. Requires batchable().
+  /// aborts the whole batch with that Status; the caller then evaluates
+  /// the clause lane by lane in row mode, which reproduces exact
+  /// tuple-at-a-time error positioning. Requires batchable().
   Status EvalBatch(const BatchContext& ctx, BatchScratch* scratch,
                    VecCol* out) const;
 
  private:
-  ExprProgram() = default;
-
   Result<Value> EvalRowOn(const RowContext& ctx, Value* stack) const;
 
   // Peephole for the hot predicate shape `fn(simple args...)` optionally
@@ -216,11 +228,23 @@ class ExprProgram {
   std::optional<FastCall> fast_call_;
   size_t max_stack_ = 0;
   size_t max_masks_ = 0;
+  size_t max_args_ = 0;  // widest scalar call (batch-mode argument scratch)
   bool has_sfun_ = false;
   bool reads_input_ = false;
   bool reads_group_by_ = false;
   bool reads_agg_ = false;
   bool reads_superagg_ = false;
+};
+
+/// Compiles an operator's clauses, keeping what evaluating them needs: the
+/// first compile error and the deepest row-mode value stack.
+struct ClauseCompiler {
+  Status status;
+  size_t stack_size = 1;
+
+  /// Compiles `expr` into *out. A null expression (a clause the query
+  /// lacks) leaves *out empty, as does a failure.
+  void Compile(const Expr* expr, ExprProgram* out);
 };
 
 }  // namespace streamop

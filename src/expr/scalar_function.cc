@@ -37,8 +37,11 @@ Result<Value> ScalarAbs(const Value* args, size_t /*num_args*/) {
   if (v.type() == FieldType::kDouble) {
     return Value::Double(std::fabs(v.double_value()));
   }
+  // Two's-complement negation, as in the evaluator: ABS(INT64_MIN) wraps
+  // to INT64_MIN.
   int64_t i = v.AsInt();
-  return Value::Int(i < 0 ? -i : i);
+  return Value::Int(i < 0 ? static_cast<int64_t>(0 - static_cast<uint64_t>(i))
+                          : i);
 }
 
 Result<Value> ScalarFloat(const Value* args, size_t /*num_args*/) {

@@ -261,11 +261,11 @@ struct NodeMetrics {
 };
 
 /// SamplingOperator metrics: per-phase timing + sampler work accounting.
-/// The admission histogram is sampled 1-in-256 tuples so its two clock
-/// reads amortize below the 2% ns/tuple overhead budget; cleaning and
-/// flush phases are rare and timed on every occurrence.
+/// The admission histogram records one mean per-lane latency per batch so
+/// its two clock reads amortize below the 2% ns/tuple overhead budget;
+/// cleaning and flush phases are rare and timed on every occurrence.
 struct OperatorMetrics {
-  Counter* tuples = nullptr;            // Process() calls
+  Counter* tuples = nullptr;            // tuples processed
   Counter* admitted = nullptr;          // tuples passing WHERE
   Counter* groups_created = nullptr;
   Counter* groups_removed = nullptr;
@@ -275,7 +275,7 @@ struct OperatorMetrics {
   Counter* superagg_updates = nullptr;  // SuperAggState::OnTuple calls
   Counter* sfun_calls = nullptr;        // stateful-function invocations
   Counter* late_tuples = nullptr;       // clamped non-monotonic arrivals
-  Histogram* admission_ns = nullptr;    // per-tuple path, sampled 1/256
+  Histogram* admission_ns = nullptr;    // mean per-lane latency, per batch
   Histogram* cleaning_ns = nullptr;     // per cleaning phase
   Histogram* flush_ns = nullptr;        // per window flush
   Gauge* group_table_load_factor = nullptr;  // at window close

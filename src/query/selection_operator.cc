@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/hash.h"
-#include "expr/evaluator.h"
 
 namespace streamop {
 
@@ -22,19 +21,16 @@ SelectionOperator::SelectionOperator(std::shared_ptr<const SelectionPlan> plan)
     states_.push_back(mem);
   }
 
-  // Compile the WHERE and projection expressions once; the batched path
-  // needs a program for every clause (row mode covers the stateful ones).
-  bool ok = true;
-  if (plan_->where != nullptr) {
-    where_prog_ = ExprProgram::TryCompile(plan_->where.get());
-    if (!where_prog_.has_value()) ok = false;
+  // Compile the WHERE and projection expressions once. They are the only
+  // way either clause is evaluated; see SamplingOperator::CompilePrograms.
+  ClauseCompiler cc;
+  cc.Compile(plan_->where.get(), &where_prog_);
+  select_progs_.resize(plan_->select_exprs.size());
+  for (size_t c = 0; c < select_progs_.size(); ++c) {
+    cc.Compile(plan_->select_exprs[c].get(), &select_progs_[c]);
   }
-  select_progs_.reserve(plan_->select_exprs.size());
-  for (const ExprPtr& e : plan_->select_exprs) {
-    select_progs_.push_back(ExprProgram::TryCompile(e.get()));
-    if (!select_progs_.back().has_value()) ok = false;
-  }
-  batched_ok_ = ok;
+  compile_status_ = cc.status;
+  row_stack_.resize(cc.stack_size);
   select_cols_.resize(plan_->select_exprs.size());
   select_col_ok_.assign(plan_->select_exprs.size(), 0);
 }
@@ -47,39 +43,12 @@ SelectionOperator::~SelectionOperator() {
 }
 
 Result<bool> SelectionOperator::Process(const Tuple& input, Tuple* out) {
-  ++tuples_in_;
-  EvalContext ctx;
-  ctx.input = &input;
-  ctx.sfun_states = states_.data();
-  ctx.num_sfun_states = states_.size();
-  STREAMOP_ASSIGN_OR_RETURN(bool pass,
-                            EvaluatePredicate(plan_->where.get(), ctx));
-  if (!pass) return false;
-  ++tuples_out_;
-  // Project into the caller's tuple in place; a reused output tuple keeps
-  // its capacity, so the projection itself never allocates.
-  std::vector<Value>& row = out->mutable_values();
-  row.clear();
-  row.reserve(plan_->select_exprs.size());
-  for (const ExprPtr& e : plan_->select_exprs) {
-    STREAMOP_ASSIGN_OR_RETURN(Value v, Evaluate(*e, ctx));
-    row.push_back(std::move(v));
-  }
+  // One execution path: a tuple is a one-row batch.
+  row_in_.SetSingleRow(input);
+  STREAMOP_RETURN_NOT_OK(ProcessBatch(row_in_, &row_out_));
+  if (row_out_.num_rows() == 0) return false;
+  row_out_.MaterializeRow(0, out);
   return true;
-}
-
-Status SelectionOperator::ProcessBatchFallback(const TupleBatch& in,
-                                               size_t first_lane,
-                                               TupleBatch* out) {
-  const size_t n = in.num_rows();
-  const uint8_t* sel = in.selection();
-  for (size_t i = first_lane; i < n; ++i) {
-    if (!sel[i]) continue;
-    in.MaterializeRow(i, &batch_row_);
-    STREAMOP_ASSIGN_OR_RETURN(bool pass, Process(batch_row_, &row_out_));
-    if (pass) out->AppendTuple(row_out_);
-  }
-  return Status::OK();
 }
 
 Status SelectionOperator::ProcessBatch(const TupleBatch& in, TupleBatch* out) {
@@ -89,26 +58,25 @@ Status SelectionOperator::ProcessBatch(const TupleBatch& in, TupleBatch* out) {
   } else {
     out->Clear();
   }
+  STREAMOP_RETURN_NOT_OK(compile_status_);
   const size_t n = in.num_rows();
   if (n == 0) return Status::OK();
-  if (!batched_ok_) return ProcessBatchFallback(in, 0, out);
 
   // ---- Pure columnar precompute (side-effect-free) --------------------
-  // Runs before any stateful per-lane work, so an evaluation error here
-  // can replay the whole batch tuple-at-a-time without having advanced
-  // SFUN state (and errors that the per-tuple path never hits — a
-  // projection trapping on a lane its WHERE rejects — vanish in replay).
+  // A clause whose column evaluation fails (or that reads SFUN state) is
+  // evaluated lane by lane in row mode below instead, which reproduces the
+  // tuple-at-a-time error position — and succeeds when the error came
+  // from a lane the clause never sees (a projection trapping on a lane
+  // its WHERE rejects).
   batch_scratch_.Reset();
   ExprProgram::BatchContext bctx;
   bctx.batch = &in;  // mask defaults to the batch's selection vector
   const uint8_t* sel = in.selection();
 
-  bool where_col_ok = false;
-  if (plan_->where != nullptr && where_prog_->batchable()) {
-    if (!where_prog_->EvalBatch(bctx, &batch_scratch_, &where_col_).ok()) {
-      return ProcessBatchFallback(in, 0, out);
-    }
-    where_col_ok = true;
+  const bool where_col_ok =
+      plan_->where != nullptr && where_prog_.batchable() &&
+      where_prog_.EvalBatch(bctx, &batch_scratch_, &where_col_).ok();
+  if (where_col_ok) {
     admit_mask_.resize(n);
     for (size_t i = 0; i < n; ++i) {
       admit_mask_[i] = sel[i] != 0 &&
@@ -117,15 +85,10 @@ Status SelectionOperator::ProcessBatch(const TupleBatch& in, TupleBatch* out) {
     bctx.mask = admit_mask_.data();
   }
   for (size_t c = 0; c < nsel; ++c) {
-    select_col_ok_[c] = 0;
-    if (select_progs_[c]->batchable()) {
-      if (!select_progs_[c]
-               ->EvalBatch(bctx, &batch_scratch_, &select_cols_[c])
-               .ok()) {
-        return ProcessBatchFallback(in, 0, out);
-      }
-      select_col_ok_[c] = 1;
-    }
+    select_col_ok_[c] =
+        select_progs_[c].batchable() &&
+        select_progs_[c].EvalBatch(bctx, &batch_scratch_, &select_cols_[c])
+            .ok();
   }
 
   bool all_cols = true;
@@ -159,21 +122,23 @@ Status SelectionOperator::ProcessBatch(const TupleBatch& in, TupleBatch* out) {
   // ---- Per-lane admit + append ----------------------------------------
   const bool columnar_append =
       (plan_->where == nullptr || where_col_ok) && all_cols;
+  ExprProgram::RowContext rc;
+  rc.batch = &in;
+  rc.sfun_states = states_.data();
+  rc.num_sfun_states = states_.size();
+  rc.scratch_stack = row_stack_.data();
   for (size_t i = 0; i < n; ++i) {
     if (!sel[i]) continue;
     ++tuples_in_;
+    rc.row = i;
     bool pass = true;
     if (plan_->where != nullptr) {
       if (where_col_ok) {
         pass = admit_mask_[i] != 0;
       } else {
-        // Stateful predicate (ssample): compiled row mode, lane order.
-        ExprProgram::RowContext rc;
-        rc.batch = &in;
-        rc.row = i;
-        rc.sfun_states = states_.data();
-        rc.num_sfun_states = states_.size();
-        STREAMOP_ASSIGN_OR_RETURN(Value wv, where_prog_->EvalRow(rc));
+        // Stateful predicate (ssample) or a failed column: row mode, in
+        // lane order.
+        STREAMOP_ASSIGN_OR_RETURN(Value wv, where_prog_.EvalRow(rc));
         pass = wv.AsBool();
       }
     }
@@ -188,9 +153,9 @@ Status SelectionOperator::ProcessBatch(const TupleBatch& in, TupleBatch* out) {
       }
       out->FinishRow();
     } else {
-      // Stateful lanes: evaluate the full row first so an error cannot
+      // Row-mode lanes: evaluate the full row first so an error cannot
       // leave `out` with a partially appended row.
-      std::vector<Value>& row = row_out_.mutable_values();
+      std::vector<Value>& row = lane_row_.mutable_values();
       row.clear();
       row.reserve(nsel);
       for (size_t c = 0; c < nsel; ++c) {
@@ -198,16 +163,11 @@ Status SelectionOperator::ProcessBatch(const TupleBatch& in, TupleBatch* out) {
           row.push_back(MaterializeRawValue(select_cols_[c].type[i],
                                             select_cols_[c].raw[i]));
         } else {
-          ExprProgram::RowContext rc;
-          rc.batch = &in;
-          rc.row = i;
-          rc.sfun_states = states_.data();
-          rc.num_sfun_states = states_.size();
-          STREAMOP_ASSIGN_OR_RETURN(Value v, select_progs_[c]->EvalRow(rc));
+          STREAMOP_ASSIGN_OR_RETURN(Value v, select_progs_[c].EvalRow(rc));
           row.push_back(std::move(v));
         }
       }
-      out->AppendTuple(row_out_);
+      out->AppendTuple(lane_row_);
     }
   }
   return Status::OK();

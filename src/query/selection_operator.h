@@ -8,7 +8,6 @@
 #define STREAMOP_QUERY_SELECTION_OPERATOR_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,17 +39,18 @@ class SelectionOperator {
   SelectionOperator(const SelectionOperator&) = delete;
   SelectionOperator& operator=(const SelectionOperator&) = delete;
 
-  /// Processes one tuple; returns true and fills *out when it passes the
-  /// WHERE clause.
+  /// Processes one tuple as a one-row batch (ProcessBatch); returns true
+  /// and fills *out when it passes the WHERE clause.
   Result<bool> Process(const Tuple& input, Tuple* out);
 
-  /// Batched hot path (DESIGN.md §9): filters + projects every selected
-  /// lane of `in` into `out` (cleared and reshaped first), equivalent
-  /// lane-for-lane to calling Process() in row order — stateful predicates
-  /// (ssample) see lanes in exactly that order. Pure predicates and
-  /// projections run column-at-a-time through compiled programs; stateful
-  /// ones drop to compiled row mode per lane; uncompilable clauses fall
-  /// back to Process() per lane.
+  /// The operator's one execution path (DESIGN.md §9): filters + projects
+  /// every selected lane of `in` into `out` (cleared and reshaped first) in
+  /// row order, so a batch gives the same result as its lanes fed one at a
+  /// time — stateful predicates (ssample) see lanes in exactly that order.
+  /// Pure predicates and projections run column-at-a-time through compiled
+  /// programs; stateful ones, and any whose column evaluation fails, run
+  /// in compiled row mode per lane. On an error, `out` holds the rows of
+  /// the lanes before the failing one.
   Status ProcessBatch(const TupleBatch& in, TupleBatch* out);
 
   const SelectionPlan& plan() const { return *plan_; }
@@ -58,9 +58,6 @@ class SelectionOperator {
   uint64_t tuples_out() const { return tuples_out_; }
 
  private:
-  Status ProcessBatchFallback(const TupleBatch& in, size_t first_lane,
-                              TupleBatch* out);
-
   std::shared_ptr<const SelectionPlan> plan_;
   std::vector<std::unique_ptr<std::max_align_t[]>> blobs_;
   std::vector<void*> states_;
@@ -68,10 +65,11 @@ class SelectionOperator {
   uint64_t tuples_out_ = 0;
 
   // Compiled once at construction (see SamplingOperator::CompilePrograms
-  // for the rationale); batched_ok_ gates the columnar path.
-  std::optional<ExprProgram> where_prog_;
-  std::vector<std::optional<ExprProgram>> select_progs_;
-  bool batched_ok_ = false;
+  // for the rationale); the WHERE program is empty without a WHERE.
+  ExprProgram where_prog_;
+  std::vector<ExprProgram> select_progs_;
+  Status compile_status_;
+  std::vector<Value> row_stack_;  // row-mode value stack, deepest program
 
   // Per-batch columnar scratch, capacity-stable across batches.
   VecCol where_col_;
@@ -79,8 +77,9 @@ class SelectionOperator {
   std::vector<uint8_t> select_col_ok_;
   std::vector<uint8_t> admit_mask_;
   ExprProgram::BatchScratch batch_scratch_;
-  Tuple batch_row_;
-  Tuple row_out_;
+  Tuple lane_row_;  // one row-mode lane's projection
+  TupleBatch row_in_;   // Process()'s one-row batches
+  TupleBatch row_out_;
 };
 
 }  // namespace streamop

@@ -49,6 +49,30 @@ inline Value MaterializeRawValue(uint8_t type, uint64_t raw) {
   return Value::Null();
 }
 
+/// Encodes a Value as a lane payload for its type tag
+/// (static_cast<uint8_t>(v.type())), the inverse of MaterializeRawValue. A
+/// string is copied into `strings` (stable addresses), which must outlive
+/// every read of the lane.
+inline uint64_t EncodeRawValue(const Value& v,
+                               std::deque<std::string>* strings) {
+  switch (v.type()) {
+    case FieldType::kNull:
+      return 0;
+    case FieldType::kBool:
+      return v.bool_value() ? 1 : 0;
+    case FieldType::kUInt:
+      return v.uint_value();
+    case FieldType::kInt:
+      return static_cast<uint64_t>(v.int_value());
+    case FieldType::kDouble:
+      return std::bit_cast<uint64_t>(v.double_value());
+    case FieldType::kString:
+      strings->push_back(v.string_value());
+      return reinterpret_cast<uint64_t>(&strings->back());
+  }
+  return 0;
+}
+
 /// Value::Hash() replicated over a (type, raw) lane — must stay bit-equal
 /// to it (the batched group probe hashes lanes without materializing).
 inline uint64_t RawValueHash(uint8_t type, uint64_t raw) {
@@ -172,6 +196,17 @@ class TupleBatch {
     ++num_rows_;
   }
 
+  /// Makes `t` the batch's only row, reshaping the batch to t's width
+  /// first if it differs: how a one-tuple call enters a batch operator.
+  void SetSingleRow(const Tuple& t) {
+    if (cols_.size() != t.size()) {
+      Configure(t.size(), 1);
+    } else {
+      Clear();
+    }
+    AppendTuple(t);
+  }
+
   /// Appends row `row` of `src` (all columns), copying strings.
   void AppendRowFrom(const TupleBatch& src, size_t row) {
     for (size_t c = 0; c < cols_.size(); ++c) {
@@ -249,30 +284,8 @@ class TupleBatch {
   using Column = VecCol;
 
   void AppendRawInto(Column* col, const Value& v) {
-    uint8_t t = static_cast<uint8_t>(v.type());
-    uint64_t raw = 0;
-    switch (v.type()) {
-      case FieldType::kNull:
-        break;
-      case FieldType::kBool:
-        raw = v.bool_value() ? 1 : 0;
-        break;
-      case FieldType::kUInt:
-        raw = v.uint_value();
-        break;
-      case FieldType::kInt:
-        raw = static_cast<uint64_t>(v.int_value());
-        break;
-      case FieldType::kDouble:
-        raw = std::bit_cast<uint64_t>(v.double_value());
-        break;
-      case FieldType::kString:
-        owned_.push_back(v.string_value());
-        raw = reinterpret_cast<uint64_t>(&owned_.back());
-        break;
-    }
-    col->raw.push_back(raw);
-    col->type.push_back(t);
+    col->raw.push_back(EncodeRawValue(v, &owned_));
+    col->type.push_back(static_cast<uint8_t>(v.type()));
   }
 
   std::vector<Column> cols_;

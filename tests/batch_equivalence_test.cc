@@ -3,13 +3,20 @@
 // equivalent tuple-for-tuple to Process/Push — identical output rows,
 // identical per-window statistics, identical group tables — across window
 // boundaries mid-batch, late tuples, stateful (ssample) admission, load
-// shedding weights and cleaning phases. The bytecode interpreter routes
-// operator application through the same evaluator kernels as the tree
-// walk, so equality here is exact, not approximate.
+// shedding weights, cleaning phases and evaluation errors. The bytecode
+// interpreter routes operator application through the same evaluator
+// kernels as the tree walk, so equality here is exact, not approximate.
+//
+// Every row-vs-batch case also pins its result to a frozen digest
+// (kDigest* below). The digests were recorded from the row side
+// (Process/Push) of each case at commit 7e84c24, when Process still ran the
+// tree-walk interpreter, so they hold today's single bytecode path to the
+// old tree-walk results.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,7 +24,10 @@
 #include "core/sampling_operator.h"
 #include "engine/query_node.h"
 #include "net/trace_generator.h"
+#include "obs/exemplar.h"
+#include "obs/metrics.h"
 #include "query/query.h"
+#include "query/selection_operator.h"
 #include "tuple/tuple_batch.h"
 
 namespace streamop {
@@ -29,8 +39,85 @@ Tuple PacketTuple(uint64_t time, uint64_t src, uint64_t dst, uint64_t len) {
                 Value::UInt(80), Value::UInt(6), Value::UInt(len)});
 }
 
-// A stream that crosses several window boundaries and carries late
-// (non-monotonic) tuples, over a small key grid so groups repeat.
+// Canonical serialization of a run, in determinism_test's format: every
+// output row in emission order, then every window's statistics, then the
+// late-tuple and live-group counts.
+std::string Canonicalize(const std::vector<Tuple>& rows,
+                         const std::vector<WindowStats>& windows,
+                         uint64_t late, uint64_t groups) {
+  std::string out;
+  for (const Tuple& t : rows) {
+    out += t.ToString();
+    out += '\n';
+  }
+  for (const WindowStats& w : windows) {
+    out += "window";
+    for (const Value& v : w.window_id) {
+      out += ' ';
+      out += v.ToString();
+    }
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  " in=%llu adm=%llu created=%llu removed=%llu peak=%llu "
+                  "cleanings=%llu out=%llu\n",
+                  static_cast<unsigned long long>(w.tuples_in),
+                  static_cast<unsigned long long>(w.tuples_admitted),
+                  static_cast<unsigned long long>(w.groups_created),
+                  static_cast<unsigned long long>(w.groups_removed),
+                  static_cast<unsigned long long>(w.peak_groups),
+                  static_cast<unsigned long long>(w.cleaning_phases),
+                  static_cast<unsigned long long>(w.groups_output));
+    out += buf;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "late=%llu groups=%llu\n",
+                static_cast<unsigned long long>(late),
+                static_cast<unsigned long long>(groups));
+  out += buf;
+  return out;
+}
+
+// FNV-1a 64 of a canonical serialization, as hex (readable on mismatch).
+std::string Digest(const std::string& canonical) {
+  uint64_t h = 14695981039346656037ULL;
+  for (unsigned char c : canonical) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// Frozen digests, one per case (see the header comment).
+constexpr const char* kDigestGroupedAggregation = "f227924e45810b6d";
+constexpr const char* kDigestOddBatchSizes = "4243b36538d84879";
+constexpr const char* kDigestStringGroupKey = "800f08b65264ea4b";
+constexpr const char* kDigestSubsetSum = "a3ea35ff596bf309";
+constexpr const char* kDigestHorvitzThompson = "c85c36e473e3e9e9";
+constexpr const char* kDigestFuzzSeeds[] = {
+    "fb53daaafa42a7b7", "96451e69fe74307c", "cb673a80e91f2364",
+    "47d6174e702ee2c2"};
+constexpr const char* kDigestPassThroughNumeric = "90d743a95e53510f";
+constexpr const char* kDigestPassThroughDeselected = "613d11c5d32b64e5";
+constexpr const char* kDigestPassThroughString = "df85daadf6e84f97";
+constexpr const char* kDigestChainedSelection = "1f872262d3b4325a";
+constexpr const char* kDigestGroupKeyError = "4bd95b78f7ae1ff2";
+constexpr const char* kDigestWhereRejectsFailingLane = "c6371d72f4e82ce6";
+constexpr const char* kDigestSelectionWhereError = "430d0e7c9fb00b2c";
+constexpr const char* kDigestDeepNesting = "143752db1bccad95";
+constexpr const char* kDigestLateLanesClampedKey = "e6ba2969ef3fab60";
+
+// Both sides of a case must reproduce the frozen digest.
+void ExpectDigest(const char* frozen, const std::string& row_canonical,
+                  const std::string& batch_canonical) {
+  EXPECT_EQ(Digest(row_canonical), frozen) << "row side";
+  EXPECT_EQ(Digest(batch_canonical), frozen) << "batch side";
+}
+
+// A stream that crosses several window boundaries and carries
+// non-monotonic tuples, over a small key grid so groups repeat.
 std::vector<Tuple> WindowedStream() {
   std::vector<Tuple> tuples;
   uint64_t time = 100;
@@ -43,7 +130,9 @@ std::vector<Tuple> WindowedStream() {
       if (i % 10 == 9) ++time;  // advance inside the window
     }
     time += 20;  // force a window boundary (time/20 buckets)
-    // A late straggler right after each boundary: clamped, counted.
+    // An older straggler before the next window's first tuple. It still
+    // falls in the open window, so it is not late; StreamWithLateLanes()
+    // below carries late lanes.
     tuples.push_back(PacketTuple(time - 25, 0x0a000001ULL, 0xc0a80001ULL, 99));
   }
   return tuples;
@@ -70,9 +159,12 @@ void ExpectSameWindowStats(const std::vector<WindowStats>& row,
 // Drives the same compiled query twice over the same tuples — once
 // tuple-at-a-time, once in batches of `batch_size` — and asserts every
 // observable is identical.
+// `batch_rows`, when given, receives the batch side's output rows.
 void ExpectBatchEquivalent(const std::string& sql,
                            const std::vector<Tuple>& tuples,
-                           size_t batch_size, double weight = 1.0) {
+                           size_t batch_size, const char* digest,
+                           double weight = 1.0,
+                           std::vector<Tuple>* batch_rows = nullptr) {
   Catalog catalog = Catalog::Default();
   Result<CompiledQuery> row_cq = CompileQuery(sql, catalog, {.seed = 3});
   Result<CompiledQuery> batch_cq = CompileQuery(sql, catalog, {.seed = 3});
@@ -96,18 +188,26 @@ void ExpectBatchEquivalent(const std::string& sql,
   ASSERT_TRUE(row_op.FinishStream().ok());
   ASSERT_TRUE(batch_op.FinishStream().ok());
 
-  EXPECT_EQ(row_op.DrainOutput(), batch_op.DrainOutput());
+  const std::vector<Tuple> row_out = row_op.DrainOutput();
+  const std::vector<Tuple> batch_out = batch_op.DrainOutput();
+  EXPECT_EQ(row_out, batch_out);
   EXPECT_EQ(row_op.num_groups(), batch_op.num_groups());
   EXPECT_EQ(row_op.num_supergroups(), batch_op.num_supergroups());
   EXPECT_EQ(row_op.late_tuples(), batch_op.late_tuples());
   ExpectSameWindowStats(row_op.window_stats(), batch_op.window_stats());
+  ExpectDigest(digest,
+               Canonicalize(row_out, row_op.window_stats(),
+                            row_op.late_tuples(), row_op.num_groups()),
+               Canonicalize(batch_out, batch_op.window_stats(),
+                            batch_op.late_tuples(), batch_op.num_groups()));
+  if (batch_rows != nullptr) *batch_rows = batch_out;
 }
 
 TEST(BatchEquivalenceTest, GroupedAggregationAcrossWindowsAndLateTuples) {
   ExpectBatchEquivalent(
       "SELECT tb, srcIP, destIP, sum(len), count(*), max(len) FROM PKTS "
       "GROUP BY time/20 as tb, srcIP, destIP",
-      WindowedStream(), 256);
+      WindowedStream(), 256, kDigestGroupedAggregation);
 }
 
 TEST(BatchEquivalenceTest, OddBatchSizesHitBoundariesMidBatch) {
@@ -116,7 +216,7 @@ TEST(BatchEquivalenceTest, OddBatchSizesHitBoundariesMidBatch) {
   ExpectBatchEquivalent(
       "SELECT tb, srcIP, sum(len), count(*) FROM PKTS "
       "GROUP BY time/20 as tb, srcIP",
-      WindowedStream(), 37);
+      WindowedStream(), 37, kDigestOddBatchSizes);
 }
 
 TEST(BatchEquivalenceTest, StringGroupKeyAndStringMinMax) {
@@ -126,7 +226,7 @@ TEST(BatchEquivalenceTest, StringGroupKeyAndStringMinMax) {
   ExpectBatchEquivalent(
       "SELECT tb, sip, count(*), min(IPSTR(destIP)), max(IPSTR(destIP)) "
       "FROM PKTS GROUP BY time/20 as tb, IPSTR(srcIP) as sip",
-      WindowedStream(), 37);
+      WindowedStream(), 37, kDigestStringGroupKey);
 }
 
 TEST(BatchEquivalenceTest, SubsetSumSamplingWithCleaningPhases) {
@@ -144,14 +244,14 @@ TEST(BatchEquivalenceTest, SubsetSumSamplingWithCleaningPhases) {
       CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
       CLEANING BY ssclean_with(sum(len)) = TRUE
   )",
-                        WindowedStream(), 256);
+                        WindowedStream(), 256, kDigestSubsetSum);
 }
 
 TEST(BatchEquivalenceTest, HorvitzThompsonWeightsFlowThroughBatches) {
   ExpectBatchEquivalent(
       "SELECT tb, srcIP, sum(len), count(*), sum$(len) FROM PKTS "
       "GROUP BY time/20 as tb, srcIP SUPERGROUP BY tb",
-      WindowedStream(), 256, /*weight=*/2.5);
+      WindowedStream(), 256, kDigestHorvitzThompson, /*weight=*/2.5);
 }
 
 // ---------------------------------------------------------------------------
@@ -178,10 +278,19 @@ const std::vector<std::string>& FuzzSeedQueries() {
   return *seeds;
 }
 
+// Canonical form of a QueryNode's run (rows drained by the caller).
+std::string CanonicalizeNode(QueryNode& node, const std::vector<Tuple>& rows) {
+  const uint64_t groups = node.is_sampling()
+                              ? node.sampling_operator()->num_groups()
+                              : 0;
+  return Canonicalize(rows, node.window_stats(), node.late_tuples(), groups);
+}
+
 TEST(BatchEquivalenceTest, QueryFuzzSeedsIdenticalThroughBothEnginePaths) {
   const Trace trace = TraceGenerator::MakeDataCenterFeed(2.0, 7);
   Catalog catalog = Catalog::Default();
-  for (const std::string& sql : FuzzSeedQueries()) {
+  for (size_t q = 0; q < FuzzSeedQueries().size(); ++q) {
+    const std::string& sql = FuzzSeedQueries()[q];
     SCOPED_TRACE(sql);
     Result<CompiledQuery> row_cq = CompileQuery(sql, catalog, {.seed = 11});
     Result<CompiledQuery> batch_cq = CompileQuery(sql, catalog, {.seed = 11});
@@ -208,7 +317,11 @@ TEST(BatchEquivalenceTest, QueryFuzzSeedsIdenticalThroughBothEnginePaths) {
     EXPECT_EQ(row_node.tuples_in(), batch_node.tuples_in());
     EXPECT_EQ(row_node.tuples_out(), batch_node.tuples_out());
     EXPECT_EQ(row_node.late_tuples(), batch_node.late_tuples());
-    EXPECT_EQ(row_node.DrainOutput(), batch_node.DrainOutput());
+    const std::vector<Tuple> row_out = row_node.DrainOutput();
+    const std::vector<Tuple> batch_out = batch_node.DrainOutput();
+    EXPECT_EQ(row_out, batch_out);
+    ExpectDigest(kDigestFuzzSeeds[q], CanonicalizeNode(row_node, row_out),
+                 CanonicalizeNode(batch_node, batch_out));
   }
 }
 
@@ -216,7 +329,7 @@ TEST(BatchEquivalenceTest, QueryFuzzSeedsIdenticalThroughBothEnginePaths) {
 // the middle lane of every batch is switched off (as a shedding stage
 // would), and the row path never sees that tuple.
 void ExpectSelectionBatchEquivalent(const std::string& sql,
-                                    bool deselect_one) {
+                                    bool deselect_one, const char* digest) {
   SCOPED_TRACE(sql);
   const Trace trace = TraceGenerator::MakeDataCenterFeed(2.0, 7);
   Catalog catalog = Catalog::Default();
@@ -246,7 +359,11 @@ void ExpectSelectionBatchEquivalent(const std::string& sql,
   EXPECT_GT(row_node.tuples_out(), 0u);
   EXPECT_EQ(row_node.tuples_in(), batch_node.tuples_in());
   EXPECT_EQ(row_node.tuples_out(), batch_node.tuples_out());
-  EXPECT_EQ(row_node.DrainOutput(), batch_node.DrainOutput());
+  const std::vector<Tuple> row_out = row_node.DrainOutput();
+  const std::vector<Tuple> batch_out = batch_node.DrainOutput();
+  EXPECT_EQ(row_out, batch_out);
+  ExpectDigest(digest, CanonicalizeNode(row_node, row_out),
+               CanonicalizeNode(batch_node, batch_out));
 }
 
 // Pass-through projections: with no WHERE, every lane selected and only
@@ -254,17 +371,19 @@ void ExpectSelectionBatchEquivalent(const std::string& sql,
 // lane or a string projection keeps it on the per-lane append.
 TEST(BatchEquivalenceTest, PassThroughProjectionAllLanesNumeric) {
   ExpectSelectionBatchEquivalent(
-      "SELECT time, srcIP, destIP, len, len / 4 FROM PKT", false);
+      "SELECT time, srcIP, destIP, len, len / 4 FROM PKT", false,
+      kDigestPassThroughNumeric);
 }
 
 TEST(BatchEquivalenceTest, PassThroughProjectionWithDeselectedLane) {
   ExpectSelectionBatchEquivalent(
-      "SELECT time, srcIP, destIP, len, len / 4 FROM PKT", true);
+      "SELECT time, srcIP, destIP, len, len / 4 FROM PKT", true,
+      kDigestPassThroughDeselected);
 }
 
 TEST(BatchEquivalenceTest, PassThroughProjectionWithStringColumn) {
   ExpectSelectionBatchEquivalent("SELECT time, IPSTR(srcIP), len FROM PKT",
-                                 false);
+                                 false, kDigestPassThroughString);
 }
 
 // Selection nodes chained columnar (low feeds high through an `out` batch,
@@ -326,7 +445,213 @@ TEST(BatchEquivalenceTest, ChainedSelectionIntoSamplingMatchesRowPath) {
 
   EXPECT_EQ(low_row_node.tuples_out(), low_bat_node.tuples_out());
   EXPECT_EQ(high_row_node.tuples_in(), high_bat_node.tuples_in());
-  EXPECT_EQ(high_row_node.DrainOutput(), high_bat_node.DrainOutput());
+  const std::vector<Tuple> row_out = high_row_node.DrainOutput();
+  const std::vector<Tuple> batch_out = high_bat_node.DrainOutput();
+  EXPECT_EQ(row_out, batch_out);
+  ExpectDigest(kDigestChainedSelection,
+               CanonicalizeNode(high_row_node, row_out),
+               CanonicalizeNode(high_bat_node, batch_out));
+}
+
+// ---------------------------------------------------------------------------
+// Evaluation errors and late lanes inside one batch: each case gives the
+// same result as tuple-at-a-time processing, including where the error
+// surfaces and how much state the lanes before it left behind.
+// ---------------------------------------------------------------------------
+
+// Ten lanes in one window with distinct sources; len = 41 everywhere except
+// lane 6, where len - 40 is zero.
+std::vector<Tuple> TenLanesZeroDivisorAtLane6() {
+  std::vector<Tuple> tuples;
+  for (uint64_t i = 0; i < 10; ++i) {
+    tuples.push_back(PacketTuple(100, 1 + i, 7, i == 6 ? 40 : 41));
+  }
+  return tuples;
+}
+
+TEST(BatchEquivalenceTest, GroupKeyErrorProcessesEarlierLanesThenFails) {
+  // The key k divides by zero on lane 6: lanes 0-5 create their groups,
+  // then lane 6's error is returned and lanes 7-9 are not processed.
+  const std::string sql =
+      "SELECT tb, k, count(*) FROM PKTS "
+      "GROUP BY time/20 as tb, srcIP * 100 / (len - 40) as k";
+  Catalog catalog = Catalog::Default();
+  Result<CompiledQuery> row_cq = CompileQuery(sql, catalog, {.seed = 3});
+  Result<CompiledQuery> batch_cq = CompileQuery(sql, catalog, {.seed = 3});
+  ASSERT_TRUE(row_cq.ok()) << row_cq.status().ToString();
+  SamplingOperator row_op(row_cq->sampling);
+  SamplingOperator batch_op(batch_cq->sampling);
+
+  const std::vector<Tuple> tuples = TenLanesZeroDivisorAtLane6();
+  Status row_status;
+  for (const Tuple& t : tuples) {
+    row_status = row_op.Process(t);
+    if (!row_status.ok()) break;
+  }
+  TupleBatch batch(8, 16);
+  for (const Tuple& t : tuples) batch.AppendTuple(t);
+  const Status batch_status = batch_op.ProcessBatch(batch);
+
+  ASSERT_FALSE(row_status.ok());
+  ASSERT_FALSE(batch_status.ok());
+  EXPECT_NE(row_status.message().find("division by zero"), std::string::npos);
+  EXPECT_EQ(batch_status.message(), row_status.message());
+  EXPECT_EQ(row_op.num_groups(), 6u);
+  EXPECT_EQ(batch_op.num_groups(), 6u);
+
+  // The six groups are live: closing the window emits them.
+  ASSERT_TRUE(row_op.FinishStream().ok());
+  ASSERT_TRUE(batch_op.FinishStream().ok());
+  const std::vector<Tuple> row_out = row_op.DrainOutput();
+  const std::vector<Tuple> batch_out = batch_op.DrainOutput();
+  EXPECT_EQ(batch_out.size(), 6u);
+  EXPECT_EQ(row_out, batch_out);
+  ExpectSameWindowStats(row_op.window_stats(), batch_op.window_stats());
+  ExpectDigest(kDigestGroupKeyError,
+               Canonicalize(row_out, row_op.window_stats(),
+                            row_op.late_tuples(), row_op.num_groups()),
+               Canonicalize(batch_out, batch_op.window_stats(),
+                            batch_op.late_tuples(), batch_op.num_groups()));
+}
+
+TEST(BatchEquivalenceTest, RowModeWhereSkipsArgumentOfRejectedLane) {
+  // count$(*) makes this WHERE read a superaggregate, so it runs lane by
+  // lane in row mode. It rejects lane 6, whose aggregate argument would
+  // divide by zero: the argument is never evaluated there.
+  std::vector<Tuple> rows;
+  ExpectBatchEquivalent(
+      "SELECT tb, srcIP, sum(100 / (len - 40)) FROM PKTS "
+      "WHERE count$(*) < 1000000 AND len > 40 "
+      "GROUP BY time/20 as tb, srcIP",
+      TenLanesZeroDivisorAtLane6(), 16, kDigestWhereRejectsFailingLane, 1.0,
+      &rows);
+  EXPECT_EQ(rows.size(), 9u);
+}
+
+TEST(BatchEquivalenceTest, SelectionWhereErrorKeepsEarlierRows) {
+  const std::string sql =
+      "SELECT time, srcIP, len FROM PKT WHERE 100 / (len - 40) > 0";
+  Catalog catalog = Catalog::Default();
+  Result<CompiledQuery> row_cq = CompileQuery(sql, catalog, {.seed = 3});
+  Result<CompiledQuery> batch_cq = CompileQuery(sql, catalog, {.seed = 3});
+  ASSERT_TRUE(row_cq.ok()) << row_cq.status().ToString();
+  ASSERT_EQ(row_cq->kind, CompiledQueryKind::kSelection);
+  SelectionOperator row_op(row_cq->selection);
+  SelectionOperator batch_op(batch_cq->selection);
+
+  const std::vector<Tuple> tuples = TenLanesZeroDivisorAtLane6();
+  std::vector<Tuple> row_out;
+  Status row_status;
+  for (const Tuple& t : tuples) {
+    Tuple projected;
+    Result<bool> pass = row_op.Process(t, &projected);
+    if (!pass.ok()) {
+      row_status = pass.status();
+      break;
+    }
+    if (*pass) row_out.push_back(projected);
+  }
+  TupleBatch in(8, 16);
+  for (const Tuple& t : tuples) in.AppendTuple(t);
+  TupleBatch out;
+  const Status batch_status = batch_op.ProcessBatch(in, &out);
+
+  ASSERT_FALSE(row_status.ok());
+  ASSERT_FALSE(batch_status.ok());
+  EXPECT_NE(row_status.message().find("division by zero"), std::string::npos);
+  EXPECT_EQ(batch_status.message(), row_status.message());
+  EXPECT_EQ(row_op.tuples_in(), 7u);
+  EXPECT_EQ(batch_op.tuples_in(), 7u);
+  ASSERT_EQ(out.num_rows(), 6u);
+  std::vector<Tuple> batch_out(out.num_rows());
+  for (size_t i = 0; i < out.num_rows(); ++i) {
+    out.MaterializeRow(i, &batch_out[i]);
+  }
+  EXPECT_EQ(row_out, batch_out);
+  ExpectDigest(kDigestSelectionWhereError, Canonicalize(row_out, {}, 0, 0),
+               Canonicalize(batch_out, {}, 0, 0));
+}
+
+TEST(BatchEquivalenceTest, DeeplyNestedAggregateArgument) {
+  // 1 + (1 + (... len ...)), 40 levels: deeper than any fixed-size
+  // evaluation stack would allow.
+  std::string arg = "len";
+  for (int i = 0; i < 40; ++i) arg = "1 + (" + arg + ")";
+  ExpectBatchEquivalent("SELECT tb, srcIP, sum(" + arg + ") FROM PKTS " +
+                            "GROUP BY time/20 as tb, srcIP",
+                        WindowedStream(), 256, kDigestDeepNesting);
+}
+
+// Five time/20 windows; a few lanes into each window after the first, a
+// straggler from the previous window arrives, so it is late.
+std::vector<Tuple> StreamWithLateLanes() {
+  std::vector<Tuple> tuples;
+  for (uint64_t w = 0; w < 5; ++w) {
+    const uint64_t start = 100 + 20 * w;
+    for (uint64_t i = 0; i < 200; ++i) {
+      tuples.push_back(PacketTuple(start + i / 10, 0x0a000000ULL + i % 7,
+                                   0xc0a80000ULL + i % 3,
+                                   40 + (i * 97) % 1460));
+      if (w > 0 && i % 50 == 3) {
+        tuples.push_back(PacketTuple(start - 5, 0x0a000001ULL, 0xc0a80001ULL,
+                                     99));
+      }
+    }
+  }
+  return tuples;
+}
+
+TEST(BatchEquivalenceTest, LateLanesSeeTheClampedKeyInEveryClause) {
+  // WHERE and an aggregate argument read the window variable tb. A late
+  // lane is clamped into the open window, so both see the open window's
+  // tb, not the one the lane's own timestamp gives: the stragglers (len 99)
+  // pass this WHERE only through the open window's parity.
+  ExpectBatchEquivalent(
+      "SELECT tb, srcIP, sum(tb), count(*) FROM PKTS "
+      "WHERE tb % 2 = 0 OR len > 500 GROUP BY time/20 as tb, srcIP",
+      StreamWithLateLanes(), 37, kDigestLateLanesClampedKey);
+}
+
+TEST(BatchEquivalenceTest, LateLanesInsideOneBatchAreClampedInPlace) {
+  // Three lanes of one batch belong to a window that is already closed:
+  // each is clamped into the open window (tb = 2), counted, and offered
+  // as a late-tuple exemplar.
+  Catalog catalog = Catalog::Default();
+  Result<CompiledQuery> cq = CompileQuery(
+      "SELECT tb, srcIP, count(*) FROM PKTS GROUP BY time/20 as tb, srcIP",
+      catalog, {.seed = 3});
+  ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+  SamplingOperator op(cq->sampling);
+  obs::MetricRegistry reg;
+  op.set_metrics(obs::OperatorMetrics::Create(reg, "late"));
+  obs::ExemplarStore exemplars;
+  exemplars.set_enabled(true);
+  op.set_exemplars(&exemplars);
+
+  TupleBatch batch(8, 8);
+  const uint64_t lanes[][2] = {{40, 1}, {5, 9}, {41, 2},
+                               {6, 9},  {7, 9}, {42, 1}};
+  for (const auto& lane : lanes) {
+    batch.AppendTuple(PacketTuple(lane[0], lane[1], 7, 100));
+  }
+  ASSERT_TRUE(op.ProcessBatch(batch).ok());
+  ASSERT_TRUE(op.FinishStream().ok());
+
+  EXPECT_EQ(op.late_tuples(), 3u);
+  if constexpr (obs::kStatsEnabled) {
+    const std::string node = "node=\"late\"";
+    EXPECT_EQ(
+        reg.GetCounter("streamop_operator_late_tuples_total", node)->value(),
+        3u);
+    EXPECT_EQ(reg.GetCounter("streamop_operator_tuples_total", node)->value(),
+              6u);
+    EXPECT_EQ(exemplars.offered(obs::ExemplarStore::kLateTuple), 3u);
+  }
+  const std::vector<Tuple> want = {
+      Tuple({Value::UInt(2), Value::UInt(1), Value::UInt(2)}),
+      Tuple({Value::UInt(2), Value::UInt(9), Value::UInt(3)}),
+      Tuple({Value::UInt(2), Value::UInt(2), Value::UInt(1)})};
+  EXPECT_EQ(op.DrainOutput(), want);
 }
 
 }  // namespace

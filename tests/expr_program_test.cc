@@ -1,13 +1,15 @@
 // Bytecode compiler + interpreter coverage: golden program dumps pin the
 // compiled form of representative expressions, and a randomized
 // differential harness proves that both the row-mode and batch-mode
-// interpreters agree bit-for-bit with the tree-walk Evaluate() — including
-// short-circuit evaluation, division-by-zero errors and mixed-type
-// coercions. The batched hot path is only allowed to exist because of the
-// equivalences tested here.
+// interpreters agree bit-for-bit with the tree-walk Evaluate(), the
+// reference implementation — including short-circuit evaluation,
+// division-by-zero errors, signed overflow and mixed-type coercions. The
+// bytecode is the engine's only evaluator because of the equivalences
+// tested here.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,7 +41,7 @@ ExprPtr LenGt100() {
 
 TEST(ExprProgramTest, GoldenDumpSimpleComparison) {
   auto prog = ExprProgram::TryCompile(LenGt100().get());
-  ASSERT_TRUE(prog.has_value());
+  ASSERT_TRUE(prog.ok());
   EXPECT_EQ(prog->ToString(),
             "0: load_input[7]\n"
             "1: push_lit[0] ; 100\n"
@@ -66,7 +68,7 @@ TEST(ExprProgramTest, GoldenDumpShortCircuitAnd) {
               Expr::Binary(BinaryOp::kEq, Expr::InputRef("destPort", 5),
                            Expr::Literal(Value::UInt(80))))));
   auto prog = ExprProgram::TryCompile(e.get());
-  ASSERT_TRUE(prog.has_value());
+  ASSERT_TRUE(prog.ok());
   EXPECT_EQ(prog->ToString(),
             "0: load_input[6]\n"
             "1: push_lit[0] ; 6\n"
@@ -89,7 +91,7 @@ TEST(ExprProgramTest, GoldenDumpGroupByArithmetic) {
   ExprPtr e = Expr::Binary(BinaryOp::kDiv, Expr::InputRef("time", 0),
                            Expr::Literal(Value::UInt(20)));
   auto prog = ExprProgram::TryCompile(e.get());
-  ASSERT_TRUE(prog.has_value());
+  ASSERT_TRUE(prog.ok());
   EXPECT_EQ(prog->ToString(),
             "0: load_input[0]\n"
             "1: push_lit[0] ; 20\n"
@@ -100,7 +102,7 @@ TEST(ExprProgramTest, GoldenDumpScalarCall) {
   ExprPtr e = Scalar("UMAX", {Expr::InputRef("len", 7),
                               Expr::Literal(Value::UInt(1000))});
   auto prog = ExprProgram::TryCompile(e.get());
-  ASSERT_TRUE(prog.has_value());
+  ASSERT_TRUE(prog.ok());
   EXPECT_EQ(prog->ToString(),
             "0: load_input[7]\n"
             "1: push_lit[0] ; 1000\n"
@@ -111,7 +113,7 @@ TEST(ExprProgramTest, GoldenDumpScalarCall) {
 TEST(ExprProgramTest, IdentityInputSlotDetected) {
   ExprPtr e = Expr::InputRef("srcIP", 2);
   auto prog = ExprProgram::TryCompile(e.get());
-  ASSERT_TRUE(prog.has_value());
+  ASSERT_TRUE(prog.ok());
   EXPECT_EQ(prog->identity_input_slot(), 2);
 }
 
@@ -119,7 +121,7 @@ TEST(ExprProgramTest, AggAndSuperAggRefsCompileButAreNotBatchable) {
   ExprPtr e = Expr::Binary(BinaryOp::kGt, Expr::AggregateRef(0),
                            Expr::SuperAggRef(1));
   auto prog = ExprProgram::TryCompile(e.get());
-  ASSERT_TRUE(prog.has_value());
+  ASSERT_TRUE(prog.ok());
   EXPECT_EQ(prog->ToString(),
             "0: load_agg[0]\n"
             "1: load_super[1]\n"
@@ -131,13 +133,13 @@ TEST(ExprProgramTest, AggAndSuperAggRefsCompileButAreNotBatchable) {
 
 TEST(ExprProgramTest, UnanalyzedCallDoesNotCompile) {
   ExprPtr e = Expr::Call("sum", {Expr::InputRef("len", 7)});
-  EXPECT_FALSE(ExprProgram::TryCompile(e.get()).has_value());
-  EXPECT_FALSE(ExprProgram::TryCompile(nullptr).has_value());
+  EXPECT_FALSE(ExprProgram::TryCompile(e.get()).ok());
+  EXPECT_FALSE(ExprProgram::TryCompile(nullptr).ok());
 }
 
 TEST(ExprProgramTest, UnresolvedColumnDoesNotCompile) {
   ExprPtr e = Expr::Column("len");  // never analyzed: slot = -1
-  EXPECT_FALSE(ExprProgram::TryCompile(e.get()).has_value());
+  EXPECT_FALSE(ExprProgram::TryCompile(e.get()).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -205,6 +207,57 @@ std::string Render(const Result<Value>& r) {
   return std::string(FieldTypeToString(r->type())) + ":" + r->ToString();
 }
 
+// Evaluates `e` with the tree walk on every row (the reference), then in
+// row mode — on a one-row batch per tuple and on each lane of `batch` —
+// and in batch mode, and expects identical results everywhere. Batch mode
+// must fail iff some lane fails.
+void ExpectAllModesAgree(const Expr& e, const std::vector<Tuple>& rows,
+                         const TupleBatch& batch,
+                         ExprProgram::BatchScratch* scratch) {
+  auto prog = ExprProgram::TryCompile(&e);
+  ASSERT_TRUE(prog.ok()) << e.ToString();
+
+  // Tree walk per row = ground truth.
+  std::vector<std::string> want;
+  bool any_error = false;
+  for (const Tuple& row : rows) {
+    EvalContext ctx;
+    ctx.input = &row;
+    Result<Value> r = Evaluate(e, ctx);
+    any_error |= !r.ok();
+    want.push_back(Render(r));
+  }
+
+  TupleBatch one(batch.num_cols(), 1);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    one.Clear();
+    one.AppendTuple(rows[i]);
+    ExprProgram::RowContext rc;
+    rc.batch = &one;
+    EXPECT_EQ(Render(prog->EvalRow(rc)), want[i])
+        << "row-mode(tuple) " << e.ToString() << " row " << i;
+    ExprProgram::RowContext bc;
+    bc.batch = &batch;
+    bc.row = i;
+    EXPECT_EQ(Render(prog->EvalRow(bc)), want[i])
+        << "row-mode(batch) " << e.ToString() << " row " << i;
+  }
+
+  scratch->Reset();
+  VecCol out;
+  ExprProgram::BatchContext bctx;
+  bctx.batch = &batch;
+  Status s = prog->EvalBatch(bctx, scratch, &out);
+  EXPECT_EQ(s.ok(), !any_error) << e.ToString() << " " << s.ToString();
+  if (s.ok()) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      Value v = MaterializeRawValue(out.type[i], out.raw[i]);
+      EXPECT_EQ(Render(Result<Value>(std::move(v))), want[i])
+          << "batch-mode " << e.ToString() << " row " << i;
+    }
+  }
+}
+
 TEST(ExprProgramTest, DifferentialRandomExpressionsRowAndBatch) {
   constexpr size_t kRows = 64;
   constexpr int kIters = 400;
@@ -244,53 +297,79 @@ TEST(ExprProgramTest, DifferentialRandomExpressionsRowAndBatch) {
 
   RandomExprGen gen(0x5eedULL);
   ExprProgram::BatchScratch scratch;
-  size_t compiled = 0;
   for (int iter = 0; iter < kIters; ++iter) {
     ExprPtr e = gen.Gen(4);
-    auto prog = ExprProgram::TryCompile(e.get());
-    ASSERT_TRUE(prog.has_value()) << e->ToString();
-    ++compiled;
-
-    // Tree walk per row = ground truth.
-    std::vector<std::string> want;
-    bool any_error = false;
-    for (size_t i = 0; i < kRows; ++i) {
-      EvalContext ctx;
-      ctx.input = &rows[i];
-      Result<Value> r = Evaluate(*e, ctx);
-      any_error |= !r.ok();
-      want.push_back(Render(r));
-    }
-
-    // Row mode over the materialized tuples and over batch lanes.
-    for (size_t i = 0; i < kRows; ++i) {
-      ExprProgram::RowContext rc;
-      rc.input = &rows[i];
-      EXPECT_EQ(Render(prog->EvalRow(rc)), want[i])
-          << "row-mode(tuple) " << e->ToString() << " row " << i;
-      ExprProgram::RowContext bc;
-      bc.batch = &batch;
-      bc.row = i;
-      EXPECT_EQ(Render(prog->EvalRow(bc)), want[i])
-          << "row-mode(batch) " << e->ToString() << " row " << i;
-    }
-
-    // Batch mode: must fail iff any lane fails, else agree on every lane.
-    scratch.Reset();
-    VecCol out;
-    ExprProgram::BatchContext bctx;
-    bctx.batch = &batch;
-    Status s = prog->EvalBatch(bctx, &scratch, &out);
-    EXPECT_EQ(s.ok(), !any_error) << e->ToString() << " " << s.ToString();
-    if (s.ok()) {
-      for (size_t i = 0; i < kRows; ++i) {
-        Value v = MaterializeRawValue(out.type[i], out.raw[i]);
-        EXPECT_EQ(Render(Result<Value>(std::move(v))), want[i])
-            << "batch-mode " << e->ToString() << " row " << i;
-      }
-    }
+    ExpectAllModesAgree(*e, rows, batch, &scratch);
   }
-  EXPECT_EQ(compiled, static_cast<size_t>(kIters));
+}
+
+// Signed overflow at the int64 edges: the tree walk, row mode and batch
+// mode all wrap in two's complement and agree lane for lane.
+TEST(ExprProgramTest, DifferentialSignedOverflowWraps) {
+  const std::vector<Tuple> rows = {
+      Tuple({Value::Int(INT64_MIN), Value::Int(-1)}),
+      Tuple({Value::Int(INT64_MAX), Value::Int(1)}),
+      Tuple({Value::Int(INT64_MIN), Value::Int(2)}),
+      Tuple({Value::UInt(0), Value::UInt(uint64_t{1} << 63)}),
+      Tuple({Value::UInt(0), Value::UInt(UINT64_MAX)}),
+      Tuple({Value::Int(-7), Value::Int(-1)})};
+  TupleBatch batch(2, rows.size());
+  for (const Tuple& t : rows) batch.AppendTuple(t);
+  ExprPtr c0 = Expr::InputRef("c0", 0);
+  ExprPtr c1 = Expr::InputRef("c1", 1);
+  ExprProgram::BatchScratch scratch;
+  for (BinaryOp op : {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul,
+                      BinaryOp::kDiv, BinaryOp::kMod}) {
+    ExpectAllModesAgree(*Expr::Binary(op, c0->Clone(), c1->Clone()), rows,
+                        batch, &scratch);
+  }
+  ExpectAllModesAgree(*Expr::Unary(UnaryOp::kNeg, c0->Clone()), rows, batch,
+                      &scratch);
+  ExpectAllModesAgree(*Scalar("ABS", {c0->Clone()}), rows, batch, &scratch);
+
+  auto div = ExprProgram::TryCompile(
+      Expr::Binary(BinaryOp::kDiv, c0->Clone(), c1->Clone()).get());
+  ASSERT_TRUE(div.ok());
+  ExprProgram::RowContext rc;
+  rc.batch = &batch;
+  EXPECT_EQ(*div->EvalRow(rc), Value::Int(INT64_MIN));  // INT64_MIN / -1
+}
+
+// Programs size their own stacks: nesting far deeper than the operator
+// ever needed before compiles, and agrees with the tree walk.
+TEST(ExprProgramTest, DeepExpressionsCompileAndAgree) {
+  const std::vector<Tuple> rows = {Tuple({Value::UInt(3), Value::UInt(0)}),
+                                   Tuple({Value::UInt(9), Value::UInt(4)})};
+  TupleBatch batch(2, rows.size());
+  for (const Tuple& t : rows) batch.AppendTuple(t);
+  ExprProgram::BatchScratch scratch;
+
+  // 1 + (1 + (... c0 ...)): a 256-deep value stack.
+  ExprPtr sum = Expr::InputRef("c0", 0);
+  for (int i = 0; i < 256; ++i) {
+    sum = Expr::Binary(BinaryOp::kAdd, Expr::Literal(Value::UInt(1)),
+                       std::move(sum));
+  }
+  auto prog = ExprProgram::TryCompile(sum.get());
+  ASSERT_TRUE(prog.ok());
+  EXPECT_EQ(prog->stack_size(), 257u);
+  ExpectAllModesAgree(*sum, rows, batch, &scratch);
+
+  // c1 != 0 AND (c1 != 0 AND (... c0 / c1 > 1 ...)): 64 nested masks, so
+  // the guarded division never runs on the zero lane.
+  ExprPtr guarded = Expr::Binary(
+      BinaryOp::kGt,
+      Expr::Binary(BinaryOp::kDiv, Expr::InputRef("c0", 0),
+                   Expr::InputRef("c1", 1)),
+      Expr::Literal(Value::UInt(1)));
+  for (int i = 0; i < 64; ++i) {
+    guarded = Expr::Binary(
+        i % 2 == 0 ? BinaryOp::kAnd : BinaryOp::kOr,
+        Expr::Binary(i % 2 == 0 ? BinaryOp::kNe : BinaryOp::kEq,
+                     Expr::InputRef("c1", 1), Expr::Literal(Value::UInt(0))),
+        std::move(guarded));
+  }
+  ExpectAllModesAgree(*guarded, rows, batch, &scratch);
 }
 
 // Lane-wise short-circuit: a guard that masks out the error lanes means
@@ -307,7 +386,7 @@ TEST(ExprProgramTest, BatchShortCircuitSuppressesGuardedDivisionByZero) {
       Expr::Literal(Value::UInt(1)));
   ExprPtr e = Expr::Binary(BinaryOp::kAnd, std::move(guard), div->Clone());
   auto prog = ExprProgram::TryCompile(e.get());
-  ASSERT_TRUE(prog.has_value());
+  ASSERT_TRUE(prog.ok());
 
   TupleBatch batch(2, 4);
   batch.AppendTuple(Tuple({Value::UInt(10), Value::UInt(2)}));   // true
@@ -329,9 +408,9 @@ TEST(ExprProgramTest, BatchShortCircuitSuppressesGuardedDivisionByZero) {
   }
 
   // Unguarded, the zero lane must abort the batch — the caller then
-  // replays per-row to position the error exactly.
+  // evaluates lane by lane in row mode to position the error exactly.
   auto div_only = ExprProgram::TryCompile(div.get());
-  ASSERT_TRUE(div_only.has_value());
+  ASSERT_TRUE(div_only.ok());
   scratch.Reset();
   Status s = div_only->EvalBatch(ctx, &scratch, &out);
   EXPECT_FALSE(s.ok());
@@ -351,7 +430,7 @@ TEST(ExprProgramTest, GroupByRefsReadKeyColumns) {
                    Expr::Literal(Value::UInt(2))),
       Expr::Literal(Value::UInt(0)));
   auto prog = ExprProgram::TryCompile(e.get());
-  ASSERT_TRUE(prog.has_value());
+  ASSERT_TRUE(prog.ok());
   EXPECT_TRUE(prog->reads_group_by());
   EXPECT_TRUE(prog->batchable());
 

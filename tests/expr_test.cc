@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "expr/aggregate.h"
 #include "expr/evaluator.h"
 #include "expr/expr.h"
@@ -88,6 +90,57 @@ TEST(ExprTest, SignedPromotion) {
   Value v = Eval(Bin(BinaryOp::kAdd, Value::Int(-1), Value::UInt(3)));
   EXPECT_EQ(v.type(), FieldType::kInt);
   EXPECT_EQ(v.int_value(), 2);
+}
+
+// Signed overflow wraps in two's complement, as unsigned arithmetic does,
+// instead of being undefined: one case per operator.
+constexpr int64_t kMin = INT64_MIN;
+constexpr int64_t kMax = INT64_MAX;
+
+TEST(ExprTest, SignedAddWraps) {
+  EXPECT_EQ(Eval(Bin(BinaryOp::kAdd, Value::Int(kMax), Value::Int(1))),
+            Value::Int(kMin));
+}
+
+TEST(ExprTest, SignedSubWraps) {
+  EXPECT_EQ(Eval(Bin(BinaryOp::kSub, Value::Int(kMin), Value::Int(1))),
+            Value::Int(kMax));
+}
+
+TEST(ExprTest, SignedMulWraps) {
+  EXPECT_EQ(Eval(Bin(BinaryOp::kMul, Value::Int(kMin), Value::Int(-1))),
+            Value::Int(kMin));
+  EXPECT_EQ(Eval(Bin(BinaryOp::kMul, Value::Int(kMax), Value::Int(2))),
+            Value::Int(-2));
+}
+
+TEST(ExprTest, SignedDivOfMinByMinusOneWraps) {
+  // Traps in hardware when computed natively.
+  EXPECT_EQ(Eval(Bin(BinaryOp::kDiv, Value::Int(kMin), Value::Int(-1))),
+            Value::Int(kMin));
+  EXPECT_EQ(Eval(Bin(BinaryOp::kDiv, Value::Int(7), Value::Int(-1))),
+            Value::Int(-7));
+}
+
+TEST(ExprTest, SignedModOfMinByMinusOneIsZero) {
+  EXPECT_EQ(Eval(Bin(BinaryOp::kMod, Value::Int(kMin), Value::Int(-1))),
+            Value::Int(0));
+  EXPECT_EQ(Eval(Bin(BinaryOp::kMod, Value::Int(-7), Value::Int(2))),
+            Value::Int(-1));
+}
+
+TEST(ExprTest, UnsignedUnderflowToSignedWraps) {
+  // 0 - 2^63 is INT64_MIN; 0 - UINT64_MAX wraps to 1.
+  EXPECT_EQ(Eval(Bin(BinaryOp::kSub, Value::UInt(0),
+                     Value::UInt(uint64_t{1} << 63))),
+            Value::Int(kMin));
+  EXPECT_EQ(Eval(Bin(BinaryOp::kSub, Value::UInt(0), Value::UInt(UINT64_MAX))),
+            Value::Int(1));
+}
+
+TEST(ExprTest, NegationOfMinWraps) {
+  EXPECT_EQ(Eval(Expr::Unary(UnaryOp::kNeg, Expr::Literal(Value::Int(kMin)))),
+            Value::Int(kMin));
 }
 
 TEST(ExprTest, DivisionByZeroIsError) {
@@ -218,6 +271,8 @@ TEST(ScalarFunctionTest, HashFunctionDeterministicAndSeeded) {
 
 TEST(ScalarFunctionTest, AbsFloatUintIpstr) {
   EXPECT_EQ(CallScalar("ABS", {Value::Int(-4)}), Value::Int(4));
+  // Two's complement: ABS(INT64_MIN) wraps to itself.
+  EXPECT_EQ(CallScalar("ABS", {Value::Int(INT64_MIN)}), Value::Int(INT64_MIN));
   EXPECT_EQ(CallScalar("ABS", {Value::Double(-4.5)}), Value::Double(4.5));
   EXPECT_EQ(CallScalar("FLOAT", {Value::UInt(2)}), Value::Double(2.0));
   EXPECT_EQ(CallScalar("UINT", {Value::Double(2.9)}), Value::UInt(2));

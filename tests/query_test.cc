@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "engine/query_node.h"
 #include "query/lexer.h"
 #include "query/parser.h"
 #include "query/query.h"
@@ -426,6 +429,30 @@ TEST(SelectionOperatorTest, StatefulBasicSubsetSum) {
   EXPECT_GT(kept, 1000u);
   EXPECT_LT(kept, 15000u);
   EXPECT_NEAR(est, truth, 0.03 * truth);
+}
+
+// INT64_MIN / -1 traps in hardware when computed natively; the engine's
+// signed arithmetic wraps instead, so this query yields INT64_MIN on every
+// row, through the one-row Push as through PushBatch.
+TEST(SelectionOperatorTest, SignedOverflowWrapsInsteadOfTrapping) {
+  auto cq = CompileQuery("SELECT (0 - 9223372036854775808) / (0 - 1) FROM PKT",
+                         TestCatalog());
+  ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+  QueryNode node("overflow", *cq);
+  TupleBatch batch(8, 8);
+  for (uint32_t i = 0; i < 4; ++i) {
+    PacketRecord p{};
+    p.len = static_cast<uint16_t>(40 + i);
+    ASSERT_TRUE(node.Push(PacketToTuple(p)).ok());
+    batch.AppendPacket(p);
+  }
+  ASSERT_TRUE(node.PushBatch(batch).ok());
+  const std::vector<Tuple> rows = node.DrainOutput();
+  ASSERT_EQ(rows.size(), 8u);
+  for (const Tuple& row : rows) {
+    ASSERT_EQ(row.size(), 1u);
+    EXPECT_EQ(row[0], Value::Int(INT64_MIN));
+  }
 }
 
 }  // namespace
