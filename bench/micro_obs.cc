@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -497,30 +498,56 @@ void RunWindowedSteadyState(benchmark::State& state, bool full_obs) {
     });
   }
 
-  std::vector<Tuple> tuples = SteadyStateTuples(4096, 64, 16);
-  for (const Tuple& t : tuples) {
-    Status s = op.Process(t);
+  // Driven as the runtime drives it: one 512-row batch per iteration. The
+  // batches are rebuilt, untimed, with the next time/20 bucket every
+  // kTuplesPerWindow tuples, and the first batch after that closes the
+  // window.
+  const std::vector<Tuple> tuples = SteadyStateTuples(4096, 64, 16);
+  std::vector<std::vector<uint64_t>> cols(8,
+                                          std::vector<uint64_t>(tuples.size()));
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    for (size_t c = 0; c < 8; ++c) cols[c][i] = tuples[i].at(c).AsUInt();
+  }
+  const std::vector<uint8_t> types(kObsBatchRows,
+                                   static_cast<uint8_t>(FieldType::kUInt));
+  std::vector<uint64_t> time_col(kObsBatchRows);
+  std::vector<TupleBatch> batches(tuples.size() / kObsBatchRows);
+  for (TupleBatch& b : batches) b.Configure(8, kObsBatchRows);
+  auto fill = [&](uint64_t now) {
+    std::fill(time_col.begin(), time_col.end(), now);
+    for (size_t k = 0; k < batches.size(); ++k) {
+      TupleBatch& b = batches[k];
+      b.Clear();
+      b.AppendColumn(0, time_col.data(), types.data(), kObsBatchRows);
+      for (size_t c = 1; c < 8; ++c) {
+        b.AppendColumn(c, cols[c].data() + k * kObsBatchRows, types.data(),
+                       kObsBatchRows);
+      }
+      b.FinishRows(kObsBatchRows);
+    }
+  };
+  uint64_t now = 100;
+  fill(now);
+  for (const TupleBatch& b : batches) {
+    Status s = op.ProcessBatch(b);  // every group exists before timing
     if (!s.ok()) {
       state.SkipWithError(s.ToString().c_str());
       return;
     }
   }
+  constexpr uint64_t kBatchesPerWindow = kTuplesPerWindow / kObsBatchRows;
   uint64_t i = 0;
-  uint64_t tick = 0;
-  uint64_t now = 100;
   for (auto _ : state) {
-    if (++tick == kTuplesPerWindow) {
-      tick = 0;
-      now += 20;  // next time/20 bucket: the window closes mid-loop
+    if (++i % kBatchesPerWindow == 0) {
+      state.PauseTiming();
+      fill(now += 20);  // next time/20 bucket: the window closes mid-loop
+      state.ResumeTiming();
     }
-    Tuple& t = tuples[i & 4095];
-    t.at(0) = Value::UInt(now);
-    Status s = op.Process(t);
+    Status s = op.ProcessBatch(batches[i & (batches.size() - 1)]);
     if (!s.ok()) {
       state.SkipWithError(s.ToString().c_str());
       return;
     }
-    ++i;
   }
   if (full_obs) {
     // Authoritative liveness sweep, outside the timed region: on a
@@ -552,10 +579,11 @@ void RunWindowedSteadyState(benchmark::State& state, bool full_obs) {
         benchmark::Counter(static_cast<double>(
             http_ok.load(std::memory_order_relaxed)));
   }
-  state.SetItemsProcessed(state.iterations());
+  const double total = static_cast<double>(state.iterations()) *
+                       static_cast<double>(kObsBatchRows);
+  state.SetItemsProcessed(static_cast<int64_t>(total));
   state.counters["tuples_per_sec"] =
-      benchmark::Counter(static_cast<double>(state.iterations()),
-                         benchmark::Counter::kIsRate);
+      benchmark::Counter(total, benchmark::Counter::kIsRate);
 }
 
 void BM_WindowedSteadyStatePlain(benchmark::State& state) {

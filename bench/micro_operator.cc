@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -162,7 +163,10 @@ std::vector<Tuple> SteadyStateTuples(size_t count, uint64_t num_src,
 
 constexpr size_t kSteadyBatchRows = 512;
 
-// Shared setup: compile, build the tuple pool, warm up every group.
+// Shared setup: compile, build the tuple pool, warm up every group. The
+// pool holds every (src, dst) pair at least once, and its size is a power
+// of two (at least 4,096 tuples), so the drivers can wrap their tuple and
+// batch indices with a mask.
 bool SteadyStateSetup(benchmark::State& state, const std::string& sql,
                       uint64_t num_src, uint64_t num_dst,
                       std::unique_ptr<SamplingOperator>* op,
@@ -175,7 +179,10 @@ bool SteadyStateSetup(benchmark::State& state, const std::string& sql,
     return false;
   }
   *op = std::make_unique<SamplingOperator>(cq->sampling);
-  *tuples = SteadyStateTuples(4096, num_src, num_dst);
+  const size_t num_groups = static_cast<size_t>(num_src * num_dst);
+  size_t pool = 4096;
+  while (pool < num_groups) pool <<= 1;
+  *tuples = SteadyStateTuples(pool, num_src, num_dst);
   // Warm-up: create every group so the timed loop only sees existing ones.
   for (const Tuple& t : *tuples) {
     Status s = (*op)->Process(t);
@@ -183,6 +190,14 @@ bool SteadyStateSetup(benchmark::State& state, const std::string& sql,
       state.SkipWithError(s.ToString().c_str());
       return false;
     }
+  }
+  if ((*op)->num_groups() != num_groups) {
+    // A pool too small for the key grid would quietly time fewer groups.
+    state.SkipWithError(("warm-up created " +
+                         std::to_string((*op)->num_groups()) + " groups, not " +
+                         std::to_string(num_groups))
+                            .c_str());
+    return false;
   }
   return true;
 }
@@ -253,7 +268,7 @@ void RunSteadyStateRow(benchmark::State& state, const std::string& sql,
       state.SkipWithError(s.ToString().c_str());
       return;
     }
-    i = (i + 1) & 4095;
+    i = (i + 1) & (tuples.size() - 1);
   }
   SetSteadyStateCounters(state, 1, groups_at_steady_state);
 }
@@ -274,6 +289,8 @@ constexpr char kGroupedSamplingSql[] = R"(
 
 // Plain grouped aggregation: group probe + two aggregate updates per tuple,
 // fully columnar (key hashes, WHERE and aggregate arguments all vectorized).
+// 64 sources × the argument's destinations: 1,024, 4,096 and 16,384 live
+// groups, the last about replay_agg's 18.3k per window.
 void BM_SteadyStateGroupedAggregation(benchmark::State& state) {
   RunSteadyState(state, kGroupedAggregationSql, 64,
                  static_cast<uint64_t>(state.range(0)));
@@ -281,7 +298,82 @@ void BM_SteadyStateGroupedAggregation(benchmark::State& state) {
 // The two headline benchmarks pin a longer timing window than the suite
 // default: single-core VMs drift by tens of percent across seconds, and
 // these numbers carry the recorded perf trajectory (BENCH_operator.json).
-BENCHMARK(BM_SteadyStateGroupedAggregation)->Arg(16)->Arg(64)->MinTime(2.0);
+BENCHMARK(BM_SteadyStateGroupedAggregation)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->MinTime(2.0);
+
+// Window close at real group counts: each iteration fills one window with
+// two tuples for each of 64 × the argument's groups and closes the window
+// before it (the window's first lane does). The time per iteration is one
+// window's admission plus one window close: HAVING-free SELECT over every
+// group, the output rows, and the reset of the group state. Refilling the
+// batches with the next window's time and draining the output are not
+// timed.
+void BM_WindowCloseGroupedAggregation(benchmark::State& state) {
+  Catalog catalog = Catalog::Default();
+  Result<CompiledQuery> cq =
+      CompileQuery(kGroupedAggregationSql, catalog, {.seed = 3});
+  if (!cq.ok()) {
+    state.SkipWithError(cq.status().ToString().c_str());
+    return;
+  }
+  SamplingOperator op(cq->sampling);
+  const uint64_t num_src = 64;
+  const uint64_t num_dst = static_cast<uint64_t>(state.range(0));
+  const size_t num_groups = static_cast<size_t>(num_src * num_dst);
+  const size_t rows = 2 * num_groups;
+  const std::vector<Tuple> tuples = SteadyStateTuples(rows, num_src, num_dst);
+  std::vector<std::vector<uint64_t>> cols(8, std::vector<uint64_t>(rows));
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t c = 0; c < 8; ++c) cols[c][i] = tuples[i].at(c).AsUInt();
+  }
+  const std::vector<uint8_t> types(
+      kSteadyBatchRows, static_cast<uint8_t>(FieldType::kUInt));
+  std::vector<uint64_t> time_col(kSteadyBatchRows);
+  std::vector<TupleBatch> batches(rows / kSteadyBatchRows);
+  for (TupleBatch& b : batches) b.Configure(8, kSteadyBatchRows);
+  uint64_t t = 100;
+  for (auto _ : state) {
+    state.PauseTiming();
+    t += 20;  // the next time/20 bucket
+    std::fill(time_col.begin(), time_col.end(), t);
+    for (size_t k = 0; k < batches.size(); ++k) {
+      TupleBatch& b = batches[k];
+      b.Clear();
+      b.AppendColumn(0, time_col.data(), types.data(), kSteadyBatchRows);
+      for (size_t c = 1; c < 8; ++c) {
+        b.AppendColumn(c, cols[c].data() + k * kSteadyBatchRows, types.data(),
+                       kSteadyBatchRows);
+      }
+      b.FinishRows(kSteadyBatchRows);
+    }
+    benchmark::DoNotOptimize(op.DrainOutput());
+    state.ResumeTiming();
+    for (const TupleBatch& b : batches) {
+      Status s = op.ProcessBatch(b);
+      if (!s.ok()) {
+        state.SkipWithError(s.ToString().c_str());
+        return;
+      }
+    }
+  }
+  if (!op.window_stats().empty() &&
+      op.window_stats().back().groups_created != num_groups) {
+    state.SkipWithError("a window did not hold every group");
+    return;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows));
+  state.counters["groups_per_window"] =
+      benchmark::Counter(static_cast<double>(num_groups));
+  state.counters["windows_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_WindowCloseGroupedAggregation)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SteadyStateGroupedAggregationRowAtATime(benchmark::State& state) {
   RunSteadyStateRow(state, kGroupedAggregationSql, 64,

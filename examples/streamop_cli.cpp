@@ -2,8 +2,7 @@
 // saved trace, from the command line.
 //
 //   streamop_cli --query "SELECT tb, sum(len) FROM PKT GROUP BY time/20 as tb"
-//   streamop_cli --feed datacenter --duration 10 \
-//                --query-file my_query.sql --limit 50
+//   streamop_cli --feed datacenter --duration 10 --query-file q.sql --limit 50
 //   streamop_cli --trace capture.bin --query-file q.sql
 //   streamop_cli --feed ddos --save-trace capture.bin   # just materialize
 //

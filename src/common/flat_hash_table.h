@@ -1,5 +1,5 @@
 // FlatHashTable: the open-addressing hash table behind the operator's group
-// / supergroup / membership tables and the sketch-side maps.
+// index and supergroup tables and the sketch-side maps.
 //
 // Design (the "hash-once flat table" of the hot-path work):
 //   - One contiguous slot array, linear probing, power-of-two capacity,
@@ -8,6 +8,10 @@
 //     compare hashes before keys, and rehashes reinsert by stored hash, so
 //     a key is hashed exactly once on insertion (with GroupKey the hash is
 //     additionally cached inside the key itself and never recomputed).
+//     find_hashed / insert_hashed take a hash the caller already has, so a
+//     table whose keys are handles to state stored elsewhere (the
+//     operator's group index maps hashes to record indices) never hashes
+//     a key at all.
 //   - Deletion is tombstone-free backward-shift: the probe chain after the
 //     erased slot is compacted in place, so lookups never scan dead slots
 //     and load factor never degrades under churn.
@@ -209,6 +213,25 @@ class FlatHashTable {
     slots_[i].kv.second = V(std::forward<Args>(args)...);
     ++size_;
     return {iterator(slots_.data() + i, SlotsEnd()), true};
+  }
+
+  /// Inserts `key` under `raw_hash` (pre-normalization, as passed to
+  /// find_hashed) without hashing or comparing it: for a caller that has
+  /// just missed with find_hashed on the same hash and knows no equal key
+  /// is present. `raw_hash` must be the hash find_hashed will be given for
+  /// this key.
+  template <typename KeyArg, typename... Args>
+  iterator insert_hashed(uint64_t raw_hash, KeyArg&& key, Args&&... args) {
+    GrowIfNeeded();
+    const uint64_t h = NormHash(raw_hash);
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>(h) & mask;
+    while (slots_[i].hash != 0) i = (i + 1) & mask;
+    slots_[i].hash = h;
+    slots_[i].kv.first = K(std::forward<KeyArg>(key));
+    slots_[i].kv.second = V(std::forward<Args>(args)...);
+    ++size_;
+    return iterator(slots_.data() + i, SlotsEnd());
   }
 
   template <typename KeyArg, typename ValArg>

@@ -3,18 +3,43 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <new>
 
 #include "common/hash.h"
 
 namespace streamop {
 
+namespace {
+
+// Largest record block: a power of two of records at most this size, so
+// an operator with a handful of groups commits a few KB.
+constexpr size_t kRecordBlockBytes = 16 << 10;
+
+}  // namespace
+
 SamplingOperator::SamplingOperator(
     std::shared_ptr<const SamplingQueryPlan> plan)
     : plan_(std::move(plan)) {
-  scratch_gk_.Reserve(plan_->group_by_exprs.size());
   scratch_sk_.Reserve(plan_->supergroup_slots.size());
   scratch_superagg_finals_.reserve(plan_->superaggs.size());
   scratch_agg_finals_.reserve(plan_->aggregates.size());
+
+  // Group record layout: key values, accumulators, state byte, padded to
+  // the key's alignment. Blocks are allocated on first use.
+  static_assert(alignof(AggregateAccumulator) <= alignof(Value));
+  static_assert(sizeof(std::pair<uint32_t, NoValue>) == 8,
+                "16-byte index slots: hash plus record index");
+  record_aggs_offset_ = plan_->group_by_exprs.size() * sizeof(Value);
+  record_state_offset_ = record_aggs_offset_ + plan_->aggregates.size() *
+                                                   sizeof(AggregateAccumulator);
+  record_stride_ = (record_state_offset_ + sizeof(RecordState) +
+                    alignof(Value) - 1) /
+                   alignof(Value) * alignof(Value);
+  while (block_shift_ < 20 &&
+         (record_stride_ << (block_shift_ + 1)) <= kRecordBlockBytes) {
+    ++block_shift_;
+  }
+  block_mask_ = (1u << block_shift_) - 1;
   CompilePrograms();
 }
 
@@ -83,8 +108,63 @@ void SamplingOperator::CompilePrograms() {
 }
 
 SamplingOperator::~SamplingOperator() {
+  ResetGroups();
   DestroySupergroupStates(new_supergroups_);
   DestroySupergroupStates(old_supergroups_);
+}
+
+uint64_t SamplingOperator::RecordHash(uint32_t r) const {
+  uint64_t h = GroupKey::kSeed;
+  for (const Value& v : RecordKeyValues(r)) h = HashCombine(h, v.Hash());
+  return h;
+}
+
+uint32_t SamplingOperator::AllocRecord() {
+  if (!free_records_.empty()) {
+    const uint32_t r = free_records_.back();
+    free_records_.pop_back();
+    return r;
+  }
+  const uint32_t r = records_used_++;
+  if ((r >> block_shift_) == blocks_.size()) {
+    // Not zero-filled: a block's pages are committed as records reach them.
+    blocks_.push_back(std::make_unique_for_overwrite<std::byte[]>(
+        record_stride_ << block_shift_));
+  }
+  return r;
+}
+
+template <typename KeyValue>
+void SamplingOperator::ConstructRecord(uint32_t r, KeyValue&& key_value) {
+  Value* key = RecordKey(r);
+  for (size_t j = 0; j < plan_->group_by_exprs.size(); ++j) {
+    new (&key[j]) Value(key_value(j));
+  }
+  AggregateAccumulator* aggs = RecordAggs(r);
+  for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
+    const AggregateSpec& spec = plan_->aggregates[a];
+    new (&aggs[a]) AggregateAccumulator(spec.kind, spec.param);
+  }
+  StateOf(r) = RecordState::kLive;
+}
+
+void SamplingOperator::DestroyRecord(uint32_t r) {
+  Value* key = RecordKey(r);
+  for (size_t j = 0; j < plan_->group_by_exprs.size(); ++j) key[j].~Value();
+  AggregateAccumulator* aggs = RecordAggs(r);
+  for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
+    aggs[a].~AggregateAccumulator();
+  }
+  StateOf(r) = RecordState::kFree;
+}
+
+void SamplingOperator::ResetGroups() {
+  for (uint32_t r = 0; r < records_used_; ++r) {
+    if (StateOf(r) != RecordState::kFree) DestroyRecord(r);
+  }
+  records_used_ = 0;
+  free_records_.clear();
+  group_index_.clear();
 }
 
 void SamplingOperator::DestroySupergroupStates(SupergroupTable& table) {
@@ -108,10 +188,14 @@ SamplingOperator::SupergroupEntry& SamplingOperator::GetOrCreateSupergroup(
 
   SupergroupEntry entry;
   // Locate the equivalent supergroup of the previous window, if any, so
-  // that SFUN states can carry over (dynamic subset-sum threshold).
-  const SupergroupEntry* old_entry = nullptr;
+  // that SFUN states can carry over (dynamic subset-sum threshold) and its
+  // membership list, cleared at the table swap, lends its capacity.
+  SupergroupEntry* old_entry = nullptr;
   auto old_it = old_supergroups_.find(sk);
-  if (old_it != old_supergroups_.end()) old_entry = &old_it->second;
+  if (old_it != old_supergroups_.end()) {
+    old_entry = &old_it->second;
+    entry.groups.swap(old_entry->groups);
+  }
 
   const size_t n_states = plan_->sfun_states.size();
   entry.blobs.reserve(n_states);
@@ -146,11 +230,13 @@ void SamplingOperator::SuperAggFinalsInto(const SupergroupEntry& sg,
   for (const SuperAggState& s : sg.superaggs) out->push_back(s.Final());
 }
 
-void SamplingOperator::AggFinalsInto(const GroupEntry& g,
+void SamplingOperator::AggFinalsInto(uint32_t r,
                                      std::vector<Value>* out) const {
   out->clear();
-  out->reserve(g.aggs.size());
-  for (const AggregateAccumulator& a : g.aggs) out->push_back(a.Final());
+  const AggregateAccumulator* aggs = RecordAggs(r);
+  for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
+    out->push_back(aggs[a].Final());
+  }
 }
 
 Status SamplingOperator::Process(const Tuple& input, double weight) {
@@ -431,7 +517,7 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
   rc.sfun_calls = &pending_sfun_calls_;
   rc.scratch_stack = row_stack_.data();
 
-  // Probe-ahead distance for group-table prefetching: far enough that the
+  // Probe-ahead distance for group-index prefetching: far enough that the
   // slot line arrives before the probe, close enough to stay cached.
   constexpr size_t kProbeAhead = 8;
 
@@ -443,7 +529,7 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
   for (size_t i = 0; i < n; ++i) {
     if (!sel[i]) continue;
     if (i + kProbeAhead < n) {
-      groups_.prefetch_hashed(lane_gk_hash_[i + kProbeAhead]);
+      group_index_.prefetch_hashed(lane_gk_hash_[i + kProbeAhead]);
     }
 
     // Window placement straight off the key columns: a lane past the open
@@ -607,58 +693,56 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
       finals_sg = nullptr;
     }
 
-    // Group lookup / creation + aggregate update: the probe runs on the
-    // lane hash and column compare; a GroupKey is materialized only when
-    // the group is new.
-    auto git = groups_.find_hashed(lane_gk_hash_[i], [&](const GroupKey& k) {
+    // Group lookup / creation + aggregate update: the index probe runs on
+    // the lane hash and compares the lane's key columns with the record's
+    // key values; a new group's key is written once, into its record.
+    const uint64_t gkh = lane_gk_hash_[i];
+    auto git = group_index_.find_hashed(gkh, [&](uint32_t r) {
+      const Value* key = RecordKey(r);
       for (size_t j = 0; j < ngb; ++j) {
         const VecCol& c = *key_col_ptrs_[j];
-        if (!RawValueEquals(k.at(j), c.type[i], c.raw[i])) {
-          return false;
-        }
+        if (!RawValueEquals(key[j], c.type[i], c.raw[i])) return false;
       }
       return true;
     });
-    if (git == groups_.end()) {
-      scratch_gk_.Clear();
-      for (size_t j = 0; j < ngb; ++j) {
+    uint32_t rec;
+    if (git != group_index_.end()) {
+      rec = git->first;
+    } else {
+      rec = AllocRecord();
+      ConstructRecord(rec, [&](size_t j) {
         const VecCol& c = *key_col_ptrs_[j];
-        scratch_gk_.Append(MaterializeRawValue(c.type[i], c.raw[i]));
+        return MaterializeRawValue(c.type[i], c.raw[i]);
+      });
+      group_index_.insert_hashed(gkh, rec);
+      sg->groups.push_back(rec);
+      sg->has_members = true;
+      for (SuperAggState& s : sg->superaggs) {
+        s.OnGroupCreated(RecordKeyValues(rec));
       }
-      scratch_sk_.Clear();
-      for (int slot : plan_->supergroup_slots) {
-        scratch_sk_.Append(scratch_gk_.at(static_cast<size_t>(slot)));
-      }
-      GroupEntry entry;
-      entry.aggs.reserve(plan_->aggregates.size());
-      for (const AggregateSpec& spec : plan_->aggregates) {
-        entry.aggs.emplace_back(spec.kind, spec.param);
-      }
-      git = groups_.emplace(scratch_gk_, std::move(entry)).first;
-      for (SuperAggState& s : sg->superaggs) s.OnGroupCreated(scratch_gk_);
       finals_sg = nullptr;  // OnGroupCreated advances group-level superaggs
-      supergroup_groups_[scratch_sk_].push_back(scratch_gk_);
       ++live_stats_.groups_created;
-      if (groups_.size() > live_stats_.peak_groups) {
-        live_stats_.peak_groups = groups_.size();
+      if (group_index_.size() > live_stats_.peak_groups) {
+        live_stats_.peak_groups = group_index_.size();
       }
       if (obs_on) {
         metrics_.groups_created->Add();
-        metrics_.peak_groups->SetMax(static_cast<double>(groups_.size()));
+        metrics_.peak_groups->SetMax(
+            static_cast<double>(group_index_.size()));
       }
     }
+    AggregateAccumulator* aggs = RecordAggs(rec);
     for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
       const AggregateSpec& spec = plan_->aggregates[a];
       if (spec.star || spec.arg == nullptr) {
-        git->second.aggs[a].Update(Value::Null(), weight);
+        aggs[a].Update(Value::Null(), weight);
       } else if (agg_arg_col_ok_[a] && !late) {
         const VecCol& c = *agg_arg_ptrs_[a];
-        git->second.aggs[a].Update(MaterializeRawValue(c.type[i], c.raw[i]),
-                                   weight);
+        aggs[a].Update(MaterializeRawValue(c.type[i], c.raw[i]), weight);
       } else {
         rc.superaggs = nullptr;
         STREAMOP_ASSIGN_OR_RETURN(Value v, agg_arg_progs_[a].EvalRow(rc));
-        git->second.aggs[a].Update(v, weight);
+        aggs[a].Update(v, weight);
       }
     }
 
@@ -685,13 +769,7 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
         const uint64_t t0 =
             (obs_on || tracing || span_on) ? obs::NowNanos() : 0;
         const uint64_t c0 = prof_on ? obs::CycleNow() : 0;
-        scratch_sk_.Clear();
-        for (size_t j = 0; j < nsk; ++j) {
-          const VecCol& c =
-              *key_col_ptrs_[static_cast<size_t>(plan_->supergroup_slots[j])];
-          scratch_sk_.Append(MaterializeRawValue(c.type[i], c.raw[i]));
-        }
-        STREAMOP_RETURN_NOT_OK(RunCleaningPhase(scratch_sk_, *sg));
+        STREAMOP_RETURN_NOT_OK(RunCleaningPhase(*sg));
         finals_sg = nullptr;  // cleaning removes groups / resets SFUN state
         if (prof_on) {
           const uint64_t cc = obs::CycleNow() - c0;
@@ -779,64 +857,64 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
   return key_error;
 }
 
-void SamplingOperator::RemoveGroup(const GroupKey& gk, SupergroupEntry& sg) {
-  auto git = groups_.find(gk);
-  if (git == groups_.end()) return;
+void SamplingOperator::RemoveGroup(uint32_t r, SupergroupEntry& sg) {
+  if (StateOf(r) != RecordState::kLive) return;
+  const AggregateAccumulator* aggs = RecordAggs(r);
   for (size_t i = 0; i < sg.superaggs.size(); ++i) {
     const SuperAggSpec& spec = plan_->superaggs[i];
     Value shadow = Value::Null();
     if (spec.shadow_agg_slot >= 0 &&
-        static_cast<size_t>(spec.shadow_agg_slot) < git->second.aggs.size()) {
-      shadow = git->second.aggs[static_cast<size_t>(spec.shadow_agg_slot)]
-                   .Final();
+        static_cast<size_t>(spec.shadow_agg_slot) < plan_->aggregates.size()) {
+      shadow = aggs[static_cast<size_t>(spec.shadow_agg_slot)].Final();
     }
-    sg.superaggs[i].OnGroupRemoved(gk, shadow);
+    sg.superaggs[i].OnGroupRemoved(RecordKeyValues(r), shadow);
   }
-  groups_.erase(git);
+  StateOf(r) = RecordState::kDead;
+  group_index_.erase(group_index_.find_hashed(
+      RecordHash(r), [r](uint32_t indexed) { return indexed == r; }));
   ++live_stats_.groups_removed;
   if (metrics_.enabled()) metrics_.groups_removed->Add();
 }
 
-Status SamplingOperator::RunCleaningPhase(const GroupKey& sk,
-                                          SupergroupEntry& sg) {
-  auto mit = supergroup_groups_.find(sk);
-  if (mit == supergroup_groups_.end()) return Status::OK();
-
+Status SamplingOperator::RunCleaningPhase(SupergroupEntry& sg) {
   // Superaggregates are materialized once at the start of the pass; the
   // CLEANING BY predicate sees a consistent snapshot while removals update
   // the live superaggregate state underneath.
-  std::vector<Value> sa_finals;
-  SuperAggFinalsInto(sg, &sa_finals);
+  SuperAggFinalsInto(sg, &scratch_superagg_finals_);
 
   ExprProgram::RowContext rc;
   rc.aggregates = &scratch_agg_finals_;
-  rc.superaggs = &sa_finals;
+  rc.superaggs = &scratch_superagg_finals_;
   rc.sfun_states = sg.states.data();
   rc.num_sfun_states = sg.states.size();
   rc.sfun_calls = &pending_sfun_calls_;
   rc.scratch_stack = row_stack_.data();
+  rc.num_group_values = plan_->group_by_exprs.size();
 
-  std::vector<GroupKey> survivors;
-  survivors.reserve(mit->second.size());
-  for (const GroupKey& gk : mit->second) {
-    auto git = groups_.find(gk);
-    if (git == groups_.end()) continue;  // already removed
-    bool keep = true;  // an absent CLEANING BY keeps every group
-    if (plan_->cleaning_by != nullptr) {
-      AggFinalsInto(git->second, &scratch_agg_finals_);
-      rc.group_key = &gk;
+  // Decide every group first (an absent CLEANING BY keeps them all). An
+  // error part-way returns with the list as it was: the groups removed so
+  // far stay in it as dead records, skipped everywhere.
+  if (plan_->cleaning_by != nullptr) {
+    for (uint32_t r : sg.groups) {
+      if (StateOf(r) != RecordState::kLive) continue;
+      AggFinalsInto(r, &scratch_agg_finals_);
+      rc.group_values = RecordKey(r);
       STREAMOP_ASSIGN_OR_RETURN(Value v, cleaning_by_prog_.EvalRow(rc));
-      keep = v.AsBool();
-    }
-    if (keep) {
-      survivors.push_back(gk);
-    } else {
-      // RemoveGroup touches only the group table, so `git`/`mit` staying
-      // borrowed across it is safe even with backward-shift deletion.
-      RemoveGroup(gk, sg);
+      if (!v.AsBool()) RemoveGroup(r, sg);
     }
   }
-  mit->second = std::move(survivors);
+  // Then compact the list in place, in order, and only now recycle the
+  // records it drops: no list names a record on the free list.
+  size_t kept = 0;
+  for (uint32_t r : sg.groups) {
+    if (StateOf(r) == RecordState::kLive) {
+      sg.groups[kept++] = r;
+    } else {
+      DestroyRecord(r);
+      free_records_.push_back(r);
+    }
+  }
+  sg.groups.resize(kept);
   return Status::OK();
 }
 
@@ -873,12 +951,12 @@ Status SamplingOperator::FlushWindow() {
       (obs_on || tracing || span_on) ? obs::NowNanos() : 0;
   const uint64_t flush_c0 = prof_on ? obs::CycleNow() : 0;
   uint64_t quality_cycles = 0;  // nested below, subtracted from kFlush
-  if (obs_on && groups_.capacity() > 0) {
-    // Load factor of the group table as the window closes, before HAVING
+  if (obs_on && group_index_.capacity() > 0) {
+    // Load factor of the group index as the window closes, before HAVING
     // prunes groups and the table swap clears it.
     metrics_.group_table_load_factor->Set(
-        static_cast<double>(groups_.size()) /
-        static_cast<double>(groups_.capacity()));
+        static_cast<double>(group_index_.size()) /
+        static_cast<double>(group_index_.capacity()));
   }
 
   // Signal end-of-window to every SFUN state that cares. Walked in
@@ -897,32 +975,31 @@ Status SamplingOperator::FlushWindow() {
   // SFUN states see their own groups in a contiguous pass (the final
   // cleaning of subset-sum / reservoir depends on this). Supergroups are
   // visited in creation order and groups in membership (creation) order, so
-  // emitted rows are insertion-ordered — independent of table layout.
+  // emitted rows are insertion-ordered — independent of table layout. Each
+  // group is read from its record: no probe by key.
   for (const GroupKey& sk : supergroup_order_) {
-    auto mit = supergroup_groups_.find(sk);
-    if (mit == supergroup_groups_.end()) continue;
     auto sgit = new_supergroups_.find(sk);
     if (sgit == new_supergroups_.end()) continue;
     SupergroupEntry& sg = sgit->second;
-    std::vector<Value> sa_finals;
-    SuperAggFinalsInto(sg, &sa_finals);
+    if (sg.groups.empty()) continue;
+    SuperAggFinalsInto(sg, &scratch_superagg_finals_);
     ExprProgram::RowContext rc;
     rc.aggregates = &scratch_agg_finals_;
-    rc.superaggs = &sa_finals;
+    rc.superaggs = &scratch_superagg_finals_;
     rc.sfun_states = sg.states.data();
     rc.num_sfun_states = sg.states.size();
     rc.sfun_calls = &pending_sfun_calls_;
     rc.scratch_stack = row_stack_.data();
+    rc.num_group_values = plan_->group_by_exprs.size();
 
-    for (const GroupKey& gk : mit->second) {
-      auto git = groups_.find(gk);
-      if (git == groups_.end()) continue;
-      AggFinalsInto(git->second, &scratch_agg_finals_);
-      rc.group_key = &gk;
+    for (uint32_t r : sg.groups) {
+      if (StateOf(r) != RecordState::kLive) continue;
+      AggFinalsInto(r, &scratch_agg_finals_);
+      rc.group_values = RecordKey(r);
       if (plan_->having != nullptr) {
         STREAMOP_ASSIGN_OR_RETURN(Value sampled, having_prog_.EvalRow(rc));
         if (!sampled.AsBool()) {
-          RemoveGroup(gk, sg);
+          RemoveGroup(r, sg);
           continue;
         }
       }
@@ -971,20 +1048,20 @@ Status SamplingOperator::FlushWindow() {
     }
   }
 
-  // Table swap per §6.4: clear the group and membership tables, drop the
-  // old supergroup table, move new -> old. clear() keeps each table's slot
-  // array, and the fresh supergroup table is pre-sized from this window's
-  // population, so the next window's burst does not rehash.
+  // Table swap per §6.4: destroy the group records in place and reset the
+  // arena (its blocks stay), clear the index and the membership lists,
+  // drop the old supergroup table, move new -> old. clear() keeps the
+  // index's slot array, and the fresh supergroup table is pre-sized from
+  // this window's population, so the next window's burst does not rehash.
   const uint64_t expected_groups = window_stats_.back().peak_groups;
   const size_t expected_supergroups = new_supergroups_.size();
-  groups_.clear();
-  supergroup_groups_.clear();
+  ResetGroups();
+  for (auto& [sk, sg] : new_supergroups_) sg.groups.clear();
   supergroup_order_.clear();
   DestroySupergroupStates(old_supergroups_);
   old_supergroups_ = std::move(new_supergroups_);
   new_supergroups_.clear();
-  groups_.reserve(static_cast<size_t>(expected_groups));
-  supergroup_groups_.reserve(expected_supergroups);
+  group_index_.reserve(static_cast<size_t>(expected_groups));
   new_supergroups_.reserve(expected_supergroups);
 
   if (prof_on) {
@@ -1070,13 +1147,10 @@ void SamplingOperator::RecordWindowQuality() {
 
     obs::QualityContext qctx;
     qctx.window_tuples = ws.tuples_admitted;
-    // Live groups of this supergroup: membership lists keep removed keys,
-    // so filter against the group table. Window-boundary work only.
-    auto mit = supergroup_groups_.find(sk);
-    if (mit != supergroup_groups_.end()) {
-      for (const GroupKey& gk : mit->second) {
-        if (groups_.find(gk) != groups_.end()) ++qctx.live_groups;
-      }
+    // Live groups of this supergroup: its list still names the groups
+    // HAVING removed, as dead records. Window-boundary work only.
+    for (uint32_t r : sg.groups) {
+      if (StateOf(r) == RecordState::kLive) ++qctx.live_groups;
     }
 
     // Sampling-package states first: the subset-sum threshold doubles as
@@ -1225,6 +1299,12 @@ WindowStats ReadWindowStats(ByteReader& r) {
   return s;
 }
 
+// A group key's checkpoint encoding, byte for byte GroupKey::SerializeTo.
+void WriteKeyValues(std::span<const Value> key, ByteWriter& w) {
+  w.U64(key.size());
+  for (const Value& v : key) v.SerializeTo(w);
+}
+
 }  // namespace
 
 void SamplingOperator::SerializeSupergroupEntry(const SupergroupEntry& sg,
@@ -1295,8 +1375,7 @@ void SamplingOperator::RestoreSupergroupEntry(SupergroupEntry* sg,
 void SamplingOperator::ResetDurableState() {
   DestroySupergroupStates(new_supergroups_);
   DestroySupergroupStates(old_supergroups_);
-  groups_.clear();
-  supergroup_groups_.clear();
+  ResetGroups();
   supergroup_order_.clear();
   output_.clear();
   window_open_ = false;
@@ -1367,35 +1446,49 @@ void SamplingOperator::SerializeDurableState(ByteWriter& w) const {
     }
   }
 
-  // Membership lists (supergroup -> group keys in creation order), keyed in
-  // supergroup creation order. Lists may retain removed groups; the group
-  // table below is the source of truth for liveness, as in FlushWindow.
-  w.U32(static_cast<uint32_t>(supergroup_groups_.size()));
+  // Membership lists (supergroup -> group keys in creation order) of the
+  // supergroups a group was created under this window, in supergroup
+  // creation order. A list may name dead records; their keys are written
+  // too, and the groups below are the source of truth for liveness.
+  auto listed = [&](const GroupKey& sk) -> const SupergroupEntry* {
+    auto it = new_supergroups_.find(sk);
+    return it != new_supergroups_.end() && it->second.has_members
+               ? &it->second
+               : nullptr;
+  };
+  uint32_t num_lists = 0;
   for (const GroupKey& sk : supergroup_order_) {
-    auto it = supergroup_groups_.find(sk);
-    if (it == supergroup_groups_.end()) continue;
+    if (listed(sk) != nullptr) ++num_lists;
+  }
+  w.U32(num_lists);
+  for (const GroupKey& sk : supergroup_order_) {
+    const SupergroupEntry* sg = listed(sk);
+    if (sg == nullptr) continue;
     sk.SerializeTo(w);
-    w.U32(static_cast<uint32_t>(it->second.size()));
-    for (const GroupKey& gk : it->second) gk.SerializeTo(w);
+    w.U32(static_cast<uint32_t>(sg->groups.size()));
+    for (uint32_t rec : sg->groups) WriteKeyValues(RecordKeyValues(rec), w);
   }
 
-  // Group table, sorted by encoded key (groups have no global creation
-  // list; per-window output order is recovered from the membership lists).
+  // Live groups, sorted by encoded key (records have no global creation
+  // order; per-window output order is recovered from the membership lists).
   {
-    std::vector<std::pair<std::string, const GroupEntry*>> sorted;
-    sorted.reserve(groups_.size());
-    for (const auto& [key, entry] : groups_) {
+    std::vector<std::pair<std::string, uint32_t>> sorted;
+    sorted.reserve(group_index_.size());
+    for (const auto& [rec, unused] : group_index_) {
       ByteWriter kw;
-      key.SerializeTo(kw);
-      sorted.emplace_back(kw.Release(), &entry);
+      WriteKeyValues(RecordKeyValues(rec), kw);
+      sorted.emplace_back(kw.Release(), rec);
     }
     std::sort(sorted.begin(), sorted.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     w.U32(static_cast<uint32_t>(sorted.size()));
-    for (const auto& [kbytes, entry] : sorted) {
+    for (const auto& [kbytes, rec] : sorted) {
       w.Raw(kbytes.data(), kbytes.size());
-      w.U32(static_cast<uint32_t>(entry->aggs.size()));
-      for (const AggregateAccumulator& a : entry->aggs) a.SerializeTo(w);
+      w.U32(static_cast<uint32_t>(plan_->aggregates.size()));
+      const AggregateAccumulator* aggs = RecordAggs(rec);
+      for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
+        aggs[a].SerializeTo(w);
+      }
     }
   }
 }
@@ -1463,37 +1556,77 @@ bool SamplingOperator::RestoreDurableState(ByteReader& r) {
     RestoreSupergroupEntry(&it->second, r);
   }
 
+  // Membership lists name groups by key, and the groups follow them: the
+  // keys are held until the records exist. A list of a supergroup the
+  // snapshot does not have, or a second list of one, is corrupt.
+  const size_t ngb = plan_->group_by_exprs.size();
+  std::vector<std::pair<SupergroupEntry*, std::vector<GroupKey>>> lists;
   const uint32_t nmem = r.U32();
   for (uint32_t i = 0; i < nmem && r.ok(); ++i) {
     GroupKey sk = GroupKey::Deserialize(r);
     const uint32_t ng = r.U32();
     if (!r.CheckCount(ng, 1)) break;
-    std::vector<GroupKey>& vec = supergroup_groups_[std::move(sk)];
-    vec.reserve(ng);
+    auto it = new_supergroups_.find(sk);
+    if (it == new_supergroups_.end() || it->second.has_members) {
+      r.MarkFailed();
+      break;
+    }
+    it->second.has_members = true;
+    lists.emplace_back(&it->second, std::vector<GroupKey>{});
+    std::vector<GroupKey>& keys = lists.back().second;
+    keys.reserve(ng);
     for (uint32_t j = 0; j < ng && r.ok(); ++j) {
-      vec.push_back(GroupKey::Deserialize(r));
+      keys.push_back(GroupKey::Deserialize(r));
+      if (keys.back().size() != ngb) r.MarkFailed();
     }
   }
 
+  // The groups become live records, indexed under their key hash.
+  auto find_group = [&](const GroupKey& gk) {
+    return group_index_.find_hashed(gk.Hash(), [&](uint32_t rec) {
+      const Value* key = RecordKey(rec);
+      for (size_t j = 0; j < ngb; ++j) {
+        if (key[j] != gk.at(j)) return false;
+      }
+      return true;
+    });
+  };
   const uint32_t ngr = r.U32();
   for (uint32_t i = 0; i < ngr && r.ok(); ++i) {
     GroupKey gk = GroupKey::Deserialize(r);
     const uint32_t na = r.U32();
-    if (na != plan_->aggregates.size()) {
+    if (!r.ok() || na != plan_->aggregates.size() || gk.size() != ngb ||
+        find_group(gk) != group_index_.end()) {
       r.MarkFailed();
       break;
     }
-    GroupEntry entry;
-    entry.aggs.reserve(na);
-    for (const AggregateSpec& spec : plan_->aggregates) {
-      entry.aggs.emplace_back(spec.kind, spec.param);
-      entry.aggs.back().RestoreFrom(r);
-    }
+    const uint32_t rec = AllocRecord();
+    ConstructRecord(rec, [&](size_t j) { return gk.at(j); });
+    group_index_.insert_hashed(gk.Hash(), rec);
+    AggregateAccumulator* aggs = RecordAggs(rec);
+    for (size_t a = 0; a < na; ++a) aggs[a].RestoreFrom(r);
+  }
+
+  // Each list key names its group's record. A key with no group (removed,
+  // its list not compacted since) becomes a dead record, so the list
+  // re-serializes byte for byte. A group is claimed by the last key that
+  // names it: a group re-created after such a removal was appended after
+  // its dead entry.
+  std::vector<uint8_t> claimed(records_used_, 0);
+  for (auto& [sg, keys] : lists) {
     if (!r.ok()) break;
-    auto [it, inserted] = groups_.emplace(std::move(gk), std::move(entry));
-    if (!inserted) {
-      r.MarkFailed();
-      break;
+    sg->groups.resize(keys.size());
+    for (size_t j = keys.size(); j-- > 0;) {
+      auto found = find_group(keys[j]);
+      if (found != group_index_.end() && !claimed[found->first]) {
+        claimed[found->first] = 1;
+        sg->groups[j] = found->first;
+        continue;
+      }
+      const uint32_t rec = AllocRecord();
+      ConstructRecord(rec, [&](size_t v) { return keys[j].at(v); });
+      StateOf(rec) = RecordState::kDead;
+      sg->groups[j] = rec;
     }
   }
 

@@ -6,19 +6,23 @@
 //   GROUP BY <vars> [SUPERGROUP <vars>] [HAVING <pred>]
 //   CLEANING WHEN <pred> CLEANING BY <pred>
 //
-// is evaluated per §6.4 with three hash tables: the group table, the
-// (old/new) supergroup tables holding stateful-function states and
-// superaggregates, and the supergroup->group membership table. Windows are
-// delimited by changes of the ordered group-by variables; on a window
-// boundary the HAVING clause decides which groups are emitted, and each new
-// supergroup's SFUN states are initialized from the equivalent supergroup
-// of the previous window (threshold carry-over).
+// is evaluated per §6.4. The open window's groups are fixed-stride records
+// in one arena (key values, then accumulators), found through an index
+// from key hash to record; the (old/new) supergroup tables hold the
+// stateful-function states, the superaggregates and each supergroup's list
+// of member records. Windows are delimited by changes of the ordered
+// group-by variables; on a window boundary the HAVING clause decides which
+// groups are emitted, the arena is reset without freeing its blocks, and
+// each new supergroup's SFUN states are initialized from the equivalent
+// supergroup of the previous window (threshold carry-over).
 
 #ifndef STREAMOP_CORE_SAMPLING_OPERATOR_H_
 #define STREAMOP_CORE_SAMPLING_OPERATOR_H_
 
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -213,11 +217,12 @@ class SamplingOperator {
   uint64_t windows_flushed() const { return windows_flushed_; }
 
   /// Serializes every field that survives a restart: window position and
-  /// per-window stats, the group/supergroup/membership tables (SFUN blobs
-  /// via their SfunStateDef serialize hooks, length-prefixed so hook-less
-  /// states round-trip as opaque skips), supergroup creation order, and
-  /// every RNG-bearing counter. Byte-deterministic: hash tables are walked
-  /// in creation order (or sorted by encoded key), never table order.
+  /// per-window stats, the groups, supergroups and membership lists (SFUN
+  /// blobs via their SfunStateDef serialize hooks, length-prefixed so
+  /// hook-less states round-trip as opaque skips), supergroup creation
+  /// order, and every RNG-bearing counter. Byte-deterministic: tables are
+  /// walked in creation order (or sorted by encoded key), never table
+  /// order, and groups are written by key, never by record.
   void SerializeDurableState(ByteWriter& w) const;
 
   /// Rebuilds the operator from a SerializeDurableState() image. The
@@ -239,29 +244,90 @@ class SamplingOperator {
   uint64_t restore_states_skipped() const { return restore_states_skipped_; }
 
   /// Number of live groups / supergroups (introspection for tests).
-  size_t num_groups() const { return groups_.size(); }
+  size_t num_groups() const { return group_index_.size(); }
   size_t num_supergroups() const { return new_supergroups_.size(); }
 
  private:
-  struct GroupEntry {
-    std::vector<AggregateAccumulator> aggs;
-  };
-
   struct SupergroupEntry {
     // SFUN state blobs, indexed by plan_->sfun_states slot.
     std::vector<std::unique_ptr<std::max_align_t[]>> blobs;
     std::vector<void*> states;
     std::vector<SuperAggState> superaggs;
+    // Membership: the records of the groups created under this supergroup
+    // this window, in creation order (the emission order). Cleaning
+    // compacts it. A record it names may be dead — removed by HAVING, or
+    // by a cleaning phase that failed part-way — and is then skipped.
+    std::vector<uint32_t> groups;
+    // A group was created under this supergroup this window, so it has a
+    // membership entry in snapshots (even once cleaning emptied `groups`).
+    bool has_members = false;
   };
 
-  // Flat open-addressing tables keyed by the hash-once GroupKey. Probes
-  // compare the cached key hash before values; clear() keeps capacity so
-  // the per-window table swap never rehashes the next window's burst.
-  using GroupTable = FlatHashTable<GroupKey, GroupEntry, GroupKeyHash>;
+  // Supergroup tables keyed by the hash-once GroupKey. Probes compare the
+  // cached key hash before values; clear() keeps capacity so the
+  // per-window table swap never rehashes the next window's burst.
   using SupergroupTable =
       FlatHashTable<GroupKey, SupergroupEntry, GroupKeyHash>;
-  using MembershipTable =
-      FlatHashTable<GroupKey, std::vector<GroupKey>, GroupKeyHash>;
+
+  // ---- Group records (DESIGN.md §6) -----------------------------------
+  // Every group of the open window is one record of record_stride_ bytes:
+  // its group-by values (`Value`s, strings owned out of line), then its
+  // accumulators, constructed in place, then a RecordState byte. Records
+  // live in blocks of 2^block_shift_ records, allocated on first use and
+  // kept for the operator's lifetime, so a record never moves. The window
+  // close destroys the records in place and resets the arena; it frees
+  // only what the records own out of line (strings, GK sketches).
+  enum class RecordState : uint8_t {
+    kLive,  // in group_index_
+    kDead,  // removed; key still readable, not yet recycled
+    kFree,  // destroyed, on free_records_
+  };
+  // The index maps a group's key hash (the lane hash of its key columns)
+  // to its record: 16-byte slots. It never hashes a record (NoHash has no
+  // call operator); every probe and insert passes the hash it has.
+  struct NoHash {
+    size_t operator()(uint32_t) const = delete;
+  };
+  struct NoValue {};
+  using GroupIndex = FlatHashTable<uint32_t, NoValue, NoHash>;
+
+  std::byte* RecordAt(uint32_t r) const {
+    return blocks_[r >> block_shift_].get() +
+           static_cast<size_t>(r & block_mask_) * record_stride_;
+  }
+  Value* RecordKey(uint32_t r) const {
+    return reinterpret_cast<Value*>(RecordAt(r));
+  }
+  std::span<const Value> RecordKeyValues(uint32_t r) const {
+    return {RecordKey(r), plan_->group_by_exprs.size()};
+  }
+  AggregateAccumulator* RecordAggs(uint32_t r) const {
+    return reinterpret_cast<AggregateAccumulator*>(RecordAt(r) +
+                                                   record_aggs_offset_);
+  }
+  RecordState& StateOf(uint32_t r) const {
+    return *reinterpret_cast<RecordState*>(RecordAt(r) +
+                                           record_state_offset_);
+  }
+  // The key hash of record r, recomputed from its values (bit-equal to
+  // the lane hash it was indexed under).
+  uint64_t RecordHash(uint32_t r) const;
+
+  // A record for a new group, from the free list or the arena's end (a
+  // new block when the last one is full). Its contents are unconstructed.
+  uint32_t AllocRecord();
+
+  // Constructs record r as a live group with fresh accumulators; its key
+  // value j is key_value(j).
+  template <typename KeyValue>
+  void ConstructRecord(uint32_t r, KeyValue&& key_value);
+
+  // Destroys record r's key values and accumulators.
+  void DestroyRecord(uint32_t r);
+
+  // Destroys every record, clears the index (keeping its capacity) and
+  // resets the arena; no block is freed.
+  void ResetGroups();
 
   // Creates (or finds) the supergroup for `sk`, initializing SFUN states
   // from the previous window's equivalent supergroup when present.
@@ -272,14 +338,15 @@ class SamplingOperator {
   void SuperAggFinalsInto(const SupergroupEntry& sg,
                           std::vector<Value>* out) const;
 
-  // Materializes the final values of a group's aggregates into `out`.
-  void AggFinalsInto(const GroupEntry& g, std::vector<Value>* out) const;
+  // Materializes the final values of record r's aggregates into `out`.
+  void AggFinalsInto(uint32_t r, std::vector<Value>* out) const;
 
-  // Runs one cleaning phase over the groups of supergroup `sk`.
-  Status RunCleaningPhase(const GroupKey& sk, SupergroupEntry& sg);
+  // Runs one cleaning phase over the groups of supergroup `sg`.
+  Status RunCleaningPhase(SupergroupEntry& sg);
 
-  // Removes a group: superaggregate corrections + table erasure.
-  void RemoveGroup(const GroupKey& gk, SupergroupEntry& sg);
+  // Removes live group r: superaggregate corrections, the record marked
+  // dead (its key stays readable) and its index slot erased.
+  void RemoveGroup(uint32_t r, SupergroupEntry& sg);
 
   // Window boundary: HAVING + SELECT per group, stats, table swap.
   Status FlushWindow();
@@ -318,21 +385,30 @@ class SamplingOperator {
 
   std::shared_ptr<const SamplingQueryPlan> plan_;
 
-  GroupTable groups_;
+  // Group records: layout fixed from the plan at construction; blocks,
+  // index slots and the free list are allocated on first use.
+  size_t record_stride_ = 0;
+  size_t record_aggs_offset_ = 0;
+  size_t record_state_offset_ = 0;
+  uint32_t block_shift_ = 0;
+  uint32_t block_mask_ = 0;
+  std::vector<std::unique_ptr<std::byte[]>> blocks_;
+  uint32_t records_used_ = 0;          // arena high-water mark this window
+  std::vector<uint32_t> free_records_;  // recycled by cleaning phases
+  GroupIndex group_index_;
+
   SupergroupTable new_supergroups_;
   SupergroupTable old_supergroups_;
-  MembershipTable supergroup_groups_;
 
   // Supergroup keys in creation order. Output emission and window-final
   // hooks walk this list so results never depend on hash-table iteration
   // order (the flat tables' order shifts with capacity and churn).
   std::vector<GroupKey> supergroup_order_;
 
-  // Scratch state for the allocation-free steady state: the group /
-  // supergroup keys of a new group and the materialized aggregate and
-  // superaggregate finals are rebuilt in place, reusing capacity.
-  // Persistent copies are made only when a group or supergroup is created.
-  GroupKey scratch_gk_;
+  // Scratch state for the allocation-free steady state: the supergroup key
+  // of a new supergroup and the materialized aggregate and superaggregate
+  // finals are rebuilt in place, reusing capacity. A group's key is
+  // written once, into its record.
   GroupKey scratch_sk_;
   std::vector<Value> scratch_superagg_finals_;
   std::vector<Value> scratch_agg_finals_;

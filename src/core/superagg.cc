@@ -62,7 +62,7 @@ void SuperAggState::OnTuple(const Value& v, double weight) {
   }
 }
 
-void SuperAggState::OnGroupCreated(const GroupKey& key) {
+void SuperAggState::OnGroupCreated(std::span<const Value> key) {
   switch (spec_->kind) {
     case SuperAggKind::kCountDistinct:
       ++group_count_;
@@ -71,7 +71,7 @@ void SuperAggState::OnGroupCreated(const GroupKey& key) {
     case SuperAggKind::kKthLargest:
       if (spec_->group_by_slot >= 0 &&
           static_cast<size_t>(spec_->group_by_slot) < key.size()) {
-        values_.emplace(key.at(static_cast<size_t>(spec_->group_by_slot)), 0);
+        values_.emplace(key[static_cast<size_t>(spec_->group_by_slot)], 0);
       }
       break;
     default:
@@ -79,7 +79,7 @@ void SuperAggState::OnGroupCreated(const GroupKey& key) {
   }
 }
 
-void SuperAggState::OnGroupRemoved(const GroupKey& key,
+void SuperAggState::OnGroupRemoved(std::span<const Value> key,
                                    const Value& shadow_value) {
   switch (spec_->kind) {
     case SuperAggKind::kCountDistinct:
@@ -90,7 +90,7 @@ void SuperAggState::OnGroupRemoved(const GroupKey& key,
       if (spec_->group_by_slot >= 0 &&
           static_cast<size_t>(spec_->group_by_slot) < key.size()) {
         auto it =
-            values_.find(key.at(static_cast<size_t>(spec_->group_by_slot)));
+            values_.find(key[static_cast<size_t>(spec_->group_by_slot)]);
         if (it != values_.end()) values_.erase(it);
       }
       break;

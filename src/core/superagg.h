@@ -17,6 +17,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,12 +64,13 @@ class SuperAggState {
   /// Horvitz–Thompson weight 1/p so sum$/count$ remain unbiased totals.
   void OnTuple(const Value& v, double weight);
 
-  /// A new group was created with the given key.
-  void OnGroupCreated(const GroupKey& key);
+  /// A new group was created; `key` holds its group-by values.
+  void OnGroupCreated(std::span<const Value> key);
 
-  /// A group was removed by a cleaning phase. `key` is its group key and
-  /// `shadow_value` the final value of the shadow aggregate (Null if none).
-  void OnGroupRemoved(const GroupKey& key, const Value& shadow_value);
+  /// A group was removed (by a cleaning phase, or by HAVING at window
+  /// end). `key` holds its group-by values and `shadow_value` is the final
+  /// value of the shadow aggregate (Null if none).
+  void OnGroupRemoved(std::span<const Value> key, const Value& shadow_value);
 
   /// Current superaggregate value. kth_smallest$ (kth_largest$) with fewer
   /// than k live groups returns UInt max (0) so that the comparison admits

@@ -434,8 +434,9 @@ Result<Value> ExprProgram::EvalFastCall(const RowContext& ctx,
           }
           const VecCol& col = *ctx.key_cols[slot];
           stack[k] = MaterializeRawValue(col.type[ctx.row], col.raw[ctx.row]);
-        } else if (ctx.group_key != nullptr && slot < ctx.group_key->size()) {
-          stack[k] = ctx.group_key->at(slot);
+        } else if (ctx.group_values != nullptr &&
+                   slot < ctx.num_group_values) {
+          stack[k] = ctx.group_values[slot];
         } else {
           return Status::Internal("group key unavailable");
         }
@@ -512,9 +513,9 @@ Result<Value> ExprProgram::EvalRowOn(const RowContext& ctx,
           const VecCol& col = *ctx.key_cols[slot];
           stack[sp++] =
               MaterializeRawValue(col.type[ctx.row], col.raw[ctx.row]);
-        } else if (ctx.group_key != nullptr &&
-                   slot < ctx.group_key->size()) {
-          stack[sp++] = ctx.group_key->at(slot);
+        } else if (ctx.group_values != nullptr &&
+                   slot < ctx.num_group_values) {
+          stack[sp++] = ctx.group_values[slot];
         } else {
           return Status::Internal("group key unavailable");
         }

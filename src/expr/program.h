@@ -127,13 +127,14 @@ class ExprProgram {
 
   // ---------------------------------------------------------------------
   // Row mode: evaluate one row. Input comes from a batch lane; group-by
-  // variables from precomputed key columns or from a GroupKey (the
-  // group-scope clauses HAVING, SELECT and CLEANING BY, which have no
+  // variables from precomputed key columns or from a group's key values
+  // (the group-scope clauses HAVING, SELECT and CLEANING BY, which have no
   // input). Semantics identical to Evaluate().
   struct RowContext {
     const TupleBatch* batch = nullptr;  // input source
     size_t row = 0;                     // lane for batch / key_cols reads
-    const GroupKey* group_key = nullptr;
+    const Value* group_values = nullptr;  // per group-by slot
+    size_t num_group_values = 0;
     const VecCol* const* key_cols = nullptr;  // per group-by slot
     size_t num_key_cols = 0;
     const std::vector<Value>* aggregates = nullptr;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "engine/load_shed.h"
 #include "engine/query_node.h"
 #include "engine/runtime.h"
+#include "net/packet.h"
 #include "net/pcap_format.h"
 #include "net/trace_generator.h"
 #include "obs/exemplar.h"
@@ -556,6 +558,252 @@ TEST(OperatorCheckpointTest, SfunQueryRoundTripMatchesUninterruptedRun) {
   ASSERT_LE(b_rows.size(), a_all.size());
   std::vector<Tuple> a_tail(a_all.end() - b_rows.size(), a_all.end());
   EXPECT_EQ(RowsAsStrings(a_tail), RowsAsStrings(b_rows));
+}
+
+TEST(OperatorCheckpointTest, DeadGroupsOfAFailedCleaningPhaseRoundTrip) {
+  // CLEANING BY removes sources 1 and 2, then fails on source 3 (a
+  // division by zero), so the phase ends before it compacts the
+  // membership list: the list still names the two removed groups. Source
+  // 1 then arrives again and is re-created. The snapshot must carry the
+  // list as it is (keys 1, 2, 3, 1), the restored operator must write
+  // the same bytes, and the window must emit each live group once.
+  auto cq = CompileQuery(
+      "SELECT tb, srcIP, count(*) FROM PKTS GROUP BY time/60 as tb, srcIP "
+      "CLEANING WHEN count_distinct$(*) >= 3 "
+      "CLEANING BY 100 / (srcIP - 3) > 10",
+      Catalog::Default(), {.seed = 5});
+  ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+  auto packet = [](uint64_t time, uint64_t src) {
+    return Tuple({Value::UInt(time), Value::UInt(time * 1000),
+                  Value::UInt(src), Value::UInt(7), Value::UInt(1234),
+                  Value::UInt(80), Value::UInt(6), Value::UInt(100)});
+  };
+  SamplingOperator a(cq->sampling);
+  ASSERT_TRUE(a.Process(packet(100, 1)).ok());
+  ASSERT_TRUE(a.Process(packet(100, 2)).ok());
+  EXPECT_FALSE(a.Process(packet(100, 3)).ok());  // the phase fails on 3
+  EXPECT_EQ(a.num_groups(), 1u);
+  ASSERT_TRUE(a.Process(packet(101, 1)).ok());  // 1 is created again
+  EXPECT_EQ(a.num_groups(), 2u);
+
+  ByteWriter w;
+  a.SerializeDurableState(w);
+  SamplingOperator b(cq->sampling);
+  ByteReader r(w.data());
+  ASSERT_TRUE(b.RestoreDurableState(r));
+  ByteWriter again;
+  b.SerializeDurableState(again);
+  EXPECT_EQ(again.data(), w.data());
+
+  for (SamplingOperator* op : {&a, &b}) {
+    ASSERT_TRUE(op->Process(packet(200, 9)).ok());  // closes the window
+    ASSERT_TRUE(op->FinishStream().ok());
+  }
+  const std::vector<Tuple> a_rows = a.DrainOutput();
+  EXPECT_EQ(RowsAsStrings(b.DrainOutput()), RowsAsStrings(a_rows));
+  std::vector<uint64_t> first_window;
+  for (const Tuple& t : a_rows) {
+    if (t[0].AsUInt() == 1) first_window.push_back(t[1].AsUInt());
+  }
+  EXPECT_EQ(first_window, (std::vector<uint64_t>{3, 1}));
+}
+
+// --- Frozen snapshot bytes ------------------------------------------------
+//
+// The round trips above compare a snapshot with its own re-serialization,
+// so they would still pass if the encoding drifted. The digests below pin
+// the SerializeDurableState bytes themselves: they were recorded at commit
+// 3d853c4, before the operator's group state moved into one arena (see
+// CHANGES.md), with
+//   ctest --test-dir build -R SnapshotBytesMatchFrozenDigests
+// and any change to them is a snapshot format change.
+
+// FNV-1a 64 of the bytes, as hex (batch_equivalence_test's Digest).
+std::string SnapshotDigest(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// A snapshot taken while feeding a stream one tuple at a time.
+struct TakenSnapshot {
+  std::string what;
+  size_t next_row = 0;      // first row the restored operator must see
+  size_t rows_emitted = 0;  // output rows of the run up to the snapshot
+  std::string bytes;
+};
+
+// Feeds `rows` to a fresh operator and snapshots it right after its
+// `cleaning_at`-th group-removing cleaning phase (0: none), right after its
+// first window boundary, and right after row `mid_row` (0: none). Checks
+// every snapshot against its frozen digest, restores it into a fresh
+// operator, and requires byte-identical re-serialization and the run's
+// remaining output.
+void ExpectFrozenSnapshots(const CompiledQuery& cq,
+                           const std::vector<Tuple>& rows, size_t cleaning_at,
+                           size_t mid_row, const char* cleaning_digest,
+                           const char* boundary_digest,
+                           const char* mid_digest) {
+  SamplingOperator a(cq.sampling);
+  std::vector<TakenSnapshot> taken;
+  auto take = [&](const char* what, size_t next_row) {
+    TakenSnapshot s;
+    s.what = what;
+    s.next_row = next_row;
+    s.rows_emitted = a.output_size();
+    ByteWriter w;
+    a.SerializeDurableState(w);
+    s.bytes = w.Release();
+    taken.push_back(std::move(s));
+  };
+  size_t cleanings = 0;
+  bool boundary_taken = false;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const size_t windows_before = a.window_stats().size();
+    const size_t groups_before = a.num_groups();
+    ASSERT_TRUE(a.Process(rows[i]).ok()) << "row " << i;
+    if (a.window_stats().size() != windows_before) {
+      if (!boundary_taken) take("boundary", i + 1);
+      boundary_taken = true;
+    } else if (a.num_groups() < groups_before && ++cleanings == cleaning_at) {
+      take("cleaning", i + 1);
+    }
+    if (mid_row != 0 && i + 1 == mid_row) take("mid-window", i + 1);
+  }
+  ASSERT_TRUE(a.FinishStream().ok());
+  const std::vector<std::string> all_rows = RowsAsStrings(a.DrainOutput());
+
+  std::vector<std::pair<std::string, const char*>> want;
+  if (cleaning_at != 0) want.emplace_back("cleaning", cleaning_digest);
+  want.emplace_back("boundary", boundary_digest);
+  if (mid_row != 0) want.emplace_back("mid-window", mid_digest);
+  for (const auto& [what, digest] : want) {
+    auto it = std::find_if(taken.begin(), taken.end(),
+                           [&](const TakenSnapshot& s) {
+                             return s.what == what;
+                           });
+    ASSERT_NE(it, taken.end()) << "no " << what << " snapshot was taken";
+    EXPECT_EQ(SnapshotDigest(it->bytes), digest) << what;
+
+    SamplingOperator b(cq.sampling);
+    ByteReader r(it->bytes);
+    ASSERT_TRUE(b.RestoreDurableState(r)) << what;
+    EXPECT_EQ(r.remaining(), 0u) << what;
+    ByteWriter again;
+    b.SerializeDurableState(again);
+    EXPECT_EQ(again.data(), it->bytes) << what << ": re-serialization";
+    for (size_t i = it->next_row; i < rows.size(); ++i) {
+      ASSERT_TRUE(b.Process(rows[i]).ok()) << what << " row " << i;
+    }
+    ASSERT_TRUE(b.FinishStream().ok());
+    const std::vector<std::string> tail(
+        all_rows.begin() + static_cast<ptrdiff_t>(it->rows_emitted),
+        all_rows.end());
+    EXPECT_EQ(RowsAsStrings(b.DrainOutput()), tail) << what;
+  }
+}
+
+// Every `stride`-th packet of `trace`, as PKTS tuples.
+std::vector<Tuple> TraceSlice(const Trace& trace, size_t stride) {
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < trace.size(); i += stride) {
+    rows.push_back(PacketToTuple(trace.at(i)));
+  }
+  return rows;
+}
+
+TEST(OperatorCheckpointTest, SnapshotBytesMatchFrozenDigests) {
+  // Snapshots carry window_seq_, which a STREAMOP_NO_STATS build does not
+  // count, so that build writes other (equally valid) bytes.
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
+  // (a) replay_agg's query over a data-center slice: no cleaning, so a
+  // mid-window snapshot pins a full group table.
+  {
+    SCOPED_TRACE("replay_agg");
+    auto cq = CompileQuery(
+        "SELECT tb, srcIP, count(*), sum(len) FROM PKT "
+        "GROUP BY time/5 as tb, srcIP",
+        Catalog::Default(), {.seed = 1});
+    ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+    const std::vector<Tuple> rows =
+        TraceSlice(TraceGenerator::MakeDataCenterFeed(7.0, 1), 40);
+    ExpectFrozenSnapshots(*cq, rows, 0, rows.size() * 7 / 10, nullptr,
+                          "6a9694d437b30e65", "16a13797387f11a6");
+  }
+  // (b) the paper's subset-sum query with one sampler per source, at a
+  // target of one sample: by its 40th group-removing cleaning phase the
+  // open window has re-created a removed group and emptied the membership
+  // lists of several supergroups.
+  {
+    SCOPED_TRACE("subset_sum");
+    auto cq = CompileQuery(R"(
+        SELECT tb, srcIP, destIP, UMAX(sum(len), ssthreshold())
+        FROM PKTS
+        WHERE ssample(len, 1, 2, 1) = TRUE
+        GROUP BY time/2 as tb, srcIP, destIP
+        SUPERGROUP BY tb, srcIP
+        HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
+        CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
+        CLEANING BY ssclean_with(sum(len)) = TRUE
+    )",
+                           Catalog::Default(), {.seed = 5});
+    ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+    const std::vector<Tuple> rows =
+        TraceSlice(TraceGenerator::MakeResearchFeed(5.0, 11), 4);
+    ExpectFrozenSnapshots(*cq, rows, 40, 0, "e07e4a13e5bc1c71",
+                          "2ed7319f7099da40", nullptr);
+  }
+  // (c) integration_test's min-hash query: kth_smallest$ per source, with
+  // CLEANING, over three sources and two window boundaries.
+  {
+    SCOPED_TRACE("min_hash");
+    auto cq = CompileQuery(R"(
+        SELECT tb, srcIP, HX
+        FROM TCP
+        WHERE HX <= Kth_smallest_value$(HX, 100)
+        GROUP BY time/60 as tb, srcIP, H(destIP) as HX
+        SUPERGROUP BY tb, srcIP
+        HAVING HX <= Kth_smallest_value$(HX, 100)
+        CLEANING WHEN count_distinct$(*) >= 150
+        CLEANING BY HX <= Kth_smallest_value$(HX, 100)
+    )",
+                           Catalog::Default(), {.seed = 3});
+    ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+    std::vector<PacketRecord> packets;
+    Pcg64 rng(47);
+    for (int i = 0; i < 9000; ++i) {
+      PacketRecord p{};
+      p.ts_ns = static_cast<uint64_t>(i) * 14000000ULL;  // 126 s in all
+      p.src_ip = 0x0a000001 + static_cast<uint32_t>(rng.NextBounded(3));
+      p.dst_ip = 0xc0a80000 + static_cast<uint32_t>(rng.NextBounded(1000));
+      p.len = 100;
+      p.proto = kProtoTcp;
+      packets.push_back(p);
+    }
+    const std::vector<Tuple> rows = TraceSlice(Trace(std::move(packets)), 1);
+    ExpectFrozenSnapshots(*cq, rows, 5, 0, "409c75e2617bade4",
+                          "9aadb437eda99710", nullptr);
+  }
+  // (d) string keys, string extrema and a GK quantile sketch.
+  {
+    SCOPED_TRACE("strings_and_quantile");
+    auto cq = CompileQuery(
+        "SELECT tb, sip, count(*), min(IPSTR(destIP)), max(IPSTR(destIP)), "
+        "quantile(len, 0.9) FROM PKTS "
+        "GROUP BY time/20 as tb, IPSTR(srcIP) as sip",
+        Catalog::Default(), {.seed = 9});
+    ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+    const std::vector<Tuple> rows =
+        TraceSlice(TraceGenerator::MakeResearchFeed(33.0, 13), 40);
+    ExpectFrozenSnapshots(*cq, rows, 0, rows.size() * 5 / 6, nullptr,
+                          "bfb67cdceb67c016", "acea97e0cae049c0");
+  }
 }
 
 // --- Checkpoint manager: framing, corruption, retention ------------------

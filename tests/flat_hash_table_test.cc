@@ -1,6 +1,7 @@
 // FlatHashTable: insert/find/erase round-trips, backward-shift deletion
-// correctness under churn, growth across rehashes, and the
-// erase-while-iterating pattern RunCleaningPhase / LossyCounting::Prune /
+// correctness under churn, growth across rehashes, the hashed
+// find/insert pair behind the operator's group index, and the
+// erase-while-iterating pattern LossyCounting::Prune /
 // DistinctSampler::RaiseLevel rely on. Every scenario is cross-checked
 // against std::unordered_map as the reference model.
 
@@ -14,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "tuple/tuple.h"
 #include "tuple/value.h"
 
@@ -138,7 +140,9 @@ TEST(FlatHashTableTest, RandomChurnMatchesUnorderedMap) {
         auto it = t.find(key);
         auto rit = ref.find(key);
         ASSERT_EQ(it == t.end(), rit == ref.end()) << key;
-        if (rit != ref.end()) EXPECT_EQ(it->second, rit->second);
+        if (rit != ref.end()) {
+          EXPECT_EQ(it->second, rit->second);
+        }
         break;
       }
     }
@@ -155,8 +159,90 @@ TEST(FlatHashTableTest, RandomChurnMatchesUnorderedMap) {
   EXPECT_EQ(seen, ref.size());
 }
 
+// A table that cannot hash its keys: the call operator is deleted, so any
+// table method that would hash a key fails to compile.
+struct NeverHash {
+  size_t operator()(uint32_t) const = delete;
+};
+
+TEST(FlatHashTableTest, HashedInsertChurnMatchesUnorderedMap) {
+  // The operator's group index: keys are handles into storage the caller
+  // owns (here `stored`), found with find_hashed and a predicate on the
+  // stored key, inserted with insert_hashed after a miss, and erased by
+  // iterator. The hash folds 4,096 keys onto 1,024 values, so equal
+  // hashes with different keys are common.
+  struct NoValue {};
+  FlatHashTable<uint32_t, NoValue, NeverHash> t;
+  std::vector<uint64_t> stored;         // handle -> key
+  std::vector<uint32_t> free_handles;   // recycled handles
+  std::unordered_map<uint64_t, uint32_t> ref;  // key -> handle
+  auto hash_of = [](uint64_t key) { return Mix64(key % 1024); };
+  auto find = [&](uint64_t key) {
+    return t.find_hashed(hash_of(key),
+                         [&](uint32_t h) { return stored[h] == key; });
+  };
+  std::mt19937_64 rng(777);
+  for (int step = 0; step < 200000; ++step) {
+    const uint64_t key = rng() % 4096;
+    auto it = find(key);
+    auto rit = ref.find(key);
+    ASSERT_EQ(it == t.end(), rit == ref.end()) << key;
+    if (it != t.end()) {
+      ASSERT_EQ(it->first, rit->second) << key;
+    }
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+      case 2:
+        if (it == t.end()) {
+          uint32_t handle;
+          if (free_handles.empty()) {
+            handle = static_cast<uint32_t>(stored.size());
+            stored.push_back(key);
+          } else {
+            handle = free_handles.back();
+            free_handles.pop_back();
+            stored[handle] = key;
+          }
+          auto ins = t.insert_hashed(hash_of(key), handle);
+          EXPECT_EQ(ins->first, handle);
+          ref.emplace(key, handle);
+        }
+        break;
+      case 3:
+      case 4:
+        if (it != t.end()) {
+          free_handles.push_back(it->first);
+          t.erase(it);
+          ref.erase(rit);
+        }
+        break;
+      case 5:
+        if (step % 1000 == 5) t.reserve(t.size() * 4);  // forced rehash
+        break;
+      default:
+        break;  // lookup only
+    }
+    ASSERT_EQ(t.size(), ref.size());
+  }
+  // Full sweep at the end: every surviving handle, and nothing else.
+  size_t seen = 0;
+  for (const auto& [handle, unused] : t) {
+    auto rit = ref.find(stored[handle]);
+    ASSERT_NE(rit, ref.end()) << handle;
+    EXPECT_EQ(rit->second, handle);
+    ++seen;
+  }
+  EXPECT_EQ(seen, ref.size());
+  for (const auto& [key, handle] : ref) {
+    auto it = find(key);
+    ASSERT_NE(it, t.end()) << key;
+    EXPECT_EQ(it->first, handle);
+  }
+}
+
 TEST(FlatHashTableTest, EraseWhileIteratingVisitsEverySurvivor) {
-  // The RunCleaningPhase / Prune pattern: sweep the table, erasing entries
+  // The Prune / RaiseLevel pattern: sweep the table, erasing entries
   // that fail a predicate. The predicate is idempotent (depends only on the
   // key), so the flat table's possible double-visit on array wrap is
   // harmless; what must hold is that no entry is skipped.

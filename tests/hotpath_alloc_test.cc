@@ -263,6 +263,100 @@ TEST(HotPathAllocTest, BatchedInstrumentedSteadyStateAllocatesNothing) {
             0u);
 }
 
+// A window close frees nothing and allocates only its output rows. After a
+// warm-up window, one more window of 4,096 groups is created and then
+// closed by the next window's first lane: that may allocate once per
+// emitted row, plus 64 for the per-window bookkeeping (window stats, the
+// supergroup entry, the drained output vector's growth). Group records,
+// index slots and membership entries come from storage the warm-up window
+// left behind.
+struct WindowCloseCount {
+  uint64_t allocations = 0;
+  size_t rows = 0;
+  WindowStats stats;  // of the measured window
+};
+
+WindowCloseCount WindowCloseAllocations(const std::string& sql) {
+  Catalog catalog = Catalog::Default();
+  Result<CompiledQuery> cq = CompileQuery(sql, catalog, {.seed = 3});
+  EXPECT_TRUE(cq.ok()) << cq.status().ToString();
+  SamplingOperator op(cq->sampling);
+  constexpr size_t kGroups = 4096;
+  constexpr size_t kRows = 512;
+  // Per window: a one-row batch holding its first lane (the one that
+  // closes the window before it), then 16 full batches in which every
+  // group gets two tuples.
+  auto lane = [](uint64_t window, size_t j) {
+    PacketRecord p{};
+    p.ts_ns = (100 + 20 * window) * 1000000000ULL + j;
+    p.src_ip = 0x0a000000U + static_cast<uint32_t>(j % kGroups);
+    p.dst_ip = 0xc0a80001U;
+    p.proto = 6;
+    p.len = static_cast<uint16_t>(40 + (j * 97) % 1460);
+    return p;
+  };
+  std::vector<TupleBatch> openers;
+  std::vector<std::vector<TupleBatch>> bodies(3);
+  for (uint64_t w = 0; w < 3; ++w) {
+    openers.emplace_back(8, 1);
+    openers.back().AppendPacket(lane(w, 0));
+    for (size_t i = 1; i < 2 * kGroups; i += kRows) {
+      TupleBatch& b = bodies[w].emplace_back(8, kRows);
+      for (size_t j = i; j < i + kRows && j < 2 * kGroups; ++j) {
+        b.AppendPacket(lane(w, j));
+      }
+    }
+  }
+  auto run = [&](const TupleBatch& b) {
+    Status s = op.ProcessBatch(b);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  };
+  // Warm-up: window 0 is filled and closed by window 1's first lane.
+  run(openers[0]);
+  for (const TupleBatch& b : bodies[0]) run(b);
+  run(openers[1]);
+  EXPECT_EQ(op.DrainOutput().size(), op.window_stats()[0].tuples_output);
+
+  WindowCloseCount count;
+  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (const TupleBatch& b : bodies[1]) run(b);
+  run(openers[2]);
+  uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  count.allocations = after - before;
+  count.rows = op.output_size();
+  EXPECT_EQ(op.window_stats().size(), 2u);
+  if (op.window_stats().size() == 2) count.stats = op.window_stats()[1];
+  return count;
+}
+
+TEST(HotPathAllocTest, WindowCloseAllocatesOnlyOutputRows) {
+  // replay_agg's query.
+  const WindowCloseCount c = WindowCloseAllocations(
+      "SELECT tb, srcIP, count(*), sum(len) FROM PKT "
+      "GROUP BY time/5 as tb, srcIP");
+  EXPECT_EQ(c.stats.groups_created, 4096u);
+  EXPECT_EQ(c.rows, 4096u);
+  EXPECT_LE(c.allocations, c.rows + 64) << c.rows << " rows emitted";
+}
+
+TEST(HotPathAllocTest, SamplingWindowCloseWithCleaningAllocatesOnlyOutputRows) {
+  // The subset-sum shape at a target low enough that cleaning phases fire
+  // while the window fills.
+  const WindowCloseCount c = WindowCloseAllocations(R"(
+      SELECT tb, srcIP, destIP, UMAX(sum(len), ssthreshold())
+      FROM PKTS
+      WHERE ssample(len, 500, 2, 10, 0.5) = TRUE
+      GROUP BY time/20 as tb, srcIP, destIP
+      HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
+      CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
+      CLEANING BY ssclean_with(sum(len)) = TRUE
+  )");
+  EXPECT_GT(c.stats.cleaning_phases, 0u);
+  EXPECT_GT(c.stats.groups_removed, 0u);
+  EXPECT_GT(c.rows, 0u);
+  EXPECT_LE(c.allocations, c.rows + 64) << c.rows << " rows emitted";
+}
+
 // Refilling a reused batch from packets (the runtime's drive loop) must
 // also be allocation-free once the batch owns its capacity.
 TEST(HotPathAllocTest, BatchRefillFromPacketsAllocatesNothing) {

@@ -822,7 +822,9 @@ TEST(DistinctSamplingE2E, QueryPathMatchesLibraryPath) {
   // Occurrence counts agree too.
   for (const auto& [e, c] : lib.sample()) {
     auto it = query_counts.find(e);
-    if (it != query_counts.end()) EXPECT_EQ(it->second, c);
+    if (it != query_counts.end()) {
+      EXPECT_EQ(it->second, c);
+    }
   }
 }
 

@@ -4,11 +4,19 @@
 // plus the superaggregate state machine in isolation.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <memory>
+#include <vector>
 
 #include "core/sampling_operator.h"
 #include "core/sfun_subset_sum.h"
 #include "core/superagg.h"
 #include "expr/stateful.h"
+#include "net/packet.h"
+#include "query/query.h"
+#include "rss_probe.h"
+#include "tuple/tuple_batch.h"
 
 namespace streamop {
 namespace {
@@ -407,13 +415,63 @@ TEST(SamplingOperatorTest, NoGroupByOrderedMeansSingleWindow) {
   EXPECT_EQ(op.window_stats().size(), 1u);
 }
 
+// ---------- Group-state footprint ----------
+
+// What one live group costs in resident memory: an operator holding 65,536
+// groups of replay_agg's high query (two key values, count and sum)
+// commits at most 256 B for each, its record, index slot and membership
+// entry included. The input batches are built before the probe, so only
+// the operator is measured.
+TEST(OperatorFootprintTest, LiveGroupsCommitAtMost256BytesEach) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer's shadow memory, redzones and quarantine "
+                  "add to every allocation; the bound is for the allocator "
+                  "the operator ships with";
+#endif
+  auto cq = CompileQuery(
+      "SELECT tb, srcIP, count(*), sum(len) FROM PKT "
+      "GROUP BY time/5 as tb, srcIP",
+      Catalog::Default(), {.seed = 1});
+  ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+  constexpr size_t kGroups = 65536;
+  constexpr size_t kRows = 512;
+  std::vector<TupleBatch> batches;
+  for (size_t i = 0; i < kGroups; i += kRows) {
+    TupleBatch& b = batches.emplace_back(8, kRows);
+    for (size_t j = i; j < i + kRows; ++j) {
+      PacketRecord p{};
+      p.ts_ns = 100ULL * 1000000000ULL;
+      p.src_ip = 0x0a000000U + static_cast<uint32_t>(j);
+      p.dst_ip = 0xc0a80001U;
+      p.proto = kProtoTcp;
+      p.len = static_cast<uint16_t>(40 + j % 1460);
+      b.AppendPacket(p);
+    }
+  }
+  const int64_t growth = testing_rss::ChildRssGrowthBytes([&] {
+    auto op = std::make_unique<SamplingOperator>(cq->sampling);
+    for (const TupleBatch& b : batches) {
+      if (!op->ProcessBatch(b).ok()) _exit(3);
+    }
+    if (op->num_groups() != kGroups) _exit(4);  // a probe of nothing
+    return op;
+  });
+  ASSERT_GE(growth, 0) << "RSS probe child failed";
+  const double per_group =
+      static_cast<double>(growth) / static_cast<double>(kGroups);
+  RecordProperty("bytes_per_group", std::to_string(per_group));
+  EXPECT_LE(per_group, 256.0)
+      << kGroups << " live groups committed " << growth << " bytes";
+}
+
 // ---------- SuperAggState in isolation ----------
 
 TEST(SuperAggStateTest, CountDistinctAddRemove) {
   SuperAggSpec spec;
   spec.kind = SuperAggKind::kCountDistinct;
   SuperAggState st(&spec);
-  GroupKey g1({Value::UInt(1)}), g2({Value::UInt(2)});
+  const Value g1[] = {Value::UInt(1)};
+  const Value g2[] = {Value::UInt(2)};
   st.OnGroupCreated(g1);
   st.OnGroupCreated(g2);
   EXPECT_EQ(st.Final(), Value::UInt(2));
@@ -431,14 +489,16 @@ TEST(SuperAggStateTest, KthSmallestWithDuplicatesAndRemoval) {
   spec.k = 2;
   SuperAggState st(&spec);
   EXPECT_EQ(st.Final(), Value::UInt(UINT64_MAX));  // below k: everything passes
-  st.OnGroupCreated(GroupKey({Value::UInt(5)}));
-  st.OnGroupCreated(GroupKey({Value::UInt(5)}));  // duplicate value
+  const Value k5[] = {Value::UInt(5)};
+  const Value k3[] = {Value::UInt(3)};
+  st.OnGroupCreated(k5);
+  st.OnGroupCreated(k5);  // duplicate value
   EXPECT_EQ(st.Final(), Value::UInt(5));
-  st.OnGroupCreated(GroupKey({Value::UInt(3)}));
+  st.OnGroupCreated(k3);
   EXPECT_EQ(st.Final(), Value::UInt(5));  // 2nd smallest of {3,5,5}
-  st.OnGroupRemoved(GroupKey({Value::UInt(5)}), Value::Null());
+  st.OnGroupRemoved(k5, Value::Null());
   EXPECT_EQ(st.Final(), Value::UInt(5));  // {3,5}
-  st.OnGroupRemoved(GroupKey({Value::UInt(5)}), Value::Null());
+  st.OnGroupRemoved(k5, Value::Null());
   EXPECT_EQ(st.Final(), Value::UInt(UINT64_MAX));  // {3}: below k again
 }
 
@@ -451,7 +511,7 @@ TEST(SuperAggStateTest, FirstIsInsensitiveToRemoval) {
   st.OnTuple(Value::UInt(9));
   st.OnTuple(Value::UInt(5));
   EXPECT_EQ(st.Final(), Value::UInt(9));
-  st.OnGroupRemoved(GroupKey(std::vector<Value>{}), Value::UInt(9));
+  st.OnGroupRemoved({}, Value::UInt(9));  // a group with an empty key
   EXPECT_EQ(st.Final(), Value::UInt(9));
 }
 
@@ -462,11 +522,14 @@ TEST(SuperAggStateTest, KthLargestWithRemoval) {
   spec.k = 2;
   SuperAggState st(&spec);
   EXPECT_EQ(st.Final(), Value::UInt(0));  // below k: nothing excluded
-  st.OnGroupCreated(GroupKey({Value::Double(5.0)}));
-  st.OnGroupCreated(GroupKey({Value::Double(9.0)}));
-  st.OnGroupCreated(GroupKey({Value::Double(7.0)}));
+  const Value k5[] = {Value::Double(5.0)};
+  const Value k9[] = {Value::Double(9.0)};
+  const Value k7[] = {Value::Double(7.0)};
+  st.OnGroupCreated(k5);
+  st.OnGroupCreated(k9);
+  st.OnGroupCreated(k7);
   EXPECT_EQ(st.Final(), Value::Double(7.0));  // 2nd largest of {5,7,9}
-  st.OnGroupRemoved(GroupKey({Value::Double(9.0)}), Value::Null());
+  st.OnGroupRemoved(k9, Value::Null());
   EXPECT_EQ(st.Final(), Value::Double(5.0));  // {5,7}
 }
 

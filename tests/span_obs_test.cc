@@ -248,7 +248,9 @@ TEST(ExemplarStoreTest, LatencyBandsAreMonotonic) {
   const uint64_t probe = 123456;
   const uint32_t band = ExemplarStore::LatencyBand(probe);
   EXPECT_LE(probe, ExemplarStore::LatencyBandUpperNs(band));
-  if (band > 0) EXPECT_GT(probe, ExemplarStore::LatencyBandUpperNs(band - 1));
+  if (band > 0) {
+    EXPECT_GT(probe, ExemplarStore::LatencyBandUpperNs(band - 1));
+  }
 }
 
 TEST(ExemplarStoreTest, DisabledStoreDropsOffers) {
