@@ -1,5 +1,5 @@
 // Micro-benchmarks for the observability layer (src/obs): the primitive
-// record costs (counter add, histogram record, trace-ring event) and the
+// record costs (counter add, histogram record, span emit) and the
 // tentpole's overhead criterion — the sampling operator's steady-state
 // ns/tuple with full instrumentation attached vs detached. run_bench.sh
 // computes the instrumented/uninstrumented ratio and embeds it in
@@ -26,7 +26,6 @@
 #include "obs/quality.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
-#include "obs/trace_ring.h"
 
 namespace streamop {
 namespace {
@@ -75,30 +74,34 @@ void BM_NowNanos(benchmark::State& state) {
 }
 BENCHMARK(BM_NowNanos);
 
-void BM_TraceRingRecord(benchmark::State& state) {
-  obs::TraceRing ring(8192);
-  ring.set_enabled(true);
-  uint64_t ts = 0;
+// A clean span as the operator emits it: parent, window, timing and z.
+void EmitSpans(benchmark::State& state, obs::SpanRing& ring) {
+  obs::SpanRecord r;
+  r.name = "clean";
+  r.parent_id = 1;
+  r.window_seq = 1;
+  r.dur_ns = 10;
+  r.z = 20.1;
   for (auto _ : state) {
-    ring.Record("bench_event", ts, 10);
-    ts += 100;
+    ring.Emit(r);
+    r.ts_ns += 100;
   }
-  benchmark::DoNotOptimize(ring.events_recorded());
+  benchmark::DoNotOptimize(ring.spans_recorded());
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TraceRingRecord);
 
-void BM_TraceRingDisabled(benchmark::State& state) {
-  obs::TraceRing ring(8192);  // disabled: one relaxed bool load per call
-  uint64_t ts = 0;
-  for (auto _ : state) {
-    ring.Record("bench_event", ts, 10);
-    ts += 100;
-  }
-  benchmark::DoNotOptimize(ring.events_recorded());
-  state.SetItemsProcessed(state.iterations());
+void BM_SpanRingEmit(benchmark::State& state) {
+  obs::SpanRing ring(4096);
+  ring.set_enabled(true);
+  EmitSpans(state, ring);
 }
-BENCHMARK(BM_TraceRingDisabled);
+BENCHMARK(BM_SpanRingEmit);
+
+void BM_SpanRingEmitDisabled(benchmark::State& state) {
+  obs::SpanRing ring(4096);  // disabled: one relaxed bool load per call
+  EmitSpans(state, ring);
+}
+BENCHMARK(BM_SpanRingEmitDisabled);
 
 // ---------- operator steady state: instrumented vs uninstrumented ----------
 
@@ -154,14 +157,14 @@ struct SteadyStateRig {
     }
     op.emplace((*cq)->sampling);
     if (instrumented) {
-      // The full third pillar rides in the instrumented leg: metrics, span
-      // emission, phase-cycle accounting, the live SIGPROF stack sampler and
-      // exemplar reservoirs — the ratio prices everything production runs.
+      // The full third pillar rides in the instrumented leg: metrics (and
+      // with them the phase totals), span emission, the live SIGPROF stack
+      // sampler and exemplar reservoirs — the ratio prices everything
+      // production runs.
       op->set_metrics(obs::OperatorMetrics::Create(
           obs::MetricRegistry::Default(), "micro_obs"));
       spans.set_enabled(true);
       op->set_span_ring(&spans);
-      profiler.set_phase_accounting(true);
       (void)profiler.Start();  // busy slot (another instance): run unsampled
       op->set_profiler(&profiler);
       exemplars.set_enabled(true);
@@ -462,7 +465,6 @@ void RunWindowedSteadyState(benchmark::State& state, bool full_obs) {
     ring.set_enabled(true);
     spans.set_enabled(true);
     op.set_span_ring(&spans);
-    profiler.set_phase_accounting(true);
     (void)profiler.Start();  // busy slot (another instance): run unsampled
     op.set_profiler(&profiler);
     exemplars.set_enabled(true);
@@ -483,9 +485,9 @@ void RunWindowedSteadyState(benchmark::State& state, bool full_obs) {
     poller = std::thread([port, &stop, this_ok = &http_ok] {
       // Scrape every endpoint round-robin at a cadence far above any real
       // scraper's (Prometheus defaults to 15s intervals).
-      const char* kPaths[] = {"/metrics", "/metrics.json",  "/traces",
-                              "/spans",   "/profile?format=phases",
-                              "/exemplars", "/windows",     "/healthz"};
+      const char* kPaths[] = {"/metrics", "/metrics.json", "/spans",
+                              "/profile?format=phases", "/exemplars",
+                              "/windows", "/healthz"};
       constexpr size_t kNumPaths = sizeof(kPaths) / sizeof(kPaths[0]);
       size_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
@@ -556,7 +558,7 @@ void RunWindowedSteadyState(benchmark::State& state, bool full_obs) {
     // endpoint answers against the still-live operator state. Blocking in
     // HttpGet yields the CPU to the serving thread.
     for (const char* path :
-         {"/metrics", "/metrics.json", "/traces", "/spans",
+         {"/metrics", "/metrics.json", "/spans",
           "/spans?format=chrome", "/profile?seconds=2",
           "/profile?format=phases", "/exemplars", "/windows", "/healthz"}) {
       for (int attempt = 0; attempt < 3; ++attempt) {

@@ -9,15 +9,12 @@
 // Feeds: research (bursty 0.7k-15k pkt/s), datacenter (steady 100k pkt/s),
 // ddos (flow-structured with a single-packet-flow flood).
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,7 +30,6 @@
 #include "obs/profiler.h"
 #include "obs/quality.h"
 #include "obs/span.h"
-#include "obs/trace_ring.h"
 #include "query/query.h"
 #include "stream/fault_injection.h"
 #include "stream/pcap_reader.h"
@@ -60,25 +56,22 @@ void Usage(const char* argv0) {
       "  --metrics-json <path> write a JSON metrics snapshot after the run\n"
       "  --metrics-prom <path> write Prometheus text exposition after the "
       "run\n"
-      "  --trace-json <path>   write chrome://tracing JSON (window flushes,\n"
-      "                        cleaning phases, subset-sum z adjustments)\n"
       "  --quality-json <path> write per-window sample-quality reports\n"
       "                        (error bounds, CIs) as JSON after the run\n"
       "  --spans-json <path>   write window-lifecycle spans (ring drain ->\n"
-      "                        select -> admission -> flush trees) as JSON\n"
+      "                        select -> admission -> clean -> flush trees,\n"
+      "                        with the subset-sum threshold z) as JSON\n"
       "  --exemplars-json <path>  write reservoir-sampled telemetry\n"
       "                        exemplars (latency bands, shed/late/malformed)\n"
       "  --profile-folded <path>  run the SIGPROF sampler during the run and\n"
       "                        write folded stacks (pipe to flamegraph.pl)\n"
       "  --profile-hz <n>      sampler rate for --profile-folded / /profile\n"
       "                        (default 97)\n"
-      "  --http-port <n>       serve /metrics, /metrics.json, /traces,\n"
-      "                        /spans, /profile, /exemplars, /windows,\n"
-      "                        /healthz on loopback (0 = ephemeral)\n"
+      "  --http-port <n>       serve /metrics, /metrics.json, /spans,\n"
+      "                        /profile, /exemplars, /windows, /healthz on\n"
+      "                        loopback (0 = ephemeral)\n"
       "  --serve-ms <n>        keep the HTTP server up for n ms after the\n"
       "                        run finishes (for scraping; default 0)\n"
-      "  --metrics-interval-ms <n>  rewrite --metrics-json/--metrics-prom\n"
-      "                        files every n ms during the run\n"
       "  --shed                run threaded with adaptive load shedding and\n"
       "                        print a degradation summary\n"
       "  --shed-high-watermark <f>  occupancy above which p decreases "
@@ -142,7 +135,6 @@ struct Args {
   bool stats = false;
   std::string metrics_json;
   std::string metrics_prom;
-  std::string trace_json;
   std::string quality_json;
   std::string spans_json;
   std::string exemplars_json;
@@ -150,7 +142,6 @@ struct Args {
   int profile_hz = 0;  // 0 = default rate (97 Hz)
   int http_port = -1;  // -1 = off, 0 = ephemeral
   uint64_t serve_ms = 0;
-  uint64_t metrics_interval_ms = 0;
   bool shed = false;
   double shed_high_watermark = 0.75;
   double shed_low_watermark = 0.40;
@@ -239,10 +230,6 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       const char* v = next();
       if (v == nullptr) return false;
       out->metrics_prom = v;
-    } else if (a == "--trace-json") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->trace_json = v;
     } else if (a == "--quality-json") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -271,10 +258,6 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       const char* v = next();
       if (v == nullptr) return false;
       out->serve_ms = std::strtoull(v, nullptr, 10);
-    } else if (a == "--metrics-interval-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out->metrics_interval_ms = std::strtoull(v, nullptr, 10);
     } else if (a == "--shed") {
       out->shed = true;
     } else if (a == "--shed-high-watermark") {
@@ -399,69 +382,6 @@ bool WriteFile(const std::string& path, const std::string& contents,
   return true;
 }
 
-// Rewrites the --metrics-json / --metrics-prom files every interval while a
-// run executes, so long runs are observable from the filesystem without
-// waiting for the final snapshot. Inert when the interval is 0 or neither
-// path was given; the destructor stops the refresh thread.
-class MetricsFileRefresher {
- public:
-  MetricsFileRefresher(obs::MetricRegistry& registry, std::string json_path,
-                       std::string prom_path, uint64_t interval_ms)
-      : registry_(registry),
-        json_path_(std::move(json_path)),
-        prom_path_(std::move(prom_path)),
-        interval_ms_(interval_ms) {
-    if (interval_ms_ == 0 || (json_path_.empty() && prom_path_.empty())) {
-      return;
-    }
-    thread_ = std::thread([this] { Loop(); });
-  }
-
-  ~MetricsFileRefresher() {
-    if (!thread_.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
- private:
-  void Loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-      if (cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
-                       [this] { return stop_; })) {
-        break;
-      }
-      lock.unlock();
-      WriteOnce();
-      lock.lock();
-    }
-  }
-
-  void WriteOnce() {
-    if (!json_path_.empty()) {
-      std::ofstream out(json_path_);
-      if (out) out << registry_.ToJson();
-    }
-    if (!prom_path_.empty()) {
-      std::ofstream out(prom_path_);
-      if (out) out << registry_.ToPrometheus();
-    }
-  }
-
-  obs::MetricRegistry& registry_;
-  std::string json_path_;
-  std::string prom_path_;
-  uint64_t interval_ms_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -565,13 +485,10 @@ int main(int argc, char** argv) {
 
   // Metrics land in the process-wide default registry so operator-internal
   // instrumentation (e.g. subset-sum z adjustments) shows up in the same
-  // snapshot. Tracing and quality reporting are off unless a sink (file or
+  // snapshot. Spans and quality reporting are off unless a sink (file or
   // HTTP endpoint) was requested.
   obs::MetricRegistry& registry = obs::MetricRegistry::Default();
   const bool want_http = args.http_port >= 0;
-  if (!args.trace_json.empty() || want_http) {
-    obs::TraceRing::Default().set_enabled(true);
-  }
   if (!args.quality_json.empty() || want_http) {
     obs::QualityRing::Default().set_enabled(true);
   }
@@ -581,9 +498,9 @@ int main(int argc, char** argv) {
   if (!args.exemplars_json.empty() || want_http) {
     obs::ExemplarStore::Default().set_enabled(true);
   }
-  // The sampling profiler + phase-cycle accounting: started when a folded
-  // export or explicit rate was requested, and whenever the introspection
-  // server is up (so /profile answers live). SIGPROF fires on consumed CPU
+  // The sampling profiler: started when a folded export or explicit rate
+  // was requested, and whenever the introspection server is up (so
+  // /profile answers live; its phase totals tick with the metrics). SIGPROF fires on consumed CPU
   // time and touches nothing the query reads, so results stay
   // byte-identical with it running.
   obs::Profiler& profiler = obs::Profiler::Default();
@@ -591,7 +508,6 @@ int main(int argc, char** argv) {
       !args.profile_folded.empty() || args.profile_hz > 0 || want_http;
   if (want_profile) {
     profiler.set_hz(args.profile_hz);
-    profiler.set_phase_accounting(true);
     Status ps = profiler.Start();
     if (!ps.ok()) {
       std::fprintf(stderr, "profiler: %s\n", ps.ToString().c_str());
@@ -625,11 +541,6 @@ int main(int argc, char** argv) {
     if (!args.metrics_prom.empty()) {
       io_ok &= WriteFile(args.metrics_prom, registry.ToPrometheus(),
                          "Prometheus metrics");
-    }
-    if (!args.trace_json.empty()) {
-      io_ok &= WriteFile(args.trace_json,
-                         obs::TraceRing::Default().ToChromeTraceJson(),
-                         "trace JSON");
     }
     if (!args.quality_json.empty()) {
       io_ok &= WriteFile(args.quality_json,
@@ -710,17 +621,11 @@ int main(int argc, char** argv) {
       }
     }
     Result<RunReport> report = Status::Internal("run not started");
-    {
-      MetricsFileRefresher refresher(registry, args.metrics_json,
-                                     args.metrics_prom,
-                                     args.metrics_interval_ms);
-      if (source != nullptr) {
-        std::fprintf(stderr, "ingesting from %s\n",
-                     source->describe().c_str());
-        report = rt.RunSource(*source);
-      } else {
-        report = rt.RunThreaded(trace);
-      }
+    if (source != nullptr) {
+      std::fprintf(stderr, "ingesting from %s\n", source->describe().c_str());
+      report = rt.RunSource(*source);
+    } else {
+      report = rt.RunThreaded(trace);
     }
     const RunReport& r = report.ok() ? *report : rt.last_report();
     if (!report.ok()) {
@@ -815,13 +720,8 @@ int main(int argc, char** argv) {
                      server->port());
       }
     }
-    Result<SingleRunResult> run = Status::Internal("run not started");
-    {
-      MetricsFileRefresher refresher(registry, args.metrics_json,
-                                     args.metrics_prom,
-                                     args.metrics_interval_ms);
-      run = RunQueryOverTrace(*cq, trace, "query", &registry);
-    }
+    Result<SingleRunResult> run =
+        RunQueryOverTrace(*cq, trace, "query", &registry);
     if (!run.ok()) {
       std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
       return 1;
@@ -829,6 +729,10 @@ int main(int argc, char** argv) {
     print_rows(run->output);
     std::fprintf(stderr, "%zu row(s); %.2f%% CPU at stream rate\n",
                  run->output.size(), run->report.cpu_percent);
+    if (run->packets_malformed > 0) {
+      std::fprintf(stderr, "malformed=%llu records rejected\n",
+                   static_cast<unsigned long long>(run->packets_malformed));
+    }
 
     if (args.stats) {
       for (size_t w = 0; w < run->windows.size(); ++w) {

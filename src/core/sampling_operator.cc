@@ -369,16 +369,19 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
   const size_t num_rows = batch.num_rows();
   if (num_rows == 0) return Status::OK();
 
-  // Span/profiler context for this batch. The shed probability comes from
-  // the caller's SpanContext when threaded (the runtime knows the post-tick
+  // Observability context for this batch. Each phase is timed by one
+  // clock read at its start and one at its end, shared by its span, its
+  // histogram and the profiler's phase totals; nothing is read when
+  // neither metrics nor spans are on. The shed probability comes from the
+  // caller's SpanContext when threaded (the runtime knows the post-tick
   // admission probability); a bare weighted call reconstructs it as 1/w.
+  const bool obs_on = metrics_.enabled();
   const bool span_on = span_ring_->enabled();
-  const bool prof_on = profiler_->phase_accounting_enabled();
+  const bool timed = obs_on || span_on;
   const double batch_shed_p =
       span_ctx != nullptr ? span_ctx->shed_p
                           : (weight > 1.0 ? 1.0 / weight : 1.0);
-  const uint64_t sel_t0 = span_on ? obs::NowNanos() : 0;
-  const uint64_t sel_c0 = prof_on ? obs::CycleNow() : 0;
+  const uint64_t sel_t0 = timed ? obs::NowNanos() : 0;
 
   // ---- Columnar precompute (side-effect-free) -------------------------
   // Everything here is a pure function of the batch. A clause whose column
@@ -475,22 +478,17 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
                    &superagg_arg_cols_[s], &superagg_arg_ptrs_[s]);
   }
 
-  // Precompute done: close the batch-select phase (the span is emitted at
-  // batch end once the window it fed is known).
-  const uint64_t sel_dur = span_on ? obs::NowNanos() - sel_t0 : 0;
-  if (prof_on) {
-    profiler_->AddPhaseCycles(obs::Profiler::kBatchSelect,
-                              obs::CycleNow() - sel_c0);
-  }
+  // Precompute done: one clock read closes the batch-select phase and
+  // opens admission (the select span is emitted at batch end once the
+  // window it fed is known).
+  const uint64_t adm_t0 = timed ? obs::NowNanos() : 0;
+  const uint64_t sel_ns = adm_t0 - sel_t0;
+  if (obs_on) profiler_->AddPhaseNs(obs::Profiler::kBatchSelect, sel_ns);
 
   // ---- Per-lane loop ---------------------------------------------------
   // Observability is batched: one clock read pair and one pending-counter
   // flush per batch instead of per tuple.
-  const bool obs_on = metrics_.enabled();
-  const uint64_t batch_t0 = obs_on ? obs::NowNanos() : 0;
-  const uint64_t adm_t0 = span_on ? (obs_on ? batch_t0 : obs::NowNanos()) : 0;
-  const uint64_t adm_c0 = prof_on ? obs::CycleNow() : 0;
-  uint64_t clean_cycles = 0;  // nested cleaning, subtracted from admission
+  uint64_t clean_ns = 0;  // nested cleaning, subtracted from admission
   uint64_t inline_lanes = 0;
 
   // Consecutive lanes overwhelmingly share a supergroup; cache the last
@@ -764,25 +762,19 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
       if (cv.AsBool()) {
         ++live_stats_.cleaning_phases;
         // Cleaning phases are rare (a handful per window), so each one is
-        // timed fully, traced, and emitted as a child span of the window.
-        const bool tracing = trace_ring_->enabled();
-        const uint64_t t0 =
-            (obs_on || tracing || span_on) ? obs::NowNanos() : 0;
-        const uint64_t c0 = prof_on ? obs::CycleNow() : 0;
+        // timed and emitted as a child span of the window, carrying the
+        // threshold the phase cleaned at.
+        const uint64_t t0 = timed ? obs::NowNanos() : 0;
         STREAMOP_RETURN_NOT_OK(RunCleaningPhase(*sg));
         finals_sg = nullptr;  // cleaning removes groups / resets SFUN state
-        if (prof_on) {
-          const uint64_t cc = obs::CycleNow() - c0;
-          clean_cycles += cc;
-          profiler_->AddPhaseCycles(obs::Profiler::kClean, cc);
-        }
-        if (obs_on || tracing || span_on) {
+        if (timed) {
           const uint64_t dur = obs::NowNanos() - t0;
+          clean_ns += dur;
           if (obs_on) {
             metrics_.cleaning_phases->Add();
             metrics_.cleaning_ns->Record(dur);
+            profiler_->AddPhaseNs(obs::Profiler::kClean, dur);
           }
-          if (tracing) trace_ring_->Record("cleaning_phase", t0, dur);
           if (span_on) {
             obs::SpanRecord sr;
             sr.name = "clean";
@@ -791,6 +783,7 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
             sr.ts_ns = t0;
             sr.dur_ns = dur;
             sr.max_weight = live_max_weight_;
+            sr.z = SupergroupZ(*sg);
             span_ring_->Emit(sr);
           }
         }
@@ -798,20 +791,24 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
     }
   }
 
+  const uint64_t adm_ns = timed ? obs::NowNanos() - adm_t0 : 0;
   if (obs_on) {
     pending_tuples_ += inline_lanes;
     pending_admitted_ += batch_admitted;
     pending_superagg_updates_ += batch_superagg_updates;
+    // Admission covers the lane loop minus the cleaning phases nested in
+    // it (those are already accounted to kClean).
+    profiler_->AddPhaseNs(obs::Profiler::kAdmission,
+                          adm_ns > clean_ns ? adm_ns - clean_ns : 0);
     if (inline_lanes > 0) {
-      const uint64_t per_lane_ns =
-          (obs::NowNanos() - batch_t0) / inline_lanes;
+      const uint64_t per_lane_ns = adm_ns / inline_lanes;
       metrics_.admission_ns->Record(per_lane_ns);
       if constexpr (obs::kStatsEnabled) {
         // Latency exemplar: the batch's mean per-lane admission latency,
         // with lane/admitted counts as context — one offer per batch.
         if (exemplars_->enabled()) {
           obs::Exemplar ex;
-          ex.ts_ns = batch_t0;
+          ex.ts_ns = adm_t0;
           ex.weight = weight;
           ex.window_seq = window_seq_;
           ex.dims[0] = inline_lanes;
@@ -823,13 +820,6 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
     }
     FlushPendingMetrics();
   }
-  if (prof_on) {
-    // Admission covers the lane loop minus the cleaning phases nested in
-    // it (those are already accounted to kClean).
-    const uint64_t total = obs::CycleNow() - adm_c0;
-    profiler_->AddPhaseCycles(obs::Profiler::kAdmission,
-                              total > clean_cycles ? total - clean_cycles : 0);
-  }
   if (span_on) {
     // Both batch-level spans parent under the last window this batch fed
     // (a batch straddling a boundary attributes to the window it ended in).
@@ -838,7 +828,7 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
     sel.parent_id = window_span_id_;
     sel.window_seq = window_seq_;
     sel.ts_ns = sel_t0;
-    sel.dur_ns = sel_dur;
+    sel.dur_ns = sel_ns;
     sel.rows = num_rows;
     sel.shed_p = batch_shed_p;
     span_ring_->Emit(sel);
@@ -847,7 +837,7 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
     adm.parent_id = window_span_id_;
     adm.window_seq = window_seq_;
     adm.ts_ns = adm_t0;
-    adm.dur_ns = obs::NowNanos() - adm_t0;
+    adm.dur_ns = adm_ns;
     adm.rows = inline_lanes;
     adm.admitted = batch_admitted;
     adm.shed_p = batch_shed_p;
@@ -939,18 +929,15 @@ void SamplingOperator::FlushPendingMetrics() {
 }
 
 Status SamplingOperator::FlushWindow() {
-  // Window flushes are per-window, not per-tuple: time every one and trace
-  // it as a complete event. Pending per-tuple counts are drained first so
-  // the registry is exact at every window boundary.
+  // Window flushes are per-window, not per-tuple: time every one and emit
+  // it as a span. Pending per-tuple counts are drained first so the
+  // registry is exact at every window boundary.
   FlushPendingMetrics();
   const bool obs_on = metrics_.enabled();
-  const bool tracing = trace_ring_->enabled();
   const bool span_on = span_ring_->enabled();
-  const bool prof_on = profiler_->phase_accounting_enabled();
-  const uint64_t flush_t0 =
-      (obs_on || tracing || span_on) ? obs::NowNanos() : 0;
-  const uint64_t flush_c0 = prof_on ? obs::CycleNow() : 0;
-  uint64_t quality_cycles = 0;  // nested below, subtracted from kFlush
+  const bool timed = obs_on || span_on;
+  const uint64_t flush_t0 = timed ? obs::NowNanos() : 0;
+  uint64_t quality_ns = 0;  // nested below, subtracted from kFlush
   if (obs_on && group_index_.capacity() > 0) {
     // Load factor of the group index as the window closes, before HAVING
     // prunes groups and the table swap clears it.
@@ -1018,6 +1005,14 @@ Status SamplingOperator::FlushWindow() {
 
   window_stats_.push_back(live_stats_);
 
+  // The window's largest threshold, after ssfinal_clean's final adjustment.
+  double flush_z = 0.0;
+  if (span_on) {
+    for (const auto& [sk, sg] : new_supergroups_) {
+      flush_z = std::max(flush_z, SupergroupZ(sg));
+    }
+  }
+
   if (obs_on) {
     metrics_.windows->Add();
     metrics_.rows_out->Add(live_stats_.tuples_output);
@@ -1027,20 +1022,17 @@ Status SamplingOperator::FlushWindow() {
   // swap below while the supergroup states and membership are still live.
   if constexpr (obs::kStatsEnabled) {
     if (quality_ring_ != nullptr && quality_ring_->enabled()) {
-      const uint64_t q_t0 = span_on ? obs::NowNanos() : 0;
-      const uint64_t q_c0 = prof_on ? obs::CycleNow() : 0;
+      const uint64_t q_t0 = timed ? obs::NowNanos() : 0;
       RecordWindowQuality();
-      if (prof_on) {
-        quality_cycles = obs::CycleNow() - q_c0;
-        profiler_->AddPhaseCycles(obs::Profiler::kQuality, quality_cycles);
-      }
+      if (timed) quality_ns = obs::NowNanos() - q_t0;
+      if (obs_on) profiler_->AddPhaseNs(obs::Profiler::kQuality, quality_ns);
       if (span_on) {
         obs::SpanRecord qr;
         qr.name = "quality_report";
         qr.parent_id = window_span_id_;
         qr.window_seq = window_seq_;
         qr.ts_ns = q_t0;
-        qr.dur_ns = obs::NowNanos() - q_t0;
+        qr.dur_ns = quality_ns;
         qr.rows = window_stats_.back().groups_output;
         qr.max_weight = live_max_weight_;
         span_ring_->Emit(qr);
@@ -1064,17 +1056,14 @@ Status SamplingOperator::FlushWindow() {
   group_index_.reserve(static_cast<size_t>(expected_groups));
   new_supergroups_.reserve(expected_supergroups);
 
-  if (prof_on) {
-    const uint64_t total = obs::CycleNow() - flush_c0;
-    profiler_->AddPhaseCycles(
-        obs::Profiler::kFlush,
-        total > quality_cycles ? total - quality_cycles : 0);
-  }
-  if (obs_on || tracing || span_on) {
+  if (timed) {
     const uint64_t now = obs::NowNanos();
     const uint64_t dur = now - flush_t0;
-    if (obs_on) metrics_.flush_ns->Record(dur);
-    if (tracing) trace_ring_->Record("window_flush", flush_t0, dur);
+    if (obs_on) {
+      metrics_.flush_ns->Record(dur);
+      profiler_->AddPhaseNs(obs::Profiler::kFlush,
+                            dur > quality_ns ? dur - quality_ns : 0);
+    }
     if (span_on) {
       const WindowStats& ws = window_stats_.back();
       obs::SpanRecord fr;
@@ -1085,6 +1074,7 @@ Status SamplingOperator::FlushWindow() {
       fr.dur_ns = dur;
       fr.rows = ws.tuples_output;
       fr.max_weight = live_max_weight_;
+      fr.z = flush_z;
       span_ring_->Emit(fr);
       // The window root goes in last, covering open -> end of flush. Its id
       // was reserved at open, so every phase span above already points at
@@ -1233,6 +1223,19 @@ void SamplingOperator::RecordWindowQuality() {
   }
 
   quality_ring_->Push(std::move(rep));
+}
+
+double SamplingOperator::SupergroupZ(const SupergroupEntry& sg) {
+  double z = 0.0;
+  for (size_t i = 0; i < sg.states.size(); ++i) {
+    const SfunStateDef* def = plan_->sfun_states[i];
+    if (def->quality == nullptr) continue;
+    span_quality_.threshold_z = 0.0;
+    if (def->quality(sg.states[i], obs::QualityContext(), &span_quality_)) {
+      z = std::max(z, span_quality_.threshold_z);
+    }
+  }
+  return z;
 }
 
 Status SamplingOperator::FinishStream() {

@@ -35,7 +35,6 @@
 #include "obs/profiler.h"
 #include "obs/quality.h"
 #include "obs/span.h"
-#include "obs/trace_ring.h"
 #include "expr/aggregate.h"
 #include "expr/expr.h"
 #include "expr/program.h"
@@ -169,9 +168,6 @@ class SamplingOperator {
   /// (registry-owned metrics do). Default: uninstrumented, zero overhead.
   void set_metrics(const obs::OperatorMetrics& metrics) { metrics_ = metrics; }
 
-  /// Redirects trace events (default: the process-wide obs::TraceRing).
-  void set_trace_ring(obs::TraceRing* ring) { trace_ring_ = ring; }
-
   /// Targets per-window quality reports at `ring`, labeled with
   /// `node_name`. Default: the process-wide obs::QualityRing (reports are
   /// only built while the target ring is enabled; see obs/quality.h).
@@ -185,7 +181,8 @@ class SamplingOperator {
     if (ring != nullptr) span_ring_ = ring;
   }
 
-  /// Redirects phase-cycle accounting (default: obs::Profiler::Default()).
+  /// Redirects phase totals (default: obs::Profiler::Default()). They
+  /// accumulate only while metrics are attached (set_metrics).
   void set_profiler(obs::Profiler* profiler) {
     if (profiler != nullptr) profiler_ = profiler;
   }
@@ -375,6 +372,11 @@ class SamplingOperator {
   // membership are still live) and pushes it into quality_ring_.
   void RecordWindowQuality();
 
+  // The largest threshold z any SFUN state of `sg` reports through its
+  // quality hook (0 when none has one), for the clean and flush spans.
+  // Reuses span_quality_, so it allocates only on its first call.
+  double SupergroupZ(const SupergroupEntry& sg);
+
   void DestroySupergroupStates(SupergroupTable& table);
 
   // Checkpoint helpers: one supergroup entry (superaggs + SFUN blobs) and
@@ -486,7 +488,6 @@ class SamplingOperator {
   // batch and at window boundaries — an atomic RMW per tuple would alone
   // blow the <=2% overhead budget.
   obs::OperatorMetrics metrics_;
-  obs::TraceRing* trace_ring_ = &obs::TraceRing::Default();
   // Per-window sample-quality reporting (obs/quality.h). live_max_weight_
   // tracks the largest Horvitz–Thompson weight of the open window — one
   // double compare per tuple; the report itself is window-boundary work
@@ -494,12 +495,14 @@ class SamplingOperator {
   obs::QualityRing* quality_ring_ = &obs::QualityRing::Default();
   // Window-lifecycle spans (obs/span.h): the root span's id is allocated at
   // window open — OpenWindowSpan() — so mid-window phase spans can parent
-  // under it; the root itself is emitted last, at flush. Phase-cycle
-  // accounting and exemplar offers ride the existing per-batch /
-  // window-boundary instrumentation points, never per-tuple ones.
+  // under it; the root itself is emitted last, at flush. Each phase is
+  // timed by one NowNanos() pair whose duration feeds its span, its
+  // histogram and the profiler's phase totals; those and the exemplar
+  // offers ride per-batch / window-boundary points, never per-tuple ones.
   obs::SpanRing* span_ring_ = &obs::SpanRing::Default();
   obs::Profiler* profiler_ = &obs::Profiler::Default();
   obs::ExemplarStore* exemplars_ = &obs::ExemplarStore::Default();
+  obs::EstimatorQuality span_quality_;  // SupergroupZ's reused output
   void OpenWindowSpan();
   uint64_t window_seq_ = 0;         // windows ever opened (1-based)
   uint64_t window_span_id_ = 0;     // root span id of the open window

@@ -6,7 +6,6 @@
 #include "common/hash.h"
 #include "expr/stateful.h"
 #include "obs/metrics.h"
-#include "obs/trace_ring.h"
 #include "tuple/value.h"
 
 namespace streamop {
@@ -15,17 +14,14 @@ namespace {
 
 constexpr double kMinZ = 1e-6;
 
-// Observability hook for threshold adjustments: an instant trace event
-// carrying the new z (visible in the chrome-trace timeline between
-// cleaning phases) plus a process-wide counter. SFUN packages have no
-// per-operator channel, so both go to the process defaults.
-void TraceZAdjust(const char* site, double z_new) {
+// Counts threshold adjustments in the process-wide registry (SFUN packages
+// have no per-operator channel). The new z itself reaches the operator's
+// "clean" and "flush" spans through SubsetSumQuality below.
+void CountZAdjust() {
   if constexpr (obs::kStatsEnabled) {
     static obs::Counter* adjusts = obs::MetricRegistry::Default().GetCounter(
         "streamop_sfun_z_adjustments_total");
     adjusts->Add();
-    obs::TraceRing& ring = obs::TraceRing::Default();
-    if (ring.enabled()) ring.Instant(site, obs::NowNanos(), "z", z_new);
   }
 }
 
@@ -148,7 +144,7 @@ Value SsDoClean(void* state, const Value* args, size_t nargs) {
   s->admit.ResetCounter();
   s->large_count = 0;  // re-counted by ssclean_with over survivors
   ++s->cleanings_this_window;
-  TraceZAdjust("ss_z_adjust_cleaning", z_new);
+  CountZAdjust();
   return Value::Bool(true);
 }
 
@@ -190,7 +186,7 @@ Value SsFinalClean(void* state, const Value* args, size_t nargs) {
       s->large_count = 0;
       ++s->cleanings_this_window;
       s->final_pass_through = false;
-      TraceZAdjust("ss_z_adjust_final", z_new);
+      CountZAdjust();
     }
   }
   if (s->final_pass_through) return Value::Bool(true);

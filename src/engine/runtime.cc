@@ -20,8 +20,9 @@ namespace {
 using obs::NowNanos;
 
 // A packet whose length is below the 20-byte IPv4 header minimum is
-// malformed (fault injection truncates below this); the drive loop rejects
-// it on arrival instead of feeding garbage to the query nodes.
+// malformed (fault injection truncates below this); the drive loop and the
+// single-node loop both reject it on arrival instead of feeding garbage to
+// the query nodes.
 constexpr uint16_t kMinPacketLen = 20;
 
 // Producer backoff ladder: this many plain yields before sleeping, then
@@ -701,11 +702,9 @@ Result<RunReport> TwoLevelRuntime::Drive(ResumableSource& source,
     // so the pipeline keeps turning while the wire is quiet.
     if (n > 0 || rr == ResumableSource::ReadResult::kIdle) {
       obs::SpanRing& spans = obs::SpanRing::Default();
-      obs::Profiler& prof = obs::Profiler::Default();
       const bool span_on = spans.enabled();
-      const bool prof_on = prof.phase_accounting_enabled();
+      const bool obs_on = low_->metrics().enabled();
       const uint64_t t0 = NowNanos();
-      const uint64_t drain_c0 = prof_on ? obs::CycleNow() : 0;
       const double weight = shed != nullptr ? shed->weight() : 1.0;
       if (delivered == 0 && n > 0) first_ts = records[0].ts_ns;
       batch.Clear();
@@ -724,10 +723,11 @@ Result<RunReport> TwoLevelRuntime::Drive(ResumableSource& source,
         batch.AppendPacket(p);  // weight is constant across the batch
       }
       delivered += n;
-      const uint64_t drain_end = span_on ? NowNanos() : 0;
-      if (prof_on) {
-        prof.AddPhaseCycles(obs::Profiler::kDrain,
-                            obs::CycleNow() - drain_c0);
+      // One clock read ends the drain phase for its span and its total.
+      const uint64_t drain_end = (obs_on || span_on) ? NowNanos() : 0;
+      if (obs_on) {
+        obs::Profiler::Default().AddPhaseNs(obs::Profiler::kDrain,
+                                            drain_end - t0);
       }
       // Causal context: rows drained go down; the id of the window span the
       // batch fed comes back up through the sampling operator, so the drain
@@ -875,11 +875,19 @@ Result<SingleRunResult> RunQueryOverTrace(const CompiledQuery& query,
   std::vector<PacketRecord> records(kBatch);
   TupleBatch batch(node.input_width(), kBatch);
   size_t n = 0;
+  uint64_t malformed = 0;
   while (source.Read(records.data(), kBatch, &n) ==
          ResumableSource::ReadResult::kRecords) {
     const uint64_t t0 = NowNanos();
     batch.Clear();
-    for (size_t i = 0; i < n; ++i) batch.AppendPacket(records[i]);
+    for (size_t i = 0; i < n; ++i) {
+      if (records[i].len < kMinPacketLen) {
+        ++malformed;
+        OfferMalformedExemplar(records[i]);
+        continue;
+      }
+      batch.AppendPacket(records[i]);
+    }
     STREAMOP_RETURN_NOT_OK(node.PushBatch(batch));
     const uint64_t batch_ns = NowNanos() - t0;
     node.AddCpuNanos(batch_ns);
@@ -891,6 +899,7 @@ Result<SingleRunResult> RunQueryOverTrace(const CompiledQuery& query,
 
   SingleRunResult out;
   out.report = MakeReport(node, trace.DurationSec());
+  out.packets_malformed = malformed;
   out.output = node.DrainOutput();
   out.windows = node.window_stats();
   return out;

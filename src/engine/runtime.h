@@ -163,7 +163,7 @@ struct RuntimeOptions {
   /// Embedded introspection server (obs/http_server.h): -1 disables it,
   /// 0 binds an ephemeral port (read back via http_server()->port()), any
   /// other value binds that port on loopback. The server starts with the
-  /// runtime, serves /metrics, /metrics.json, /traces, /windows and
+  /// runtime, serves /metrics, /metrics.json, /spans, /windows and
   /// /healthz while runs execute, and stops with the runtime's destructor.
   int http_port = -1;
 
@@ -381,10 +381,13 @@ class TwoLevelRuntime {
 };
 
 /// Single-node convenience: run one query over a trace and report stats.
-/// The trace is read from a TraceSource in batches, as Run() reads it, and
-/// batch-latency metrics land in `registry` (nullptr = default registry).
+/// The trace is read from a TraceSource in batches, as Run() reads it;
+/// records below the 20-byte IP header are rejected and counted, as Run()
+/// does, and batch-latency metrics land in `registry` (nullptr = default
+/// registry).
 struct SingleRunResult {
   NodeReport report;
+  uint64_t packets_malformed = 0;
   std::vector<Tuple> output;
   std::vector<WindowStats> windows;
 };

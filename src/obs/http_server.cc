@@ -71,7 +71,7 @@ std::string JsonError(int status, const char* reason, const char* message,
 std::string NotFound() {
   return JsonError(404, "Not Found", "not found",
                    "\"endpoints\": [\"/metrics\", \"/metrics.json\", "
-                   "\"/traces\", \"/spans\", \"/spans/window/{seq}\", "
+                   "\"/spans\", \"/spans/window/{seq}\", "
                    "\"/profile\", \"/exemplars\", \"/windows\", "
                    "\"/timeseries\", \"/alerts\", \"/forensics\", "
                    "\"/dashboard\", \"/healthz\"]");
@@ -207,7 +207,6 @@ tick();setInterval(tick,2000);
 HttpServer::HttpServer(HttpServerOptions options)
     : options_(std::move(options)) {
   if (options_.registry == nullptr) options_.registry = &MetricRegistry::Default();
-  if (options_.trace_ring == nullptr) options_.trace_ring = &TraceRing::Default();
   if (options_.quality_ring == nullptr) {
     options_.quality_ring = &QualityRing::Default();
   }
@@ -367,10 +366,6 @@ std::string HttpServer::HandleRequest(std::string_view head) {
   if (target == "/metrics.json") {
     return MakeResponse(200, "OK", "application/json",
                         options_.registry->ToJson());
-  }
-  if (target == "/traces") {
-    return MakeResponse(200, "OK", "application/json",
-                        options_.trace_ring->ToChromeTraceJson());
   }
   if (target == "/spans") {
     return MakeResponse(200, "OK", "application/json",

@@ -4,13 +4,12 @@
 //
 //   GET /metrics             Prometheus text exposition (MetricRegistry)
 //   GET /metrics.json        the same registry as JSON
-//   GET /traces              chrome://tracing JSON from the TraceRing
 //   GET /spans               window-lifecycle spans from the SpanRing
 //                            (?format=chrome for chrome://tracing JSON)
 //   GET /spans/window/{seq}  spans of one window lifecycle
 //   GET /profile             folded-stack flamegraph text from the sampling
 //                            profiler (?seconds=N limits the lookback;
-//                            ?format=phases for phase-cycle JSON)
+//                            ?format=phases for phase totals in ns)
 //   GET /exemplars           reservoir-sampled telemetry exemplars
 //   GET /windows             recent WindowQualityReports (QualityRing)
 //   GET /timeseries          series list; ?metric=&range= for point data
@@ -62,7 +61,6 @@
 #include "obs/quality.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
-#include "obs/trace_ring.h"
 
 namespace streamop {
 namespace obs {
@@ -78,7 +76,6 @@ struct HttpServerOptions {
 
   // Data sources; null falls back to the process-wide defaults.
   MetricRegistry* registry = nullptr;
-  TraceRing* trace_ring = nullptr;
   QualityRing* quality_ring = nullptr;
   SpanRing* span_ring = nullptr;
   Profiler* profiler = nullptr;

@@ -238,11 +238,11 @@ std::string Profiler::PhasesJson() const {
                 options_.hz,
                 static_cast<unsigned long long>(samples_recorded()));
   out += buf;
-  out += ", \"phase_cycles\": {";
+  out += ", \"phase_ns\": {";
   for (uint32_t p = 0; p < kNumPhases; ++p) {
     std::snprintf(buf, sizeof(buf), "%s\"%s\": %llu", p > 0 ? ", " : "",
                   PhaseName(p),
-                  static_cast<unsigned long long>(phase_cycles(p)));
+                  static_cast<unsigned long long>(phase_ns(p)));
     out += buf;
   }
   out += "}}\n";

@@ -1,5 +1,5 @@
 // Always-on sampling profiler: a SIGPROF timer-signal stack sampler plus
-// per-phase cycle accounting for the operator's hot loop.
+// per-phase time totals for the pipeline's hot loop.
 //
 //  * Stack sampler: setitimer(ITIMER_PROF) delivers SIGPROF every 1/hz
 //    seconds of consumed CPU time; the handler claims a fixed slot with one
@@ -11,12 +11,14 @@
 //    Folded(seconds) renders the samples of the last N seconds as
 //    flamegraph.pl-compatible folded-stack text ("frame;frame;frame
 //    count"), served at GET /profile?seconds=N.
-//  * Phase cycles: the operator reads the TSC around each hot-loop phase
-//    (batch select, admission, cleaning, flush, quality report) and
-//    accumulates the deltas in plain per-operator pending fields, flushed
-//    into this class's relaxed atomics once per batch — the same flush
-//    discipline the pending metric counters use, so the steady state pays
-//    two rdtsc reads per 512-tuple batch and no per-tuple work.
+//  * Phase totals: the runtime (ring drain) and the operator (batch select,
+//    admission, cleaning, flush, quality report) add each phase's duration
+//    in nanoseconds, read from the same NowNanos() pair that times the
+//    phase's span and histogram, into this class's relaxed atomics — one
+//    add per phase per batch, never per tuple. Nested cleaning comes out
+//    of admission and the quality report out of flush (a window flush a
+//    batch triggers still counts in admission as well). Totals accumulate
+//    whenever the caller's metrics are on.
 //
 // Overhead: at the default 97 Hz a sample costs ~1-2us of handler time, or
 // well under 0.1% of CPU — the profiler stays inside the observability
@@ -24,7 +26,7 @@
 // measures exactly this). At most one profiler is active per process (the
 // signal handler needs a process-wide target).
 //
-// STREAMOP_NO_STATS compiles the sampler and the cycle accounting out:
+// STREAMOP_NO_STATS compiles the sampler and the phase totals out:
 // Start() becomes a no-op, record sites constant-fold away, and the signal
 // handler is not even compiled into the library (CI asserts the symbol is
 // absent from NO_STATS builds).
@@ -43,23 +45,6 @@
 
 namespace streamop {
 namespace obs {
-
-/// TSC read for phase accounting: ~20 cycles on x86, far cheaper than a
-/// clock_gettime vsyscall. Falls back to NowNanos() where no counter
-/// register is available (the units are then nanoseconds, still additive).
-inline uint64_t CycleNow() {
-#if defined(__x86_64__) || defined(__i386__)
-  uint32_t lo, hi;
-  __asm__ __volatile__("rdtsc" : "=a"(lo), "=d"(hi));
-  return (static_cast<uint64_t>(hi) << 32) | lo;
-#elif defined(__aarch64__)
-  uint64_t v;
-  __asm__ __volatile__("mrs %0, cntvct_el0" : "=r"(v));
-  return v;
-#else
-  return NowNanos();
-#endif
-}
 
 class Profiler {
  public:
@@ -115,24 +100,17 @@ class Profiler {
     return seq_.load(std::memory_order_relaxed);
   }
 
-  /// Phase-cycle accounting. Enabled independently of the stack sampler
-  /// (the operator checks phase_accounting_enabled() once per batch).
-  void set_phase_accounting(bool on) {
-    phase_accounting_.store(on, std::memory_order_relaxed);
-  }
-  bool phase_accounting_enabled() const {
-    return kStatsEnabled && phase_accounting_.load(std::memory_order_relaxed);
-  }
-  void AddPhaseCycles(uint32_t phase, uint64_t cycles) {
+  /// Phase totals in nanoseconds, independent of the stack sampler.
+  void AddPhaseNs(uint32_t phase, uint64_t ns) {
     if constexpr (kStatsEnabled) {
-      if (phase < kNumPhases && cycles > 0) {
-        phase_cycles_[phase].fetch_add(cycles, std::memory_order_relaxed);
+      if (phase < kNumPhases && ns > 0) {
+        phase_ns_[phase].fetch_add(ns, std::memory_order_relaxed);
       }
     }
   }
-  uint64_t phase_cycles(uint32_t phase) const {
+  uint64_t phase_ns(uint32_t phase) const {
     return phase < kNumPhases
-               ? phase_cycles_[phase].load(std::memory_order_relaxed)
+               ? phase_ns_[phase].load(std::memory_order_relaxed)
                : 0;
   }
 
@@ -143,7 +121,7 @@ class Profiler {
   /// as "module+0xoff".
   std::string Folded(uint64_t seconds) const;
 
-  /// Phase-cycle totals + sampler state as JSON (GET /profile?format=phases).
+  /// Phase totals + sampler state as JSON (GET /profile?format=phases).
   std::string PhasesJson() const;
 
   /// Called by the signal handler; public only for that reason.
@@ -162,7 +140,6 @@ class Profiler {
 
   Options options_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> phase_accounting_{false};
   std::atomic<uint64_t> seq_{0};
   // The sample ring: allocated by the first Start() and kept until
   // destruction, so samples stay readable after Stop(). `slots_` owns it;
@@ -170,7 +147,7 @@ class Profiler {
   // means never started (reads as empty).
   std::unique_ptr<Sample[]> slots_;
   std::atomic<Sample*> ring_{nullptr};
-  std::atomic<uint64_t> phase_cycles_[kNumPhases] = {};
+  std::atomic<uint64_t> phase_ns_[kNumPhases] = {};
 };
 
 }  // namespace obs

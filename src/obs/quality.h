@@ -91,7 +91,7 @@ struct WindowQualityReport {
 /// the per-tuple path ever touches this class.
 class QualityRing {
  public:
-  /// Process-wide default ring (leaked singleton, like TraceRing).
+  /// Process-wide default ring (leaked singleton, like SpanRing).
   static QualityRing& Default();
 
   explicit QualityRing(size_t capacity = 512);

@@ -10,13 +10,13 @@ namespace {
 
 // Shared row formatter for the flat JSON exports.
 void AppendSpanJson(std::string* out, const SpanRecord& s) {
-  char buf[384];
+  char buf[512];
   std::snprintf(
       buf, sizeof(buf),
       "{\"name\": \"%s\", \"span_id\": %llu, \"parent_id\": %llu, "
       "\"window_seq\": %llu, \"ts_ns\": %llu, \"dur_ns\": %llu, "
       "\"rows\": %llu, \"admitted\": %llu, \"shed_p\": %.6g, "
-      "\"max_weight\": %.6g}",
+      "\"max_weight\": %.6g, \"z\": %.17g}",
       s.name != nullptr ? s.name : "?",
       static_cast<unsigned long long>(s.span_id),
       static_cast<unsigned long long>(s.parent_id),
@@ -24,7 +24,8 @@ void AppendSpanJson(std::string* out, const SpanRecord& s) {
       static_cast<unsigned long long>(s.ts_ns),
       static_cast<unsigned long long>(s.dur_ns),
       static_cast<unsigned long long>(s.rows),
-      static_cast<unsigned long long>(s.admitted), s.shed_p, s.max_weight);
+      static_cast<unsigned long long>(s.admitted), s.shed_p, s.max_weight,
+      s.z);
   *out += buf;
 }
 
@@ -60,6 +61,7 @@ std::vector<SpanRecord> SpanRing::Snapshot() const {
     r.admitted = s.admitted.load(std::memory_order_relaxed);
     r.shed_p = s.shed_p.load(std::memory_order_relaxed);
     r.max_weight = s.max_weight.load(std::memory_order_relaxed);
+    r.z = s.z.load(std::memory_order_relaxed);
     if (r.name == nullptr) continue;  // torn with a concurrent first write
     out.push_back(r);
   }
@@ -75,7 +77,7 @@ std::string SpanRing::ToChromeTraceJson() const {
   std::vector<SpanRecord> spans = Snapshot();
   const uint64_t base = spans.empty() ? 0 : spans.front().ts_ns;
   std::string out = "{\"traceEvents\": [";
-  char buf[512];
+  char buf[640];
   for (size_t i = 0; i < spans.size(); ++i) {
     const SpanRecord& s = spans[i];
     if (i > 0) out += ",";
@@ -84,14 +86,16 @@ std::string SpanRing::ToChromeTraceJson() const {
         "\n {\"name\": \"%s\", \"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, "
         "\"pid\": 1, \"tid\": 1, \"args\": {\"span_id\": %llu, "
         "\"parent_id\": %llu, \"window_seq\": %llu, \"rows\": %llu, "
-        "\"admitted\": %llu, \"shed_p\": %.6g, \"max_weight\": %.6g}}",
+        "\"admitted\": %llu, \"shed_p\": %.6g, \"max_weight\": %.6g, "
+        "\"z\": %.17g}}",
         s.name, static_cast<double>(s.ts_ns - base) / 1000.0,
         static_cast<double>(s.dur_ns) / 1000.0,
         static_cast<unsigned long long>(s.span_id),
         static_cast<unsigned long long>(s.parent_id),
         static_cast<unsigned long long>(s.window_seq),
         static_cast<unsigned long long>(s.rows),
-        static_cast<unsigned long long>(s.admitted), s.shed_p, s.max_weight);
+        static_cast<unsigned long long>(s.admitted), s.shed_p, s.max_weight,
+        s.z);
     out += buf;
   }
   out += "\n]}\n";

@@ -1,10 +1,11 @@
-// Causal window-lifecycle spans: the third observability pillar next to the
-// metric registry (counters/gauges/histograms) and the per-window quality
-// reports. Where the TraceRing records flat events, the SpanRing stitches
-// each window's lifecycle — ring drain → batch select → admission → clean →
-// flush → quality report — into a parent/child tree rooted at one "window"
-// span per closed window, carrying the batch counts, shed probability and
-// Horvitz–Thompson weight context the phases ran under.
+// Causal window-lifecycle spans: the one event record of the observability
+// layer, next to the metric registry (counters/gauges/histograms) and the
+// per-window quality reports. The SpanRing stitches each window's
+// lifecycle — ring drain → batch select → admission → clean → flush →
+// quality report — into a parent/child tree rooted at one "window" span per
+// closed window, carrying the batch counts, shed probability,
+// Horvitz–Thompson weight and subset-sum threshold context the phases ran
+// under.
 //
 // Span model:
 //  * Every span has a process-unique id (relaxed atomic counter) and a
@@ -19,16 +20,20 @@
 //    through the SpanContext it threads through QueryNode::PushBatch →
 //    SamplingOperator::ProcessBatch (context propagation, not guesswork).
 //  * Window-level spans ("clean", "flush", "quality_report") are children
-//    of the window span directly.
+//    of the window span directly. A "clean" span carries the cleaned
+//    supergroup's threshold z after the phase, a "flush" span the window's
+//    largest z after the final adjustment (0 = no threshold sampler).
 //
-// Cost discipline matches the TraceRing: disabled, a record site is one
-// relaxed bool load; enabled, Emit() claims a slot with one relaxed
-// fetch_add and writes fixed-size fields in place — no allocation, oldest
-// spans overwritten. Slot fields are individually atomic (relaxed) so a
-// concurrent /spans export never races the writer; a snapshot taken
-// mid-write may see a torn span (documented, tolerated by the exporters).
-// STREAMOP_NO_STATS folds every record site away; the export surface stays
-// (serving empty rings), mirroring the HTTP server's contract.
+// Each phase reads the clock once at its start and once at its end; the
+// same duration feeds the span, the phase's histogram and the profiler's
+// phase totals. Disabled, a record site is one relaxed bool load; enabled,
+// Emit() claims a slot with one relaxed fetch_add and writes fixed-size
+// fields in place — no allocation, oldest spans overwritten. Slot fields
+// are individually atomic (relaxed) so a concurrent /spans export never
+// races the writer; a snapshot taken mid-write may see a torn span
+// (documented, tolerated by the exporters). STREAMOP_NO_STATS folds every
+// record site away; the export surface stays (serving empty rings),
+// mirroring the HTTP server's contract.
 
 #ifndef STREAMOP_OBS_SPAN_H_
 #define STREAMOP_OBS_SPAN_H_
@@ -59,6 +64,7 @@ struct SpanRecord {
   uint64_t admitted = 0;    // lanes admitted past WHERE (admission spans)
   double shed_p = 1.0;      // upstream Bernoulli admission probability
   double max_weight = 1.0;  // largest HT weight seen in scope
+  double z = 0.0;           // subset-sum threshold (clean/flush; 0 = none)
 };
 
 /// Per-batch causal context threaded by the runtime through
@@ -76,7 +82,7 @@ struct SpanContext {
 
 class SpanRing {
  public:
-  /// Process-wide default ring, the span analogue of TraceRing::Default().
+  /// Process-wide default ring, shared by the operator and the runtime.
   static SpanRing& Default();
 
   explicit SpanRing(size_t capacity = 4096);
@@ -117,7 +123,7 @@ class SpanRing {
   std::vector<SpanRecord> Snapshot() const;
 
   /// Chrome trace format ({"traceEvents": [...]}): complete "X" events with
-  /// span/parent/window ids and the shed/weight context in args, timestamps
+  /// span/parent/window ids and the shed/weight/z context in args, timestamps
   /// rebased to the earliest retained span, in microseconds.
   std::string ToChromeTraceJson() const;
 
@@ -142,6 +148,7 @@ class SpanRing {
     std::atomic<uint64_t> admitted{0};
     std::atomic<double> shed_p{1.0};
     std::atomic<double> max_weight{1.0};
+    std::atomic<double> z{0.0};
   };
 
   void Put(const SpanRecord& r, uint64_t id) {
@@ -157,13 +164,13 @@ class SpanRing {
     slot.admitted.store(r.admitted, std::memory_order_relaxed);
     slot.shed_p.store(r.shed_p, std::memory_order_relaxed);
     slot.max_weight.store(r.max_weight, std::memory_order_relaxed);
+    slot.z.store(r.z, std::memory_order_relaxed);
   }
 
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> next_id_{0};
-  // Slots hold atomics (not movable), so a plain array replaces the
-  // vector the TraceRing uses.
+  // Slots hold atomics (not movable): plain array instead of vector.
   std::unique_ptr<Slot[]> slots_;
   size_t cap_ = 0;
 };

@@ -1,124 +1,17 @@
-// Bounded trace-event ring: window flushes, cleaning phases and subset-sum
-// threshold (z) adjustments recorded as fixed-size slots and exported as
-// chrome-trace JSON (open chrome://tracing or https://ui.perfetto.dev).
-//
-// The ring is disabled by default (a single relaxed bool load per record
-// site); when enabled, Record() claims a slot with one relaxed fetch_add
-// and writes in place — no allocation, oldest events overwritten. Event
-// names must be string literals (the ring stores the pointer).
-//
-// Slot fields are individually atomic (relaxed), so a /traces export on the
-// serving thread never races a pipeline writer: a snapshot overlapping a
-// write (or a wraparound overwrite) sees a torn event at worst — the
-// exporters tolerate that — never a data race.
+// Spans are the only event record (obs/span.h). This alias keeps one caller
+// compiling: bench/e2e/streamop_bench.cc, which still includes this header
+// and enables TraceRing::Default() beside SpanRing::Default(). Nothing else
+// may use it; it goes once that benchmark drops the include and the call.
 
 #ifndef STREAMOP_OBS_TRACE_RING_H_
 #define STREAMOP_OBS_TRACE_RING_H_
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "obs/metrics.h"
+#include "obs/span.h"
 
 namespace streamop {
 namespace obs {
 
-struct TraceEvent {
-  const char* name = nullptr;   // static string (never freed)
-  uint64_t ts_ns = 0;           // steady-clock timestamp
-  uint64_t dur_ns = 0;          // 0 for instant events
-  bool instant = false;
-  const char* arg_name = nullptr;  // optional numeric argument
-  double arg = 0.0;
-};
-
-class TraceRing {
- public:
-  /// Process-wide default ring, shared by the operator and the SFUN
-  /// packages (which have no other channel to the observability layer).
-  static TraceRing& Default();
-
-  explicit TraceRing(size_t capacity = 8192);
-
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const {
-    return kStatsEnabled && enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Records a complete ("ph":"X") event of duration dur_ns ending now-ish.
-  void Record(const char* name, uint64_t ts_ns, uint64_t dur_ns) {
-    if constexpr (kStatsEnabled) {
-      if (!enabled()) return;
-      TraceEvent e;
-      e.name = name;
-      e.ts_ns = ts_ns;
-      e.dur_ns = dur_ns;
-      Put(e);
-    }
-  }
-
-  /// Records an instant ("ph":"i") event with one optional numeric arg.
-  void Instant(const char* name, uint64_t ts_ns,
-               const char* arg_name = nullptr, double arg = 0.0) {
-    if constexpr (kStatsEnabled) {
-      if (!enabled()) return;
-      TraceEvent e;
-      e.name = name;
-      e.ts_ns = ts_ns;
-      e.instant = true;
-      e.arg_name = arg_name;
-      e.arg = arg;
-      Put(e);
-    }
-  }
-
-  /// Total events ever recorded (>= capacity means overwrites happened).
-  uint64_t events_recorded() const {
-    return seq_.load(std::memory_order_relaxed);
-  }
-  size_t capacity() const { return cap_; }
-
-  /// Copies out the retained events, oldest first by timestamp.
-  std::vector<TraceEvent> Snapshot() const;
-
-  /// Chrome trace format: {"traceEvents": [...]}; timestamps rebased to
-  /// the earliest retained event, in microseconds.
-  std::string ToChromeTraceJson() const;
-
- private:
-  // Individually-atomic mirror of TraceEvent: writers store relaxed,
-  // snapshots load relaxed, so wraparound overwrites during a concurrent
-  // export are torn-at-worst instead of racy.
-  struct Slot {
-    std::atomic<const char*> name{nullptr};
-    std::atomic<uint64_t> ts_ns{0};
-    std::atomic<uint64_t> dur_ns{0};
-    std::atomic<bool> instant{false};
-    std::atomic<const char*> arg_name{nullptr};
-    std::atomic<double> arg{0.0};
-  };
-
-  void Put(const TraceEvent& e) {
-    const uint64_t s = seq_.fetch_add(1, std::memory_order_relaxed);
-    Slot& slot = slots_[s % cap_];
-    slot.name.store(e.name, std::memory_order_relaxed);
-    slot.ts_ns.store(e.ts_ns, std::memory_order_relaxed);
-    slot.dur_ns.store(e.dur_ns, std::memory_order_relaxed);
-    slot.instant.store(e.instant, std::memory_order_relaxed);
-    slot.arg_name.store(e.arg_name, std::memory_order_relaxed);
-    slot.arg.store(e.arg, std::memory_order_relaxed);
-  }
-
-  std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> seq_{0};
-  // Slots hold atomics (not movable): plain array instead of vector.
-  std::unique_ptr<Slot[]> slots_;
-  size_t cap_ = 0;
-};
+using TraceRing = SpanRing;
 
 }  // namespace obs
 }  // namespace streamop

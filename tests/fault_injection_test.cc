@@ -253,6 +253,38 @@ TEST(ChaosTest, MalformedAndLatePacketsSurviveBothRunModes) {
   }
 }
 
+// The single-node path rejects the records the drive loop rejects: a
+// record truncated below the 20-byte IP header never reaches the query, so
+// count(*) is the record count minus the truncated ones, and
+// RunQueryOverTrace and TwoLevelRuntime::Run give one answer.
+TEST(ChaosTest, SingleNodeRunRejectsTruncatedRecords) {
+  FaultInjectionConfig fcfg;
+  fcfg.seed = 9;
+  fcfg.p_truncate = 0.01;
+  const Trace faulty =
+      InjectFaults(TraceGenerator::MakeResearchFeed(41.0, 7), fcfg);
+  uint64_t truncated = 0;
+  for (const PacketRecord& p : faulty.packets()) truncated += p.len < 20;
+  ASSERT_GT(truncated, 0u);
+
+  auto high = CompileQuery(kWindowAggHigh, TestCatalog());
+  ASSERT_TRUE(high.ok()) << high.status().ToString();
+  auto run = RunQueryOverTrace(*high, faulty);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  uint64_t counted = 0;
+  for (const Tuple& row : run->output) counted += row[2].AsUInt();
+  EXPECT_EQ(counted, faulty.size() - truncated);
+  EXPECT_EQ(run->packets_malformed, truncated);
+
+  auto low = CompileQuery(kPassThroughLow, TestCatalog());
+  ASSERT_TRUE(low.ok()) << low.status().ToString();
+  TwoLevelRuntime rt(*low, {*high});
+  auto report = rt.Run(faulty);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->packets_malformed, truncated);
+  EXPECT_EQ(rt.high_node(0).DrainOutput(), run->output);
+}
+
 TEST(ChaosTest, LateTuplesClampIntoCurrentWindowWithExactCounts) {
   // Hand-built stream: window 0 gets 2 packets, window 1 gets 2 packets
   // plus one late straggler (timestamp from window 0), window 2 gets 1.

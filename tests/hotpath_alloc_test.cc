@@ -24,7 +24,6 @@
 #include "obs/timeseries.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
-#include "obs/trace_ring.h"
 #include "query/query.h"
 #include "stream/socket_source.h"
 #include "stream/trace_source.h"
@@ -106,17 +105,14 @@ uint64_t SteadyStateAllocationDelta(const std::string& sql,
   if (with_metrics) {
     // Registry + rings allocate at registration/construction time, never
     // after — everything below happens before the measured burst. Spans,
-    // exemplar reservoirs and phase-cycle accounting ride along so the
-    // whole third pillar is covered by the zero-delta.
+    // exemplar reservoirs and the profiler's phase totals ride along so
+    // the whole third pillar is covered by the zero-delta.
     op.set_metrics(obs::OperatorMetrics::Create(
         obs::MetricRegistry::Default(), "hotpath"));
-    obs::TraceRing::Default().set_enabled(true);
-    op.set_trace_ring(&obs::TraceRing::Default());
     obs::SpanRing::Default().set_enabled(true);
     op.set_span_ring(&obs::SpanRing::Default());
     obs::ExemplarStore::Default().set_enabled(true);
     op.set_exemplars(&obs::ExemplarStore::Default());
-    obs::Profiler::Default().set_phase_accounting(true);
     op.set_profiler(&obs::Profiler::Default());
   }
   std::vector<Tuple> tuples = SteadyStateTuples(2048, 32, 16);
@@ -159,8 +155,8 @@ TEST(HotPathAllocTest, GroupedSamplingSteadyStateAllocatesNothing) {
 }
 
 // The same invariant must hold with the full observability layer attached:
-// counters, sampled phase timers and the trace ring are all fixed-size and
-// heap-free after registration (the tentpole's hot-path criterion).
+// counters, sampled phase timers and the span ring are all fixed-size and
+// heap-free after registration.
 TEST(HotPathAllocTest, InstrumentedSteadyStateAllocatesNothing) {
   EXPECT_EQ(SteadyStateAllocationDelta(
                 "SELECT tb, srcIP, destIP, sum(len), count(*) FROM PKTS "
@@ -199,13 +195,10 @@ uint64_t SteadyStateBatchAllocationDelta(const std::string& sql,
   if (with_metrics) {
     op.set_metrics(obs::OperatorMetrics::Create(
         obs::MetricRegistry::Default(), "hotpath_batch"));
-    obs::TraceRing::Default().set_enabled(true);
-    op.set_trace_ring(&obs::TraceRing::Default());
     obs::SpanRing::Default().set_enabled(true);
     op.set_span_ring(&obs::SpanRing::Default());
     obs::ExemplarStore::Default().set_enabled(true);
     op.set_exemplars(&obs::ExemplarStore::Default());
-    obs::Profiler::Default().set_phase_accounting(true);
     op.set_profiler(&obs::Profiler::Default());
   }
   std::vector<Tuple> tuples = SteadyStateTuples(2048, 32, 16);
@@ -269,18 +262,29 @@ TEST(HotPathAllocTest, BatchedInstrumentedSteadyStateAllocatesNothing) {
 // emitted row, plus 64 for the per-window bookkeeping (window stats, the
 // supergroup entry, the drained output vector's growth). Group records,
 // index slots and membership entries come from storage the warm-up window
-// left behind.
+// left behind. With `with_obs`, metrics, spans, exemplars and the
+// profiler's phase totals are on, as in SteadyStateBatchAllocationDelta.
 struct WindowCloseCount {
   uint64_t allocations = 0;
   size_t rows = 0;
   WindowStats stats;  // of the measured window
 };
 
-WindowCloseCount WindowCloseAllocations(const std::string& sql) {
+WindowCloseCount WindowCloseAllocations(const std::string& sql,
+                                        bool with_obs = false) {
   Catalog catalog = Catalog::Default();
   Result<CompiledQuery> cq = CompileQuery(sql, catalog, {.seed = 3});
   EXPECT_TRUE(cq.ok()) << cq.status().ToString();
   SamplingOperator op(cq->sampling);
+  if (with_obs) {
+    op.set_metrics(obs::OperatorMetrics::Create(
+        obs::MetricRegistry::Default(), "hotpath_close"));
+    obs::SpanRing::Default().set_enabled(true);
+    op.set_span_ring(&obs::SpanRing::Default());
+    obs::ExemplarStore::Default().set_enabled(true);
+    op.set_exemplars(&obs::ExemplarStore::Default());
+    op.set_profiler(&obs::Profiler::Default());
+  }
   constexpr size_t kGroups = 4096;
   constexpr size_t kRows = 512;
   // Per window: a one-row batch holding its first lane (the one that
@@ -341,8 +345,10 @@ TEST(HotPathAllocTest, WindowCloseAllocatesOnlyOutputRows) {
 
 TEST(HotPathAllocTest, SamplingWindowCloseWithCleaningAllocatesOnlyOutputRows) {
   // The subset-sum shape at a target low enough that cleaning phases fire
-  // while the window fills.
-  const WindowCloseCount c = WindowCloseAllocations(R"(
+  // while the window fills. The second pass runs the same windows with
+  // observability on: each clean and flush span reads the threshold z
+  // through the SFUN quality hook, and that must not allocate either.
+  const std::string sql = R"(
       SELECT tb, srcIP, destIP, UMAX(sum(len), ssthreshold())
       FROM PKTS
       WHERE ssample(len, 500, 2, 10, 0.5) = TRUE
@@ -350,11 +356,21 @@ TEST(HotPathAllocTest, SamplingWindowCloseWithCleaningAllocatesOnlyOutputRows) {
       HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
       CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
       CLEANING BY ssclean_with(sum(len)) = TRUE
-  )");
-  EXPECT_GT(c.stats.cleaning_phases, 0u);
-  EXPECT_GT(c.stats.groups_removed, 0u);
-  EXPECT_GT(c.rows, 0u);
-  EXPECT_LE(c.allocations, c.rows + 64) << c.rows << " rows emitted";
+  )";
+  for (bool with_obs : {false, true}) {
+    SCOPED_TRACE(with_obs ? "observability on" : "bare operator");
+    const WindowCloseCount c = WindowCloseAllocations(sql, with_obs);
+    EXPECT_GT(c.stats.cleaning_phases, 0u);
+    EXPECT_GT(c.stats.groups_removed, 0u);
+    EXPECT_GT(c.rows, 0u);
+    EXPECT_LE(c.allocations, c.rows + 64) << c.rows << " rows emitted";
+  }
+  if (!obs::kStatsEnabled) return;  // spans compiled out
+  bool clean_with_z = false;
+  for (const obs::SpanRecord& s : obs::SpanRing::Default().Snapshot()) {
+    clean_with_z |= std::string(s.name) == "clean" && s.z > 0.0;
+  }
+  EXPECT_TRUE(clean_with_z) << "no clean span carried a threshold";
 }
 
 // Refilling a reused batch from packets (the runtime's drive loop) must
@@ -426,7 +442,9 @@ TEST(HotPathAllocTest, TimeseriesAlertsAndFlightGateStayAllocationFree) {
   }
   flight.RequestSpill();
   flight.MaybeSpill(ts, &alerts, ++tick);
-  ASSERT_EQ(flight.spills(), 1u);
+  if (obs::kStatsEnabled) {
+    ASSERT_EQ(flight.spills(), 1u);
+  }
 
   uint64_t before = g_allocations.load(std::memory_order_relaxed);
   size_t failures = 0;
@@ -442,9 +460,10 @@ TEST(HotPathAllocTest, TimeseriesAlertsAndFlightGateStayAllocationFree) {
 
   EXPECT_EQ(failures, 0u);
   EXPECT_EQ(after - before, 0u);
+  fs::remove_all(dir);
+  if (!obs::kStatsEnabled) return;  // stats compiled out: nothing scraped
   EXPECT_EQ(flight.spills(), 1u);  // the gate never spilled mid-burst
   EXPECT_GE(ts.scrapes(), 8u);
-  fs::remove_all(dir);
 }
 
 // Socket ingest carries the guarantee too: the receive buffer and the

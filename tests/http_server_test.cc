@@ -25,7 +25,6 @@
 #include "obs/timeseries.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
-#include "obs/trace_ring.h"
 #include "query/query.h"
 
 namespace streamop {
@@ -39,7 +38,6 @@ using obs::HttpServerOptions;
 // registry/rings so tests never race the process-wide defaults.
 struct ServerFixture {
   obs::MetricRegistry registry;
-  obs::TraceRing trace_ring{64};
   obs::QualityRing quality_ring{64};
   obs::SpanRing span_ring{64};
   obs::Profiler profiler;
@@ -49,7 +47,6 @@ struct ServerFixture {
   explicit ServerFixture(HttpServerOptions opts = HttpServerOptions()) {
     opts.port = 0;
     opts.registry = &registry;
-    opts.trace_ring = &trace_ring;
     opts.quality_ring = &quality_ring;
     opts.span_ring = &span_ring;
     opts.profiler = &profiler;
@@ -88,8 +85,6 @@ TEST(HttpServerTest, StartsOnEphemeralPortAndStops) {
 TEST(HttpServerTest, ServesEveryEndpointOverLoopback) {
   ServerFixture f;
   f.registry.GetCounter("streamop_test_total")->Add(5);
-  f.trace_ring.set_enabled(true);
-  f.trace_ring.Record("window_flush", 100, 10);
   obs::WindowQualityReport rep;
   rep.node = "t";
   f.quality_ring.Push(std::move(rep));
@@ -109,12 +104,11 @@ TEST(HttpServerTest, ServesEveryEndpointOverLoopback) {
       {"/healthz", "ok"},
       {"/metrics", "streamop_test_total 5"},
       {"/metrics.json", "\"streamop_test_total\": 5"},
-      {"/traces", "window_flush"},
       {"/windows", "\"node\": \"t\""},
       {"/spans", "\"window_seq\": 7"},
       {"/spans?format=chrome", "traceEvents"},
       {"/spans/window/7", "\"name\": \"window\""},
-      {"/profile?format=phases", "phase_cycles"},
+      {"/profile?format=phases", "phase_ns"},
       {"/exemplars", "latency_bands"},
   };
   for (const Case& c : cases) {
@@ -122,6 +116,7 @@ TEST(HttpServerTest, ServesEveryEndpointOverLoopback) {
     ASSERT_TRUE(resp.ok()) << c.path << ": " << resp.status().ToString();
     EXPECT_NE(StatusLine(*resp).find("200"), std::string::npos)
         << c.path << "\n" << *resp;
+    if (!obs::kStatsEnabled) continue;  // stats compiled out: empty bodies
     EXPECT_NE(Body(*resp).find(c.expect), std::string::npos)
         << c.path << "\n" << *resp;
   }
@@ -166,7 +161,6 @@ TEST(HttpServerTest, EveryEndpointDeclaresItsContentType) {
   const std::vector<Case> cases = {
       {"/metrics", "Content-Type: text/plain; version=0.0.4"},
       {"/metrics.json", "Content-Type: application/json"},
-      {"/traces", "Content-Type: application/json"},
       {"/spans", "Content-Type: application/json"},
       {"/spans/window/1", "Content-Type: application/json"},
       {"/profile", "Content-Type: text/plain; charset=utf-8"},
@@ -402,8 +396,10 @@ TEST(HttpServerTest, TimeseriesAndAlertRoutesServeLiveData) {
 
   Result<std::string> list = HttpGet(f.server->port(), "/timeseries");
   ASSERT_TRUE(list.ok());
-  EXPECT_NE(Body(*list).find("\"streamop_test_total\""), std::string::npos)
-      << *list;
+  if (obs::kStatsEnabled) {  // stats compiled out: scrapes record nothing
+    EXPECT_NE(Body(*list).find("\"streamop_test_total\""), std::string::npos)
+        << *list;
+  }
   EXPECT_NE(Body(*list).find("\"interval_ms\": 100"), std::string::npos)
       << *list;
 
@@ -411,7 +407,9 @@ TEST(HttpServerTest, TimeseriesAndAlertRoutesServeLiveData) {
       f.server->port(), "/timeseries?metric=streamop_test_total&range=60");
   ASSERT_TRUE(range.ok());
   EXPECT_NE(StatusLine(*range).find("200"), std::string::npos) << *range;
-  EXPECT_NE(Body(*range).find("\"points\""), std::string::npos) << *range;
+  if (obs::kStatsEnabled) {  // stats compiled out: scrapes record nothing
+    EXPECT_NE(Body(*range).find("\"points\""), std::string::npos) << *range;
+  }
 
   Result<std::string> bad = HttpGet(
       f.server->port(), "/timeseries?metric=streamop_test_total&range=abc");
@@ -446,6 +444,7 @@ TEST(HttpServerTest, CriticalAlertFlips503WithRetryAfter) {
   ASSERT_TRUE(ok.ok());
   EXPECT_NE(StatusLine(*ok).find("200"), std::string::npos) << *ok;
 
+  if (!obs::kStatsEnabled) return;  // stats compiled out: no alert fires
   f.registry.GetGauge("streamop_test_gauge")->Set(42.0);
   ts.Scrape(f.registry, 1000000000ull);
   alerts.Evaluate(ts, 1000000000ull);
@@ -485,6 +484,7 @@ TEST(HttpServerTest, ForensicsRouteCarriesSegmentStatusAndLoadedReport) {
   ASSERT_TRUE(resp.ok());
   EXPECT_NE(Body(*resp).find("\"enabled\": true"), std::string::npos)
       << *resp;
+  if (!obs::kStatsEnabled) return;  // stats compiled out: nothing spilled
   EXPECT_NE(Body(*resp).find("\"spills\": 1"), std::string::npos) << *resp;
   EXPECT_NE(Body(*resp).find("flight.seg"), std::string::npos) << *resp;
 

@@ -166,6 +166,7 @@ TEST(QualityReportTest, UnweightedWindowHasZeroVarianceAndFullAdmission) {
   ASSERT_TRUE(op.Process(Row(12, 1, 9)).ok());  // closes window 0
   ASSERT_TRUE(op.FinishStream().ok());
 
+  if (!obs::kStatsEnabled) return;  // stats compiled out
   std::vector<WindowQualityReport> reps = ring.Snapshot();
   ASSERT_EQ(reps.size(), 2u);
   const WindowQualityReport& w0 = reps[0];

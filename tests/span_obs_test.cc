@@ -1,12 +1,13 @@
 // Tests for the causal-span / profiler / exemplar observability pillar
 // (src/obs/span.h, src/obs/profiler.h, src/obs/exemplar.h): SpanRing
-// mechanics and exports, phase-cycle accounting and the SIGPROF sampler,
-// exemplar reservoirs, ring wraparound under concurrent export (TSan
-// coverage via the ObsConcurrencyTest.* names), and end-to-end span
-// parent/child integrity across window boundaries through the operator.
+// mechanics and exports, phase totals and the SIGPROF sampler, exemplar
+// reservoirs, ring wraparound under concurrent export (TSan coverage via
+// the ObsConcurrencyTest.* names), and end-to-end span parent/child
+// integrity and threshold attributes through the operator.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -14,13 +15,16 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/sampling_operator.h"
+#include "net/trace_generator.h"
 #include "obs/exemplar.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
-#include "obs/trace_ring.h"
+#include "query/query.h"
 #include "rss_probe.h"
 #include "tuple/tuple_batch.h"
 
@@ -33,11 +37,11 @@ using obs::Profiler;
 using obs::SpanContext;
 using obs::SpanRecord;
 using obs::SpanRing;
-using obs::TraceRing;
 
 // ---------- SpanRing mechanics ----------
 
 TEST(SpanRingTest, EmitRoundTripsEveryField) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   SpanRing ring(16);
   ring.set_enabled(true);
   SpanRecord r;
@@ -50,6 +54,7 @@ TEST(SpanRingTest, EmitRoundTripsEveryField) {
   r.admitted = 480;
   r.shed_p = 0.25;
   r.max_weight = 4.0;
+  r.z = 20.1;
   const uint64_t id = ring.Emit(r);
   ASSERT_NE(id, 0u);
 
@@ -65,9 +70,11 @@ TEST(SpanRingTest, EmitRoundTripsEveryField) {
   EXPECT_EQ(spans[0].admitted, 480u);
   EXPECT_DOUBLE_EQ(spans[0].shed_p, 0.25);
   EXPECT_DOUBLE_EQ(spans[0].max_weight, 4.0);
+  EXPECT_DOUBLE_EQ(spans[0].z, 20.1);
 }
 
 TEST(SpanRingTest, NextIdIsUniqueAndEmitHonorsPreallocatedIds) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   SpanRing ring(16);
   ring.set_enabled(true);
   const uint64_t a = ring.NextId();
@@ -96,17 +103,27 @@ TEST(SpanRingTest, DisabledRingRecordsNothing) {
 }
 
 TEST(SpanRingTest, WraparoundKeepsAtMostCapacitySpans) {
-  SpanRing ring(8);
-  ring.set_enabled(true);
-  for (uint64_t i = 0; i < 20; ++i) {
-    SpanRecord r;
-    r.name = "flush";
-    r.ts_ns = i;
-    ring.Emit(r);
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
+  // Over one wrap and over 125: exactly the newest `capacity` spans
+  // survive, and a snapshot lists them by start timestamp, not by slot
+  // (timestamps fall as the spans are emitted).
+  for (uint64_t total : {20u, 1000u}) {
+    SpanRing ring(8);
+    ring.set_enabled(true);
+    for (uint64_t i = 0; i < total; ++i) {
+      SpanRecord r;
+      r.name = "flush";
+      r.ts_ns = total - i;
+      ring.Emit(r);
+    }
+    EXPECT_EQ(ring.spans_recorded(), total);
+    EXPECT_EQ(ring.capacity(), 8u);
+    std::vector<SpanRecord> spans = ring.Snapshot();
+    ASSERT_EQ(spans.size(), 8u);
+    for (size_t i = 0; i < spans.size(); ++i) {
+      EXPECT_EQ(spans[i].ts_ns, i + 1) << total << " spans, slot " << i;
+    }
   }
-  EXPECT_EQ(ring.spans_recorded(), 20u);
-  EXPECT_EQ(ring.capacity(), 8u);
-  EXPECT_EQ(ring.Snapshot().size(), 8u);
 }
 
 TEST(SpanRingTest, WindowJsonFiltersBySequence) {
@@ -133,15 +150,20 @@ TEST(SpanRingTest, JsonExportsAreWellFormedWhenEmptyAndWhenFull) {
   EXPECT_NE(ring.ToChromeTraceJson().find("\"traceEvents\": ["),
             std::string::npos);
 
+  if (!obs::kStatsEnabled) return;  // stats compiled out
   ring.set_enabled(true);
   SpanRecord r;
-  r.name = "batch_select";
+  r.name = "clean";
   r.window_seq = 5;
+  r.z = 42.0;
   ring.Emit(r);
   const std::string chrome = ring.ToChromeTraceJson();
-  EXPECT_NE(chrome.find("\"name\": \"batch_select\""), std::string::npos);
+  EXPECT_NE(chrome.find("\"name\": \"clean\""), std::string::npos);
   EXPECT_NE(chrome.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(chrome.find("\"window_seq\": 5"), std::string::npos);
+  EXPECT_NE(chrome.find("\"z\": 42}"), std::string::npos) << chrome;
+  EXPECT_NE(ring.ToJson().find("\"z\": 42}"), std::string::npos);
+  EXPECT_NE(ring.WindowJson(5).find("\"z\": 42}"), std::string::npos);
 }
 
 // ---------- Profiler ----------
@@ -153,27 +175,26 @@ TEST(ProfilerTest, PhaseNamesCoverEveryPhase) {
   }
 }
 
-TEST(ProfilerTest, PhaseCyclesAccumulateAndExport) {
+TEST(ProfilerTest, PhaseNsAccumulateAndExport) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   Profiler prof;
-  EXPECT_FALSE(prof.phase_accounting_enabled());
-  prof.set_phase_accounting(true);
-  EXPECT_TRUE(prof.phase_accounting_enabled());
-  prof.AddPhaseCycles(Profiler::kAdmission, 100);
-  prof.AddPhaseCycles(Profiler::kAdmission, 50);
-  prof.AddPhaseCycles(Profiler::kFlush, 7);
-  prof.AddPhaseCycles(Profiler::kNumPhases, 999);  // out of range: dropped
-  EXPECT_EQ(prof.phase_cycles(Profiler::kAdmission), 150u);
-  EXPECT_EQ(prof.phase_cycles(Profiler::kFlush), 7u);
-  EXPECT_EQ(prof.phase_cycles(Profiler::kNumPhases), 0u);
+  prof.AddPhaseNs(Profiler::kAdmission, 100);
+  prof.AddPhaseNs(Profiler::kAdmission, 50);
+  prof.AddPhaseNs(Profiler::kFlush, 7);
+  prof.AddPhaseNs(Profiler::kNumPhases, 999);  // out of range: dropped
+  EXPECT_EQ(prof.phase_ns(Profiler::kAdmission), 150u);
+  EXPECT_EQ(prof.phase_ns(Profiler::kFlush), 7u);
+  EXPECT_EQ(prof.phase_ns(Profiler::kNumPhases), 0u);
 
   const std::string json = prof.PhasesJson();
-  EXPECT_NE(json.find("\"phase_cycles\""), std::string::npos);
+  EXPECT_NE(json.find("\"phase_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"admission\": 150"), std::string::npos);
   EXPECT_NE(json.find("\"ring_drain\""), std::string::npos);
   EXPECT_NE(json.find("\"quality_report\""), std::string::npos);
 }
 
 TEST(ProfilerTest, OnlyOneProfilerRunsAtATime) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   Profiler a;
   Profiler b;
   ASSERT_TRUE(a.Start().ok());
@@ -203,6 +224,7 @@ TEST(ProfilerTest, UnstartedProfilerHoldsNoSampleRing) {
 }
 
 TEST(ProfilerTest, SamplerCapturesStacksAndFoldsThem) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   Profiler prof;
   ASSERT_TRUE(prof.Start().ok());
   // ITIMER_PROF counts consumed CPU time, so burn some; at 97 Hz a few
@@ -266,6 +288,7 @@ TEST(ExemplarStoreTest, DisabledStoreDropsOffers) {
 }
 
 TEST(ExemplarStoreTest, ReservoirCapsAtSlotsButCountsEveryOffer) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   ExemplarStore store;
   store.set_enabled(true);
   for (uint64_t i = 0; i < 100; ++i) {
@@ -283,6 +306,7 @@ TEST(ExemplarStoreTest, ReservoirCapsAtSlotsButCountsEveryOffer) {
 }
 
 TEST(ExemplarStoreTest, LatencyOffersLandInTheirBand) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   ExemplarStore store;
   store.set_enabled(true);
   const uint64_t lat_ns = 5000;  // 5us
@@ -298,6 +322,7 @@ TEST(ExemplarStoreTest, LatencyOffersLandInTheirBand) {
 }
 
 TEST(ExemplarStoreTest, ToJsonListsEveryBandAndCounter) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   ExemplarStore store;
   store.set_enabled(true);
   Exemplar e;
@@ -315,47 +340,11 @@ TEST(ExemplarStoreTest, ToJsonListsEveryBandAndCounter) {
 
 // ---------- concurrency (run under TSan via the ObsConcurrency name) ----
 
-TEST(ObsConcurrencyTest, TraceRingWraparoundDuringConcurrentExport) {
+TEST(ObsConcurrencyTest, SpanRingEmitRacesEveryExportPath) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   // A ring far smaller than the write volume, so every writer wraps many
   // times while a reader exports: the slot stores must never race the
-  // snapshot loads (torn events are filtered, not UB).
-  TraceRing ring(64);
-  ring.set_enabled(true);
-  constexpr int kWriters = 4;
-  constexpr int kPerWriter = 5000;
-  std::atomic<bool> done{false};
-
-  std::thread reader([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      std::vector<obs::TraceEvent> snap = ring.Snapshot();
-      EXPECT_LE(snap.size(), ring.capacity());
-      const std::string json = ring.ToChromeTraceJson();
-      EXPECT_NE(json.find("traceEvents"), std::string::npos);
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&ring, w] {
-      for (int i = 0; i < kPerWriter; ++i) {
-        if (i % 7 == 0) {
-          ring.Instant("wrap_i", static_cast<uint64_t>(w) * kPerWriter + i,
-                       "z", static_cast<double>(i));
-        } else {
-          ring.Record("wrap_x", static_cast<uint64_t>(w) * kPerWriter + i, 5);
-        }
-      }
-    });
-  }
-  for (std::thread& t : writers) t.join();
-  done.store(true, std::memory_order_release);
-  reader.join();
-
-  EXPECT_EQ(ring.events_recorded(),
-            static_cast<uint64_t>(kWriters) * kPerWriter);
-  EXPECT_EQ(ring.Snapshot().size(), ring.capacity());
-}
-
-TEST(ObsConcurrencyTest, SpanRingEmitRacesEveryExportPath) {
+  // snapshot loads (torn spans are filtered, not UB).
   SpanRing ring(64);
   ring.set_enabled(true);
   constexpr int kWriters = 4;
@@ -392,6 +381,7 @@ TEST(ObsConcurrencyTest, SpanRingEmitRacesEveryExportPath) {
 
   EXPECT_EQ(ring.spans_recorded(),
             static_cast<uint64_t>(kWriters) * kPerWriter);
+  EXPECT_EQ(ring.Snapshot().size(), ring.capacity());
 }
 
 // ---------- end-to-end span integrity through the operator ----------
@@ -478,6 +468,7 @@ TEST(SpanIntegrityTest, RowPathParentsEveryPhaseUnderItsWindow) {
     ASSERT_TRUE(op.Process(Row(t, t % 2, t)).ok());
   }
   ASSERT_TRUE(op.FinishStream().ok());
+  if (!obs::kStatsEnabled) return;  // stats compiled out
   EXPECT_EQ(op.window_seq(), 3u);
 
   std::vector<SpanRecord> spans = ring.Snapshot();
@@ -496,10 +487,12 @@ TEST(SpanIntegrityTest, BatchPathReportsContextAndParentsPhaseSpans) {
   SpanRing ring(256);
   ring.set_enabled(true);
   Profiler prof;
-  prof.set_phase_accounting(true);
+  obs::MetricRegistry registry;
   SamplingOperator op(MakePlan());
   op.set_span_ring(&ring);
   op.set_profiler(&prof);
+  // Phase totals tick with the metrics, from the spans' clock reads.
+  op.set_metrics(obs::OperatorMetrics::Create(registry, "spans"));
 
   // One batch straddling two window boundaries (t/10: 0 -> 1 -> 2).
   TupleBatch batch(3, 32);
@@ -510,11 +503,12 @@ TEST(SpanIntegrityTest, BatchPathReportsContextAndParentsPhaseSpans) {
   ctx.shed_p = 0.5;
   ctx.rows = batch.num_rows();
   ASSERT_TRUE(op.ProcessBatch(batch, 2.0, &ctx).ok());
-  // Back-report: the batch last fed window 3, whose root id is already
-  // reserved (the window is still open).
+  ASSERT_TRUE(op.FinishStream().ok());
+  if (!obs::kStatsEnabled) return;  // stats compiled out
+  // Back-report: the batch last fed window 3, whose root id was already
+  // reserved (the window was still open).
   EXPECT_EQ(ctx.window_seq, 3u);
   EXPECT_NE(ctx.window_span_id, 0u);
-  ASSERT_TRUE(op.FinishStream().ok());
 
   std::vector<SpanRecord> spans = ring.Snapshot();
   std::map<uint64_t, SpanRecord> roots = CheckIntegrity(spans, 3);
@@ -533,10 +527,10 @@ TEST(SpanIntegrityTest, BatchPathReportsContextAndParentsPhaseSpans) {
   }
   EXPECT_EQ(batch_selects, 1);
   EXPECT_EQ(admissions, 1);
-  // Phase accounting saw the batch phases tick.
-  EXPECT_GT(prof.phase_cycles(Profiler::kBatchSelect), 0u);
-  EXPECT_GT(prof.phase_cycles(Profiler::kAdmission), 0u);
-  EXPECT_GT(prof.phase_cycles(Profiler::kFlush), 0u);
+  // The phase totals saw the batch phases tick.
+  EXPECT_GT(prof.phase_ns(Profiler::kBatchSelect), 0u);
+  EXPECT_GT(prof.phase_ns(Profiler::kAdmission), 0u);
+  EXPECT_GT(prof.phase_ns(Profiler::kFlush), 0u);
 }
 
 TEST(SpanIntegrityTest, SpansDisabledLeavesRingEmptyAndContextZero) {
@@ -551,7 +545,68 @@ TEST(SpanIntegrityTest, SpansDisabledLeavesRingEmptyAndContextZero) {
   ASSERT_TRUE(op.FinishStream().ok());
   EXPECT_EQ(ring.spans_recorded(), 0u);
   EXPECT_EQ(ctx.window_span_id, 0u);  // no root reserved when disabled
+  if (!obs::kStatsEnabled) return;    // window_seq is stats-gated
   EXPECT_EQ(ctx.window_seq, 1u);      // the lifecycle count still advances
+}
+
+// The threshold z of each subset-sum adjustment rides on the span of the
+// phase that made it. The expected values were recorded from the
+// ss_z_adjust_cleaning and ss_z_adjust_final trace events of this run
+// (datacenter feed, 2 s, seed 7: 15 cleanings and a final adjustment in
+// the first window, 6 and one in the second) before those events became
+// span attributes; each clean span carries a cleaning z, each flush span
+// a final one, in the same order.
+TEST(SpanIntegrityTest, CleanAndFlushSpansCarryTheSubsetSumThreshold) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
+  Result<CompiledQuery> cq = CompileQuery(
+      "SELECT tb, srcIP, destIP, UMAX(sum(len), ssthreshold()), sum$(len) "
+      "FROM PKT WHERE ssample(len, 100, 2, 100, 10.0) = TRUE "
+      "GROUP BY time as tb, srcIP, destIP "
+      "HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE "
+      "CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE "
+      "CLEANING BY ssclean_with(sum(len)) = TRUE",
+      Catalog::Default(), {.seed = 7});
+  ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+  SpanRing ring(4096);
+  ring.set_enabled(true);
+  SamplingOperator op(cq->sampling);
+  op.set_span_ring(&ring);
+  const Trace trace = TraceGenerator::MakeDataCenterFeed(2.0, 7);
+  TupleBatch batch(op.plan().input_schema->num_fields(), 512);
+  for (size_t i = 0; i < trace.size(); i += 512) {
+    batch.Clear();
+    for (size_t j = i; j < std::min(trace.size(), i + 512); ++j) {
+      batch.AppendPacket(trace.packets()[j]);
+    }
+    ASSERT_TRUE(op.ProcessBatch(batch).ok());
+  }
+  ASSERT_TRUE(op.FinishStream().ok());
+  ASSERT_LT(ring.spans_recorded(), ring.capacity()) << "spans overwritten";
+
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"clean", 20.099999999999998},  {"clean", 40.602},
+      {"clean", 82.01603999999999},   {"clean", 164.85224039999997},
+      {"clean", 331.3530032039999},   {"clean", 666.0195364400397},
+      {"clean", 1338.6992682444798},  {"clean", 2690.785529171404},
+      {"clean", 5408.478913634522},   {"clean", 10871.042616405388},
+      {"clean", 21850.79565897483},   {"clean", 43920.0992745394},
+      {"clean", 88279.3995418242},    {"clean", 177441.59307906663},
+      {"clean", 356657.6020889239},   {"flush", 470788.0347573796},
+      {"clean", 9462.839498623329},   {"clean", 19020.307392232888},
+      {"clean", 38230.8178583881},    {"clean", 76843.94389536008},
+      {"clean", 154456.32722967374},  {"clean", 310457.21773164417},
+      {"flush", 481208.6874840485},
+  };
+  std::vector<std::pair<std::string, double>> got;
+  for (const SpanRecord& s : ring.Snapshot()) {
+    const std::string name = s.name;
+    if (name == "clean" || name == "flush") got.emplace_back(name, s.z);
+  }
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, expected[i].first) << "span " << i;
+    EXPECT_DOUBLE_EQ(got[i].second, expected[i].second) << "span " << i;
+  }
 }
 
 }  // namespace

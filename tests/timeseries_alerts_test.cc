@@ -75,6 +75,7 @@ TimeSeriesOptions SmallRing(size_t capacity) {
 // ---------- time-series ring: hand-computed scrapes ----------
 
 TEST(TimeSeriesTest, CounterDeltasMatchHandComputedScrapes) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   MetricRegistry reg;
   Counter* c = reg.GetCounter("streamop_test_total");
   TimeSeries ts(SmallRing(8));
@@ -105,6 +106,7 @@ TEST(TimeSeriesTest, CounterDeltasMatchHandComputedScrapes) {
 }
 
 TEST(TimeSeriesTest, WraparoundFoldsDeltasIntoBaseExactly) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   MetricRegistry reg;
   Counter* c = reg.GetCounter("streamop_test_total");
   TimeSeries ts(SmallRing(4));
@@ -131,6 +133,7 @@ TEST(TimeSeriesTest, WraparoundFoldsDeltasIntoBaseExactly) {
 }
 
 TEST(TimeSeriesTest, GaugeCarryForwardAcrossSparseIntervalsAndEviction) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   MetricRegistry reg;
   Gauge* g = reg.GetGauge("streamop_test_gauge");
   TimeSeries ts(SmallRing(4));
@@ -158,6 +161,7 @@ TEST(TimeSeriesTest, GaugeCarryForwardAcrossSparseIntervalsAndEviction) {
 }
 
 TEST(TimeSeriesTest, RateUsesCoveredSpanAndExcludesOldestDelta) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   MetricRegistry reg;
   Counter* c = reg.GetCounter("streamop_test_total");
   TimeSeries ts(SmallRing(8));
@@ -181,6 +185,7 @@ TEST(TimeSeriesTest, RateUsesCoveredSpanAndExcludesOldestDelta) {
 }
 
 TEST(TimeSeriesTest, RateAggregatesAcrossLabeledSeriesByBareName) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   MetricRegistry reg;
   Counter* a = reg.GetCounter("streamop_ingest_gap_records_total",
                               "source=\"udp:1\"");
@@ -205,6 +210,7 @@ TEST(TimeSeriesTest, RateAggregatesAcrossLabeledSeriesByBareName) {
 }
 
 TEST(TimeSeriesTest, HistogramBucketDeltasYieldIntervalAccurateQuantiles) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   MetricRegistry reg;
   Histogram* h = reg.GetHistogram("streamop_test_lat_ns");
   TimeSeries ts(SmallRing(8));
@@ -237,6 +243,7 @@ TEST(TimeSeriesTest, HistogramBucketDeltasYieldIntervalAccurateQuantiles) {
 }
 
 TEST(TimeSeriesTest, OverflowDropsArePerIntervalAndCounted) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   TimeSeriesOptions o = SmallRing(4);
   o.max_points = 16;  // constructor floor
   MetricRegistry reg;
@@ -255,6 +262,7 @@ TEST(TimeSeriesTest, OverflowDropsArePerIntervalAndCounted) {
 }
 
 TEST(TimeSeriesTest, SeriesBeyondMaxSeriesAreDroppedAndCounted) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   TimeSeriesOptions o = SmallRing(4);
   o.max_series = 3;
   MetricRegistry reg;
@@ -269,6 +277,7 @@ TEST(TimeSeriesTest, SeriesBeyondMaxSeriesAreDroppedAndCounted) {
 }
 
 TEST(TimeSeriesTest, JsonEndpointsCarrySeriesAndPoints) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   MetricRegistry reg;
   Counter* c = reg.GetCounter("streamop_test_total");
   TimeSeries ts(SmallRing(8));
@@ -402,6 +411,7 @@ class StateMachineFixture {
 };
 
 TEST(AlertStateMachineTest, PendingFiringResolvedWithHysteresis) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   StateMachineFixture f;
   EXPECT_EQ(f.Step(3.0), AlertState::kInactive);   // below threshold
   EXPECT_EQ(f.Step(20.0), AlertState::kPending);   // 1st true < for 2
@@ -441,6 +451,7 @@ TEST(AlertStateMachineTest, PendingFiringResolvedWithHysteresis) {
 }
 
 TEST(AlertStateMachineTest, PendingFallsBackToInactiveWhenConditionClears) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   StateMachineFixture f;
   EXPECT_EQ(f.Step(20.0), AlertState::kPending);
   EXPECT_EQ(f.Step(3.0), AlertState::kInactive);  // never fired
@@ -448,6 +459,7 @@ TEST(AlertStateMachineTest, PendingFallsBackToInactiveWhenConditionClears) {
 }
 
 TEST(AlertEngineTest, RateAndBurnRulesEvaluateOverTheRing) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   MetricRegistry reg;
   Counter* err = reg.GetCounter("streamop_err_total");
   Counter* req = reg.GetCounter("streamop_req_total");
@@ -504,6 +516,7 @@ TEST(AlertEngineTest, BuiltinRulesCoverTheEngineSlos) {
 // ---------- concurrency (named for the TSan CI regex) ----------
 
 TEST(ObsConcurrencyTest, ScrapeVsExportVsEvaluate) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   MetricRegistry reg;
   Counter* c = reg.GetCounter("streamop_test_total");
   Gauge* g = reg.GetGauge("streamop_test_gauge");
@@ -566,6 +579,7 @@ class FlightRecorderTest : public ::testing::Test {
 };
 
 TEST_F(FlightRecorderTest, SpillLoadRoundTrip) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   MetricRegistry reg;
   Counter* c = reg.GetCounter("streamop_test_total");
   Gauge* g = reg.GetGauge("streamop_runtime_shed_fraction");
@@ -626,6 +640,7 @@ TEST_F(FlightRecorderTest, SpillLoadRoundTrip) {
 }
 
 TEST_F(FlightRecorderTest, CorruptAndTruncatedSegmentsAreRejected) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   MetricRegistry reg;
   reg.GetCounter("streamop_test_total")->Add(7);
   TimeSeries ts(SmallRing(8));
@@ -667,6 +682,7 @@ TEST_F(FlightRecorderTest, CorruptAndTruncatedSegmentsAreRejected) {
 }
 
 TEST_F(FlightRecorderTest, SpillCreatesMissingNestedDir) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   MetricRegistry reg;
   reg.GetCounter("streamop_test_total")->Add(3);
   TimeSeries ts(SmallRing(8));
@@ -685,6 +701,7 @@ TEST_F(FlightRecorderTest, SpillCreatesMissingNestedDir) {
 }
 
 TEST_F(FlightRecorderTest, MaybeSpillHonoursCadenceAndRequests) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   MetricRegistry reg;
   reg.GetCounter("streamop_test_total")->Add(1);
   TimeSeries ts(SmallRing(8));
@@ -756,6 +773,7 @@ bool RunForensicsChildAndKill(const std::string& dir) {
 }
 
 TEST_F(FlightRecorderTest, SegmentSurvivesSigkillWithFiredAlerts) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   ASSERT_TRUE(RunForensicsChildAndKill(dir_.string()))
       << "child never produced a segment";
 
