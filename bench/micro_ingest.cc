@@ -108,7 +108,7 @@ void RunTcpIngest(benchmark::State& state, uint64_t kill_every_frames,
   uint64_t reconnects = 0;
   for (auto _ : state) {
     TraceSenderConfig scfg;
-    scfg.records = trace.packets();
+    scfg.records = trace.packets();  // a view of the bench's one trace
     scfg.records_per_frame = records_per_frame;
     scfg.handshake_timeout_ms = 20000;
     scfg.kill_connection_after_frames = kill_every_frames;

@@ -175,6 +175,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "sending %s records\n",
                FormatWithCommas(trace.size()).c_str());
 
+  // The sender streams straight from `trace`, which outlives it: the
+  // trace is held once, not copied into the sender.
   TraceSenderConfig cfg;
   cfg.records = trace.packets();
   if (args.records_per_frame > 0) {

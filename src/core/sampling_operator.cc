@@ -24,16 +24,26 @@ SamplingOperator::SamplingOperator(
   scratch_superagg_finals_.reserve(plan_->superaggs.size());
   scratch_agg_finals_.reserve(plan_->aggregates.size());
 
-  // Group record layout: key values, accumulators, state byte, padded to
-  // the key's alignment. Blocks are allocated on first use.
-  static_assert(alignof(AggregateAccumulator) <= alignof(Value));
+  // Group record layout: key values, each aggregate's per-kind state,
+  // the state byte and one flag byte per aggregate, padded to the key's
+  // alignment (replay_agg's two keys, count and sum: 32 + 16 + 32 + 8 =
+  // 88 bytes). Blocks are allocated on first use.
+  static_assert(alignof(SumState) <= alignof(Value) &&
+                alignof(ExtremumState) <= alignof(Value) &&
+                alignof(QuantileState) <= alignof(Value));
   static_assert(sizeof(std::pair<uint32_t, NoValue>) == 8,
                 "16-byte index slots: hash plus record index");
-  record_aggs_offset_ = plan_->group_by_exprs.size() * sizeof(Value);
-  record_state_offset_ = record_aggs_offset_ + plan_->aggregates.size() *
-                                                   sizeof(AggregateAccumulator);
+  size_t offset = plan_->group_by_exprs.size() * sizeof(Value);
+  agg_slots_.reserve(plan_->aggregates.size());
+  for (const AggregateSpec& spec : plan_->aggregates) {
+    agg_slots_.push_back({Accumulator(spec.kind, spec.param),
+                          static_cast<uint32_t>(offset),
+                          !spec.star && spec.arg != nullptr});
+    offset += agg_slots_.back().acc.state_size();
+  }
+  record_state_offset_ = offset;
   record_stride_ = (record_state_offset_ + sizeof(RecordState) +
-                    alignof(Value) - 1) /
+                    agg_slots_.size() + alignof(Value) - 1) /
                    alignof(Value) * alignof(Value);
   while (block_shift_ < 20 &&
          (record_stride_ << (block_shift_ + 1)) <= kRecordBlockBytes) {
@@ -140,10 +150,9 @@ void SamplingOperator::ConstructRecord(uint32_t r, KeyValue&& key_value) {
   for (size_t j = 0; j < plan_->group_by_exprs.size(); ++j) {
     new (&key[j]) Value(key_value(j));
   }
-  AggregateAccumulator* aggs = RecordAggs(r);
-  for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
-    const AggregateSpec& spec = plan_->aggregates[a];
-    new (&aggs[a]) AggregateAccumulator(spec.kind, spec.param);
+  uint8_t* flags = AggFlags(r);
+  for (size_t a = 0; a < agg_slots_.size(); ++a) {
+    agg_slots_[a].acc.Construct(AggState(r, a), &flags[a]);
   }
   StateOf(r) = RecordState::kLive;
 }
@@ -151,9 +160,8 @@ void SamplingOperator::ConstructRecord(uint32_t r, KeyValue&& key_value) {
 void SamplingOperator::DestroyRecord(uint32_t r) {
   Value* key = RecordKey(r);
   for (size_t j = 0; j < plan_->group_by_exprs.size(); ++j) key[j].~Value();
-  AggregateAccumulator* aggs = RecordAggs(r);
-  for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
-    aggs[a].~AggregateAccumulator();
+  for (size_t a = 0; a < agg_slots_.size(); ++a) {
+    agg_slots_[a].acc.Destroy(AggState(r, a));
   }
   StateOf(r) = RecordState::kFree;
 }
@@ -233,9 +241,9 @@ void SamplingOperator::SuperAggFinalsInto(const SupergroupEntry& sg,
 void SamplingOperator::AggFinalsInto(uint32_t r,
                                      std::vector<Value>* out) const {
   out->clear();
-  const AggregateAccumulator* aggs = RecordAggs(r);
-  for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
-    out->push_back(aggs[a].Final());
+  const uint8_t* flags = AggFlags(r);
+  for (size_t a = 0; a < agg_slots_.size(); ++a) {
+    out->push_back(agg_slots_[a].acc.Final(AggState(r, a), flags[a]));
   }
 }
 
@@ -487,8 +495,10 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
 
   // ---- Per-lane loop ---------------------------------------------------
   // Observability is batched: one clock read pair and one pending-counter
-  // flush per batch instead of per tuple.
-  uint64_t clean_ns = 0;  // nested cleaning, subtracted from admission
+  // flush per batch instead of per tuple. Cleaning phases and window
+  // flushes that lanes trigger run nested in the loop and are billed to
+  // their own phases, so admission is the loop's self time.
+  uint64_t nested_ns = 0;
   uint64_t inline_lanes = 0;
 
   // Consecutive lanes overwhelmingly share a supergroup; cache the last
@@ -573,7 +583,7 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
     if (boundary) {
       const bool flushed = window_open_;
       if (window_open_) {
-        STREAMOP_RETURN_NOT_OK(FlushWindow());
+        STREAMOP_RETURN_NOT_OK(FlushWindow(&nested_ns));
       }
       cached_sg = nullptr;
       finals_sg = nullptr;
@@ -729,18 +739,23 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
             static_cast<double>(group_index_.size()));
       }
     }
-    AggregateAccumulator* aggs = RecordAggs(rec);
-    for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
-      const AggregateSpec& spec = plan_->aggregates[a];
-      if (spec.star || spec.arg == nullptr) {
-        aggs[a].Update(Value::Null(), weight);
-      } else if (agg_arg_col_ok_[a] && !late) {
+    // Each aggregate's update was chosen from the plan and reads the
+    // lane's words: no Value, no switch on the kind.
+    std::byte* const rec_bytes = RecordAt(rec);
+    uint8_t* const flags = AggFlags(rec);
+    for (size_t a = 0; a < agg_slots_.size(); ++a) {
+      const AggSlot& slot = agg_slots_[a];
+      void* const state = rec_bytes + slot.offset;
+      if (agg_arg_col_ok_[a] && !late) {
         const VecCol& c = *agg_arg_ptrs_[a];
-        aggs[a].Update(MaterializeRawValue(c.type[i], c.raw[i]), weight);
+        slot.acc.Update(state, &flags[a], c.type[i], c.raw[i], weight);
+      } else if (!slot.has_arg) {
+        slot.acc.Update(state, &flags[a],
+                        static_cast<uint8_t>(FieldType::kNull), 0, weight);
       } else {
         rc.superaggs = nullptr;
         STREAMOP_ASSIGN_OR_RETURN(Value v, agg_arg_progs_[a].EvalRow(rc));
-        aggs[a].Update(v, weight);
+        slot.acc.Update(state, &flags[a], v, weight);
       }
     }
 
@@ -769,7 +784,7 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
         finals_sg = nullptr;  // cleaning removes groups / resets SFUN state
         if (timed) {
           const uint64_t dur = obs::NowNanos() - t0;
-          clean_ns += dur;
+          nested_ns += dur;
           if (obs_on) {
             metrics_.cleaning_phases->Add();
             metrics_.cleaning_ns->Record(dur);
@@ -796,12 +811,13 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
     pending_tuples_ += inline_lanes;
     pending_admitted_ += batch_admitted;
     pending_superagg_updates_ += batch_superagg_updates;
-    // Admission covers the lane loop minus the cleaning phases nested in
-    // it (those are already accounted to kClean).
-    profiler_->AddPhaseNs(obs::Profiler::kAdmission,
-                          adm_ns > clean_ns ? adm_ns - clean_ns : 0);
+    // Admission's self time: the lane loop minus the cleaning phases and
+    // window flushes nested in it (already billed to kClean, kFlush and
+    // kQuality).
+    const uint64_t self_ns = adm_ns > nested_ns ? adm_ns - nested_ns : 0;
+    profiler_->AddPhaseNs(obs::Profiler::kAdmission, self_ns);
     if (inline_lanes > 0) {
-      const uint64_t per_lane_ns = adm_ns / inline_lanes;
+      const uint64_t per_lane_ns = self_ns / inline_lanes;
       metrics_.admission_ns->Record(per_lane_ns);
       if constexpr (obs::kStatsEnabled) {
         // Latency exemplar: the batch's mean per-lane admission latency,
@@ -849,13 +865,14 @@ Status SamplingOperator::ProcessBatchInner(const TupleBatch& batch,
 
 void SamplingOperator::RemoveGroup(uint32_t r, SupergroupEntry& sg) {
   if (StateOf(r) != RecordState::kLive) return;
-  const AggregateAccumulator* aggs = RecordAggs(r);
+  const uint8_t* flags = AggFlags(r);
   for (size_t i = 0; i < sg.superaggs.size(); ++i) {
     const SuperAggSpec& spec = plan_->superaggs[i];
     Value shadow = Value::Null();
     if (spec.shadow_agg_slot >= 0 &&
-        static_cast<size_t>(spec.shadow_agg_slot) < plan_->aggregates.size()) {
-      shadow = aggs[static_cast<size_t>(spec.shadow_agg_slot)].Final();
+        static_cast<size_t>(spec.shadow_agg_slot) < agg_slots_.size()) {
+      const size_t a = static_cast<size_t>(spec.shadow_agg_slot);
+      shadow = agg_slots_[a].acc.Final(AggState(r, a), flags[a]);
     }
     sg.superaggs[i].OnGroupRemoved(RecordKeyValues(r), shadow);
   }
@@ -928,7 +945,7 @@ void SamplingOperator::FlushPendingMetrics() {
   }
 }
 
-Status SamplingOperator::FlushWindow() {
+Status SamplingOperator::FlushWindow(uint64_t* flush_ns) {
   // Window flushes are per-window, not per-tuple: time every one and emit
   // it as a span. Pending per-tuple counts are drained first so the
   // registry is exact at every window boundary.
@@ -1059,6 +1076,7 @@ Status SamplingOperator::FlushWindow() {
   if (timed) {
     const uint64_t now = obs::NowNanos();
     const uint64_t dur = now - flush_t0;
+    *flush_ns += dur;
     if (obs_on) {
       metrics_.flush_ns->Record(dur);
       profiler_->AddPhaseNs(obs::Profiler::kFlush,
@@ -1241,7 +1259,8 @@ double SamplingOperator::SupergroupZ(const SupergroupEntry& sg) {
 Status SamplingOperator::FinishStream() {
   if (!window_open_) return Status::OK();
   window_open_ = false;
-  STREAMOP_RETURN_NOT_OK(FlushWindow());
+  uint64_t flush_ns = 0;
+  STREAMOP_RETURN_NOT_OK(FlushWindow(&flush_ns));
   // The flushed window's stats now live in window_stats_; drop the stale
   // live copy so a snapshot taken after the final flush never counts the
   // final window twice.
@@ -1487,10 +1506,10 @@ void SamplingOperator::SerializeDurableState(ByteWriter& w) const {
     w.U32(static_cast<uint32_t>(sorted.size()));
     for (const auto& [kbytes, rec] : sorted) {
       w.Raw(kbytes.data(), kbytes.size());
-      w.U32(static_cast<uint32_t>(plan_->aggregates.size()));
-      const AggregateAccumulator* aggs = RecordAggs(rec);
-      for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
-        aggs[a].SerializeTo(w);
+      w.U32(static_cast<uint32_t>(agg_slots_.size()));
+      const uint8_t* flags = AggFlags(rec);
+      for (size_t a = 0; a < agg_slots_.size(); ++a) {
+        agg_slots_[a].acc.SerializeTo(AggState(rec, a), flags[a], w);
       }
     }
   }
@@ -1606,8 +1625,10 @@ bool SamplingOperator::RestoreDurableState(ByteReader& r) {
     const uint32_t rec = AllocRecord();
     ConstructRecord(rec, [&](size_t j) { return gk.at(j); });
     group_index_.insert_hashed(gk.Hash(), rec);
-    AggregateAccumulator* aggs = RecordAggs(rec);
-    for (size_t a = 0; a < na; ++a) aggs[a].RestoreFrom(r);
+    uint8_t* flags = AggFlags(rec);
+    for (size_t a = 0; a < na; ++a) {
+      agg_slots_[a].acc.RestoreFrom(AggState(rec, a), &flags[a], r);
+    }
   }
 
   // Each list key names its group's record. A key with no group (removed,

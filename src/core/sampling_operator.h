@@ -240,9 +240,11 @@ class SamplingOperator {
   /// build (restarted fresh instead). Zero on a clean restore.
   uint64_t restore_states_skipped() const { return restore_states_skipped_; }
 
-  /// Number of live groups / supergroups (introspection for tests).
+  /// Number of live groups / supergroups, and the bytes of one group
+  /// record (introspection for tests).
   size_t num_groups() const { return group_index_.size(); }
   size_t num_supergroups() const { return new_supergroups_.size(); }
+  size_t group_record_bytes() const { return record_stride_; }
 
  private:
   struct SupergroupEntry {
@@ -268,12 +270,13 @@ class SamplingOperator {
 
   // ---- Group records (DESIGN.md §6) -----------------------------------
   // Every group of the open window is one record of record_stride_ bytes:
-  // its group-by values (`Value`s, strings owned out of line), then its
-  // accumulators, constructed in place, then a RecordState byte. Records
-  // live in blocks of 2^block_shift_ records, allocated on first use and
-  // kept for the operator's lifetime, so a record never moves. The window
-  // close destroys the records in place and resets the arena; it frees
-  // only what the records own out of line (strings, GK sketches).
+  // its group-by values (`Value`s, strings owned out of line), then one
+  // per-kind accumulator state per aggregate, constructed in place, then a
+  // RecordState byte followed by one flag byte per aggregate. Records live
+  // in blocks of 2^block_shift_ records, allocated on first use and kept
+  // for the operator's lifetime, so a record never moves. The window close
+  // destroys the records in place and resets the arena; it frees only what
+  // the records own out of line (strings, GK sketches).
   enum class RecordState : uint8_t {
     kLive,  // in group_index_
     kDead,  // removed; key still readable, not yet recycled
@@ -298,9 +301,14 @@ class SamplingOperator {
   std::span<const Value> RecordKeyValues(uint32_t r) const {
     return {RecordKey(r), plan_->group_by_exprs.size()};
   }
-  AggregateAccumulator* RecordAggs(uint32_t r) const {
-    return reinterpret_cast<AggregateAccumulator*>(RecordAt(r) +
-                                                   record_aggs_offset_);
+  // Aggregate a's accumulator state in record r, and r's flag bytes (one
+  // per aggregate, after its state byte).
+  void* AggState(uint32_t r, size_t a) const {
+    return RecordAt(r) + agg_slots_[a].offset;
+  }
+  uint8_t* AggFlags(uint32_t r) const {
+    return reinterpret_cast<uint8_t*>(RecordAt(r) + record_state_offset_ +
+                                      sizeof(RecordState));
   }
   RecordState& StateOf(uint32_t r) const {
     return *reinterpret_cast<RecordState*>(RecordAt(r) +
@@ -345,8 +353,9 @@ class SamplingOperator {
   // dead (its key stays readable) and its index slot erased.
   void RemoveGroup(uint32_t r, SupergroupEntry& sg);
 
-  // Window boundary: HAVING + SELECT per group, stats, table swap.
-  Status FlushWindow();
+  // Window boundary: HAVING + SELECT per group, stats, table swap. Adds
+  // its wall time, quality report included, to *flush_ns (0 untimed).
+  Status FlushWindow(uint64_t* flush_ns);
 
   // The batched hot path behind the public ProcessBatch overloads; the
   // wrapper reports the window span id/seq back through span_ctx after the
@@ -388,9 +397,16 @@ class SamplingOperator {
   std::shared_ptr<const SamplingQueryPlan> plan_;
 
   // Group records: layout fixed from the plan at construction; blocks,
-  // index slots and the free list are allocated on first use.
+  // index slots and the free list are allocated on first use. Each
+  // aggregate's accumulator (kind, param and update, chosen from the plan)
+  // sits beside the offset of its state in a record.
+  struct AggSlot {
+    Accumulator acc;
+    uint32_t offset;
+    bool has_arg;  // false for count(*)
+  };
+  std::vector<AggSlot> agg_slots_;
   size_t record_stride_ = 0;
-  size_t record_aggs_offset_ = 0;
   size_t record_state_offset_ = 0;
   uint32_t block_shift_ = 0;
   uint32_t block_mask_ = 0;

@@ -34,11 +34,21 @@ bool LookupSuperAggKind(const std::string& name, SuperAggKind* kind) {
   return false;
 }
 
+namespace {
+
+// The plan-independent accumulator behind every sum$.
+const Accumulator& SumAccumulator() {
+  static const Accumulator acc(AggregateKind::kSum);
+  return acc;
+}
+
+}  // namespace
+
 void SuperAggState::OnTuple(const Value& v, double weight) {
   if (weight != 1.0) weighted_ = true;
   switch (spec_->kind) {
     case SuperAggKind::kSum:
-      acc_.Update(v, weight);
+      SumAccumulator().Update(&sum_, &sum_flags_, v, weight);
       // HT variance estimator term w(w−1)x² = x²(1−p)/p² — zero for
       // unshed tuples, so the unweighted hot path pays one branch.
       if (weight != 1.0) {
@@ -97,7 +107,8 @@ void SuperAggState::OnGroupRemoved(std::span<const Value> key,
     }
     case SuperAggKind::kSum:
       if (!shadow_value.is_null()) {
-        acc_.Subtract(shadow_value);  // sum is subtractable
+        // sum is subtractable
+        SumAccumulator().Subtract(&sum_, &sum_flags_, shadow_value);
       }
       break;
     case SuperAggKind::kCount:
@@ -136,7 +147,7 @@ Value SuperAggState::Final() const {
       return it->first;
     }
     case SuperAggKind::kSum:
-      return acc_.Final();
+      return SumAccumulator().Final(&sum_, sum_flags_);
     case SuperAggKind::kCount:
       if (weighted_) return Value::Double(weighted_count_);
       return Value::UInt(tuple_count_);
@@ -148,7 +159,7 @@ Value SuperAggState::Final() const {
 
 void SuperAggState::SerializeTo(ByteWriter& w) const {
   w.U64(group_count_);
-  acc_.SerializeTo(w);
+  SumAccumulator().SerializeTo(&sum_, sum_flags_, w);
   w.U64(tuple_count_);
   w.F64(weighted_count_);
   w.F64(ht_var_);
@@ -162,7 +173,7 @@ void SuperAggState::SerializeTo(ByteWriter& w) const {
 
 void SuperAggState::RestoreFrom(ByteReader& r) {
   group_count_ = r.U64();
-  acc_.RestoreFrom(r);
+  SumAccumulator().RestoreFrom(&sum_, &sum_flags_, r);
   tuple_count_ = r.U64();
   weighted_count_ = r.F64();
   ht_var_ = r.F64();

@@ -99,7 +99,9 @@ class SuperAggState {
  private:
   const SuperAggSpec* spec_;
   uint64_t group_count_ = 0;
-  AggregateAccumulator acc_{AggregateKind::kSum};
+  // sum$: a sum accumulator's state, as group records hold it.
+  SumState sum_;
+  uint8_t sum_flags_ = kAccInitialFlags;
   uint64_t tuple_count_ = 0;
   // count$ Horvitz–Thompson state: weighted_count_ tracks sum(1/p_i) and
   // becomes authoritative once any tuple arrived with weight != 1.0.

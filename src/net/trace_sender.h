@@ -8,6 +8,7 @@
 // replay tool, the net_source tests (run in a background thread against a
 // SocketSource in the same process), and the ingest benches. The fault
 // knobs below exist for the latter two — a real replay tool leaves them 0.
+// The sender streams from its caller's records; it keeps no copy.
 //
 // UDP session: the sender heartbeats toward the consumer's port until a
 // HELLO{S} datagram comes back, answers ACK{T} (T = S clamped to the
@@ -22,7 +23,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -31,9 +34,33 @@
 
 namespace streamop {
 
+/// A read-only view of records the caller owns and keeps alive, unchanged,
+/// while the sender runs, so a replay tool or bench does not hold its trace
+/// twice. It binds to a vector lvalue only: a temporary vector would die at
+/// the end of the statement and leave the view dangling, so binding one
+/// does not compile (a plain std::span would accept it silently).
+class RecordsView : public std::span<const PacketRecord> {
+ public:
+  RecordsView() = default;
+  RecordsView(const std::vector<PacketRecord>& records)  // NOLINT: implicit
+      : std::span<const PacketRecord>(records) {}
+  RecordsView(std::vector<PacketRecord>&&) = delete;
+  RecordsView(const std::vector<PacketRecord>&&) = delete;
+};
+
+static_assert(std::is_assignable_v<RecordsView&, std::vector<PacketRecord>&>);
+static_assert(
+    std::is_assignable_v<RecordsView&, const std::vector<PacketRecord>&>);
+static_assert(!std::is_assignable_v<RecordsView&, std::vector<PacketRecord>>,
+              "a temporary vector would leave the view dangling");
+static_assert(
+    !std::is_assignable_v<RecordsView&, const std::vector<PacketRecord>&&>,
+    "a temporary vector would leave the view dangling");
+
 struct TraceSenderConfig {
-  /// Records to stream, in order; sequence number == index.
-  std::vector<PacketRecord> records;
+  /// Records to stream, in order; sequence number == index. A view: the
+  /// caller owns the vector and keeps it alive while the sender runs.
+  RecordsView records;
   /// Records per DATA frame. UDP senders should stay <= kUdpRecordsPerFrame
   /// (one frame per datagram, under the MTU); TCP may batch larger.
   size_t records_per_frame = kUdpRecordsPerFrame;

@@ -36,20 +36,35 @@ SpanRing& SpanRing::Default() {
   return *ring;
 }
 
-SpanRing::SpanRing(size_t capacity) {
-  if (capacity < 1) capacity = 1;
-  slots_ = std::make_unique<Slot[]>(capacity);
-  cap_ = capacity;
+SpanRing::SpanRing(size_t capacity) : cap_(std::max<size_t>(capacity, 1)) {}
+
+SpanRing::~SpanRing() { delete[] slots_.load(std::memory_order_acquire); }
+
+void SpanRing::set_enabled(bool on) {
+  if (kStatsEnabled && on &&
+      slots_.load(std::memory_order_acquire) == nullptr) {
+    // Slots default shed_p and max_weight to 1.0, so they are constructed,
+    // not left as zero pages. A racing first enable keeps one array.
+    Slot* fresh = new Slot[cap_];
+    Slot* expected = nullptr;
+    if (!slots_.compare_exchange_strong(expected, fresh,
+                                        std::memory_order_acq_rel)) {
+      delete[] fresh;
+    }
+  }
+  enabled_.store(on, std::memory_order_relaxed);
 }
 
 std::vector<SpanRecord> SpanRing::Snapshot() const {
   const uint64_t seq = seq_.load(std::memory_order_relaxed);
+  const Slot* const slots = slots_.load(std::memory_order_acquire);
+  std::vector<SpanRecord> out;
+  if (slots == nullptr) return out;
   const size_t n =
       static_cast<size_t>(std::min<uint64_t>(seq, static_cast<uint64_t>(cap_)));
-  std::vector<SpanRecord> out;
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const Slot& s = slots_[i];
+    const Slot& s = slots[i];
     SpanRecord r;
     r.name = s.name.load(std::memory_order_relaxed);
     r.span_id = s.span_id.load(std::memory_order_relaxed);

@@ -28,12 +28,15 @@
 // same duration feeds the span, the phase's histogram and the profiler's
 // phase totals. Disabled, a record site is one relaxed bool load; enabled,
 // Emit() claims a slot with one relaxed fetch_add and writes fixed-size
-// fields in place — no allocation, oldest spans overwritten. Slot fields
-// are individually atomic (relaxed) so a concurrent /spans export never
-// races the writer; a snapshot taken mid-write may see a torn span
-// (documented, tolerated by the exporters). STREAMOP_NO_STATS folds every
-// record site away; the export surface stays (serving empty rings),
-// mirroring the HTTP server's contract.
+// fields in place — no allocation, oldest spans overwritten. The slots
+// themselves are allocated by the first set_enabled(true), so a ring that
+// is never enabled (every operator points at the default one) commits
+// none of them. Slot fields are individually atomic (relaxed) so a
+// concurrent /spans export never races the writer; a snapshot taken
+// mid-write may see a torn span (documented, tolerated by the
+// exporters). STREAMOP_NO_STATS folds every record site away; the export
+// surface stays (serving empty rings), mirroring the HTTP server's
+// contract.
 
 #ifndef STREAMOP_OBS_SPAN_H_
 #define STREAMOP_OBS_SPAN_H_
@@ -41,7 +44,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -86,8 +88,14 @@ class SpanRing {
   static SpanRing& Default();
 
   explicit SpanRing(size_t capacity = 4096);
+  ~SpanRing();
 
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
+  SpanRing(const SpanRing&) = delete;
+  SpanRing& operator=(const SpanRing&) = delete;
+
+  /// The first enable allocates and publishes the slots; after that,
+  /// enabling and disabling only flip the flag.
+  void set_enabled(bool on);
   bool enabled() const {
     return kStatsEnabled && enabled_.load(std::memory_order_relaxed);
   }
@@ -152,8 +160,11 @@ class SpanRing {
   };
 
   void Put(const SpanRecord& r, uint64_t id) {
+    // Null only while a first enable on another thread is still publishing.
+    Slot* const slots = slots_.load(std::memory_order_acquire);
+    if (slots == nullptr) return;
     const uint64_t s = seq_.fetch_add(1, std::memory_order_relaxed);
-    Slot& slot = slots_[s % cap_];
+    Slot& slot = slots[s % cap_];
     slot.name.store(r.name, std::memory_order_relaxed);
     slot.span_id.store(id, std::memory_order_relaxed);
     slot.parent_id.store(r.parent_id, std::memory_order_relaxed);
@@ -170,8 +181,10 @@ class SpanRing {
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> next_id_{0};
-  // Slots hold atomics (not movable): plain array instead of vector.
-  std::unique_ptr<Slot[]> slots_;
+  // cap_ slots (atomics, so a plain array), owned; null until the first
+  // enable. Published with release after construction and read with
+  // acquire, so no reader sees a half-built array.
+  std::atomic<Slot*> slots_{nullptr};
   size_t cap_ = 0;
 };
 

@@ -49,12 +49,9 @@ inline Value MaterializeRawValue(uint8_t type, uint64_t raw) {
   return Value::Null();
 }
 
-/// Encodes a Value as a lane payload for its type tag
-/// (static_cast<uint8_t>(v.type())), the inverse of MaterializeRawValue. A
-/// string is copied into `strings` (stable addresses), which must outlive
-/// every read of the lane.
-inline uint64_t EncodeRawValue(const Value& v,
-                               std::deque<std::string>* strings) {
+/// `v` as a lane payload for its type tag, without a copy: a string lane
+/// points at v's own string, so it is valid while v lives unchanged.
+inline uint64_t RawValueView(const Value& v) {
   switch (v.type()) {
     case FieldType::kNull:
       return 0;
@@ -67,10 +64,20 @@ inline uint64_t EncodeRawValue(const Value& v,
     case FieldType::kDouble:
       return std::bit_cast<uint64_t>(v.double_value());
     case FieldType::kString:
-      strings->push_back(v.string_value());
-      return reinterpret_cast<uint64_t>(&strings->back());
+      return reinterpret_cast<uint64_t>(&v.string_value());
   }
   return 0;
+}
+
+/// Encodes a Value as a lane payload for its type tag
+/// (static_cast<uint8_t>(v.type())), the inverse of MaterializeRawValue. A
+/// string is copied into `strings` (stable addresses), which must outlive
+/// every read of the lane.
+inline uint64_t EncodeRawValue(const Value& v,
+                               std::deque<std::string>* strings) {
+  if (v.type() != FieldType::kString) return RawValueView(v);
+  strings->push_back(v.string_value());
+  return reinterpret_cast<uint64_t>(&strings->back());
 }
 
 /// Value::Hash() replicated over a (type, raw) lane — must stay bit-equal
@@ -124,6 +131,22 @@ inline bool RawValueAsBool(uint8_t type, uint64_t raw) {
       return !reinterpret_cast<const std::string*>(raw)->empty();
     default:  // kBool / kUInt / kInt
       return raw != 0;
+  }
+}
+
+/// Value::AsDouble() replicated over a (type, raw) lane.
+inline double RawValueAsDouble(uint8_t type, uint64_t raw) {
+  switch (static_cast<FieldType>(type)) {
+    case FieldType::kBool:
+      return raw != 0 ? 1.0 : 0.0;
+    case FieldType::kUInt:
+      return static_cast<double>(raw);
+    case FieldType::kInt:
+      return static_cast<double>(static_cast<int64_t>(raw));
+    case FieldType::kDouble:
+      return std::bit_cast<double>(raw);
+    default:  // kNull / kString
+      return 0.0;
   }
 }
 

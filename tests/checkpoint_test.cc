@@ -474,6 +474,50 @@ TEST(OperatorCheckpointTest, RestoreRejectsMismatchedPlan) {
   EXPECT_EQ(b.DrainOutput().size(), 1u);
 }
 
+// Every `stride`-th packet of `trace`, as PKTS tuples.
+std::vector<Tuple> TraceSlice(const Trace& trace, size_t stride) {
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < trace.size(); i += stride) {
+    rows.push_back(PacketToTuple(trace.at(i)));
+  }
+  return rows;
+}
+
+TEST(OperatorCheckpointTest, RestoreRejectsAnotherAggregateKind) {
+  // Same arities, so the plan fingerprint matches; the accumulators'
+  // encoded kind (and param) must not. The restoring operator comes back
+  // empty, as after any rejected snapshot.
+  auto compile = [](const char* aggs) {
+    auto cq = CompileQuery(std::string("SELECT tb, srcIP, ") + aggs +
+                               " FROM PKT GROUP BY time/5 as tb, srcIP",
+                           Catalog::Default(), {.seed = 1});
+    EXPECT_TRUE(cq.ok()) << cq.status().ToString();
+    return cq->sampling;
+  };
+  const std::vector<Tuple> rows =
+      TraceSlice(TraceGenerator::MakeDataCenterFeed(2.0, 1), 40);
+  SamplingOperator a(compile("count(*), sum(len), quantile(len, 0.9)"));
+  for (size_t i = 0; i < rows.size() / 2; ++i) {
+    ASSERT_TRUE(a.Process(rows[i]).ok());
+  }
+  ASSERT_GT(a.num_groups(), 0u);
+  ByteWriter w;
+  a.SerializeDurableState(w);
+  for (const char* other : {"count(*), max(len), quantile(len, 0.9)",
+                            "count(*), avg(len), quantile(len, 0.9)",
+                            "count(*), sum(len), quantile(len, 0.5)"}) {
+    SCOPED_TRACE(other);
+    SamplingOperator b(compile(other));
+    ByteReader r(w.data());
+    EXPECT_FALSE(b.RestoreDurableState(r));
+    EXPECT_EQ(b.num_groups(), 0u);
+  }
+  SamplingOperator same(compile("count(*), sum(len), quantile(len, 0.9)"));
+  ByteReader r(w.data());
+  EXPECT_TRUE(same.RestoreDurableState(r));
+  EXPECT_EQ(same.num_groups(), a.num_groups());
+}
+
 TEST(OperatorCheckpointTest, RestoreRejectsCorruptPayloadWithoutCrashing) {
   SamplingOperator a(MakeAggregationPlan());
   Pcg64 rng(23);
@@ -612,9 +656,10 @@ TEST(OperatorCheckpointTest, DeadGroupsOfAFailedCleaningPhaseRoundTrip) {
 //
 // The round trips above compare a snapshot with its own re-serialization,
 // so they would still pass if the encoding drifted. The digests below pin
-// the SerializeDurableState bytes themselves: they were recorded at commit
-// 3d853c4, before the operator's group state moved into one arena (see
-// CHANGES.md), with
+// the SerializeDurableState bytes themselves: cases (a)-(d) were recorded
+// at commit 3d853c4, before the operator's group state moved into one arena,
+// and case (e) at 3c09aaa, before the accumulators became per-kind state
+// (see CHANGES.md), with
 //   ctest --test-dir build -R SnapshotBytesMatchFrozenDigests
 // and any change to them is a snapshot format change.
 
@@ -644,12 +689,16 @@ struct TakenSnapshot {
 // first window boundary, and right after row `mid_row` (0: none). Checks
 // every snapshot against its frozen digest, restores it into a fresh
 // operator, and requires byte-identical re-serialization and the run's
-// remaining output.
+// remaining output. Row i is fed at weight `weight_of(i)` (1.0 if null).
 void ExpectFrozenSnapshots(const CompiledQuery& cq,
                            const std::vector<Tuple>& rows, size_t cleaning_at,
                            size_t mid_row, const char* cleaning_digest,
                            const char* boundary_digest,
-                           const char* mid_digest) {
+                           const char* mid_digest,
+                           double (*weight_of)(size_t) = nullptr) {
+  auto weight = [weight_of](size_t i) {
+    return weight_of != nullptr ? weight_of(i) : 1.0;
+  };
   SamplingOperator a(cq.sampling);
   std::vector<TakenSnapshot> taken;
   auto take = [&](const char* what, size_t next_row) {
@@ -667,7 +716,7 @@ void ExpectFrozenSnapshots(const CompiledQuery& cq,
   for (size_t i = 0; i < rows.size(); ++i) {
     const size_t windows_before = a.window_stats().size();
     const size_t groups_before = a.num_groups();
-    ASSERT_TRUE(a.Process(rows[i]).ok()) << "row " << i;
+    ASSERT_TRUE(a.Process(rows[i], weight(i)).ok()) << "row " << i;
     if (a.window_stats().size() != windows_before) {
       if (!boundary_taken) take("boundary", i + 1);
       boundary_taken = true;
@@ -699,7 +748,7 @@ void ExpectFrozenSnapshots(const CompiledQuery& cq,
     b.SerializeDurableState(again);
     EXPECT_EQ(again.data(), it->bytes) << what << ": re-serialization";
     for (size_t i = it->next_row; i < rows.size(); ++i) {
-      ASSERT_TRUE(b.Process(rows[i]).ok()) << what << " row " << i;
+      ASSERT_TRUE(b.Process(rows[i], weight(i)).ok()) << what << " row " << i;
     }
     ASSERT_TRUE(b.FinishStream().ok());
     const std::vector<std::string> tail(
@@ -707,15 +756,6 @@ void ExpectFrozenSnapshots(const CompiledQuery& cq,
         all_rows.end());
     EXPECT_EQ(RowsAsStrings(b.DrainOutput()), tail) << what;
   }
-}
-
-// Every `stride`-th packet of `trace`, as PKTS tuples.
-std::vector<Tuple> TraceSlice(const Trace& trace, size_t stride) {
-  std::vector<Tuple> rows;
-  for (size_t i = 0; i < trace.size(); i += stride) {
-    rows.push_back(PacketToTuple(trace.at(i)));
-  }
-  return rows;
 }
 
 TEST(OperatorCheckpointTest, SnapshotBytesMatchFrozenDigests) {
@@ -803,6 +843,24 @@ TEST(OperatorCheckpointTest, SnapshotBytesMatchFrozenDigests) {
         TraceSlice(TraceGenerator::MakeResearchFeed(33.0, 13), 40);
     ExpectFrozenSnapshots(*cq, rows, 0, rows.size() * 5 / 6, nullptr,
                           "bfb67cdceb67c016", "acea97e0cae049c0");
+  }
+  // (e) every aggregate kind, fed in runs of 64 rows alternately at weight
+  // 1.0 and 2.5, so `weighted` flips inside groups, weight_sum departs
+  // from count and the sums leave UInt.
+  {
+    SCOPED_TRACE("all_kinds_weighted");
+    auto cq = CompileQuery(
+        "SELECT tb, proto, count(*), count(len), sum(len), avg(len), "
+        "min(srcPort), max(len), first(destPort), last(srcIP), median(len) "
+        "FROM PKT GROUP BY time/5 as tb, proto",
+        Catalog::Default(), {.seed = 4});
+    ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+    const std::vector<Tuple> rows =
+        TraceSlice(TraceGenerator::MakeDataCenterFeed(7.0, 2), 40);
+    ExpectFrozenSnapshots(
+        *cq, rows, 0, rows.size() * 7 / 10, nullptr, "1170a32ef6b05b9a",
+        "833d724b4007a0e1",
+        [](size_t i) { return (i / 64) % 2 == 0 ? 1.0 : 2.5; });
   }
 }
 

@@ -4,14 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <string>
+#include <vector>
 
+#include "common/serde.h"
 #include "expr/aggregate.h"
 #include "expr/evaluator.h"
 #include "expr/expr.h"
 #include "expr/scalar_function.h"
 #include "expr/stateful.h"
 #include "tuple/tuple.h"
+#include "tuple/tuple_batch.h"
 
 namespace streamop {
 namespace {
@@ -322,8 +328,55 @@ TEST(AggregateTest, LookupKinds) {
   EXPECT_FALSE(LookupAggregateKind("mode", &k));
 }
 
+// One accumulator with its own state and flag byte, as a group record
+// holds them.
+class TestAccumulator {
+ public:
+  explicit TestAccumulator(AggregateKind kind, double param = 0.0)
+      : acc_(kind, param) {
+    acc_.Construct(state_, &flags_);
+  }
+  ~TestAccumulator() { acc_.Destroy(state_); }
+  TestAccumulator(const TestAccumulator&) = delete;
+  TestAccumulator& operator=(const TestAccumulator&) = delete;
+
+  void Update(const Value& v, double weight = 1.0) {
+    acc_.Update(state_, &flags_, v, weight);
+  }
+  void UpdateLane(uint8_t type, uint64_t raw, double weight = 1.0) {
+    acc_.Update(state_, &flags_, type, raw, weight);
+  }
+  Status Subtract(const Value& v) { return acc_.Subtract(state_, &flags_, v); }
+  Value Final() const { return acc_.Final(state_, flags_); }
+  uint8_t flags() const { return flags_; }
+  // Every kind's state leads with its CountState.
+  const CountState& counts() const {
+    return *static_cast<const CountState*>(static_cast<const void*>(state_));
+  }
+  std::string Bytes() const {
+    ByteWriter w;
+    acc_.SerializeTo(state_, flags_, w);
+    return w.Release();
+  }
+  bool Restore(const std::string& bytes) {
+    ByteReader r(bytes);
+    acc_.RestoreFrom(state_, &flags_, r);
+    return r.ok() && r.remaining() == 0;
+  }
+
+ private:
+  Accumulator acc_;
+  alignas(8) std::byte state_[sizeof(SumState)];
+  uint8_t flags_ = 0;
+};
+
+constexpr AggregateKind kAllKinds[] = {
+    AggregateKind::kSum,   AggregateKind::kCount, AggregateKind::kMin,
+    AggregateKind::kMax,   AggregateKind::kAvg,   AggregateKind::kFirst,
+    AggregateKind::kLast,  AggregateKind::kQuantile};
+
 TEST(AggregateTest, SumStaysUnsignedForUIntInputs) {
-  AggregateAccumulator acc(AggregateKind::kSum);
+  TestAccumulator acc(AggregateKind::kSum);
   acc.Update(Value::UInt(10));
   acc.Update(Value::UInt(32));
   Value v = acc.Final();
@@ -331,7 +384,7 @@ TEST(AggregateTest, SumStaysUnsignedForUIntInputs) {
 }
 
 TEST(AggregateTest, SumPromotesToDoubleOnMixedInput) {
-  AggregateAccumulator acc(AggregateKind::kSum);
+  TestAccumulator acc(AggregateKind::kSum);
   acc.Update(Value::UInt(1));
   acc.Update(Value::Double(0.5));
   Value v = acc.Final();
@@ -340,15 +393,15 @@ TEST(AggregateTest, SumPromotesToDoubleOnMixedInput) {
 }
 
 TEST(AggregateTest, CountStarIgnoresPayload) {
-  AggregateAccumulator acc(AggregateKind::kCount);
+  TestAccumulator acc(AggregateKind::kCount);
   acc.Update(Value::Null());
   acc.Update(Value::UInt(9));
   EXPECT_EQ(acc.Final(), Value::UInt(2));
 }
 
 TEST(AggregateTest, MinMaxFirstLast) {
-  AggregateAccumulator mn(AggregateKind::kMin), mx(AggregateKind::kMax);
-  AggregateAccumulator fi(AggregateKind::kFirst), la(AggregateKind::kLast);
+  TestAccumulator mn(AggregateKind::kMin), mx(AggregateKind::kMax);
+  TestAccumulator fi(AggregateKind::kFirst), la(AggregateKind::kLast);
   for (uint64_t v : {5u, 2u, 9u, 4u}) {
     mn.Update(Value::UInt(v));
     mx.Update(Value::UInt(v));
@@ -362,7 +415,7 @@ TEST(AggregateTest, MinMaxFirstLast) {
 }
 
 TEST(AggregateTest, AvgIsDouble) {
-  AggregateAccumulator acc(AggregateKind::kAvg);
+  TestAccumulator acc(AggregateKind::kAvg);
   acc.Update(Value::UInt(1));
   acc.Update(Value::UInt(2));
   Value v = acc.Final();
@@ -370,38 +423,183 @@ TEST(AggregateTest, AvgIsDouble) {
 }
 
 TEST(AggregateTest, EmptyFinals) {
-  EXPECT_EQ(AggregateAccumulator(AggregateKind::kSum).Final(), Value::UInt(0));
-  EXPECT_EQ(AggregateAccumulator(AggregateKind::kCount).Final(),
-            Value::UInt(0));
-  EXPECT_TRUE(AggregateAccumulator(AggregateKind::kMin).Final().is_null());
+  EXPECT_EQ(TestAccumulator(AggregateKind::kSum).Final(), Value::UInt(0));
+  EXPECT_EQ(TestAccumulator(AggregateKind::kCount).Final(), Value::UInt(0));
+  EXPECT_TRUE(TestAccumulator(AggregateKind::kMin).Final().is_null());
   EXPECT_DOUBLE_EQ(
-      AggregateAccumulator(AggregateKind::kAvg).Final().double_value(), 0.0);
+      TestAccumulator(AggregateKind::kAvg).Final().double_value(), 0.0);
 }
 
 TEST(AggregateTest, SubtractSupportedForSumCount) {
-  AggregateAccumulator sum(AggregateKind::kSum);
+  TestAccumulator sum(AggregateKind::kSum);
   sum.Update(Value::UInt(10));
   sum.Update(Value::UInt(20));
   EXPECT_TRUE(sum.Subtract(Value::UInt(10)).ok());
   EXPECT_EQ(sum.Final(), Value::UInt(20));
 
-  AggregateAccumulator mn(AggregateKind::kMin);
+  TestAccumulator mn(AggregateKind::kMin);
   mn.Update(Value::UInt(1));
   EXPECT_EQ(mn.Subtract(Value::UInt(1)).code(), StatusCode::kUnimplemented);
 }
 
-TEST(AggregateTest, MergeCombines) {
-  AggregateAccumulator a(AggregateKind::kSum), b(AggregateKind::kSum);
-  a.Update(Value::UInt(1));
-  b.Update(Value::UInt(2));
-  a.Merge(b);
-  EXPECT_EQ(a.Final(), Value::UInt(3));
+TEST(AggregateTest, StateSizesPerKind) {
+  EXPECT_EQ(Accumulator(AggregateKind::kCount).state_size(), 16u);
+  EXPECT_EQ(Accumulator(AggregateKind::kSum).state_size(), 32u);
+  EXPECT_EQ(Accumulator(AggregateKind::kAvg).state_size(), 32u);
+  for (AggregateKind k : {AggregateKind::kMin, AggregateKind::kMax,
+                          AggregateKind::kFirst, AggregateKind::kLast}) {
+    EXPECT_EQ(Accumulator(k).state_size(), 32u);
+  }
+  EXPECT_EQ(Accumulator(AggregateKind::kQuantile, 0.5).state_size(), 24u);
+}
 
-  AggregateAccumulator m1(AggregateKind::kMax), m2(AggregateKind::kMax);
-  m1.Update(Value::UInt(5));
-  m2.Update(Value::UInt(9));
-  m1.Merge(m2);
-  EXPECT_EQ(m1.Final(), Value::UInt(9));
+TEST(AggregateTest, AllUIntClearsOnTheFirstNonUIntInputOfASum) {
+  // sum/avg keep the exact unsigned sum until an input is not UInt; from
+  // then on the double sum reports, even after more UInt inputs. The other
+  // kinds never touch the flag (it stays at its initial value, which is
+  // what snapshots have always carried).
+  for (AggregateKind k : kAllKinds) {
+    SCOPED_TRACE(static_cast<int>(k));
+    TestAccumulator acc(k, 0.5);
+    acc.Update(Value::UInt(3));
+    acc.Update(Value::UInt(4));
+    EXPECT_NE(acc.flags() & kAccAllUInt, 0);
+    acc.Update(Value::Double(0.5));
+    acc.Update(Value::UInt(2));
+    const bool sum = k == AggregateKind::kSum || k == AggregateKind::kAvg;
+    EXPECT_EQ((acc.flags() & kAccAllUInt) != 0, !sum);
+    EXPECT_EQ(acc.flags() & kAccWeighted, 0);
+    EXPECT_EQ(acc.counts().count, 4u);
+    EXPECT_EQ(acc.counts().weight_sum, 4.0);
+  }
+  TestAccumulator sum(AggregateKind::kSum);
+  sum.Update(Value::UInt(3));
+  EXPECT_EQ(sum.Final(), Value::UInt(3));
+  sum.Update(Value::Int(-1));
+  sum.Update(Value::UInt(5));
+  EXPECT_EQ(sum.Final(), Value::Double(7.0));
+  TestAccumulator avg(AggregateKind::kAvg);
+  avg.Update(Value::UInt(3));
+  avg.Update(Value::Double(1.5));
+  EXPECT_EQ(avg.Final(), Value::Double(2.25));
+  TestAccumulator mn(AggregateKind::kMin), mx(AggregateKind::kMax);
+  for (const Value& v : {Value::UInt(3), Value::Double(2.5), Value::Int(-1),
+                         Value::UInt(4)}) {
+    mn.Update(v);
+    mx.Update(v);
+  }
+  EXPECT_EQ(mn.Final(), Value::Int(-1));
+  EXPECT_EQ(mx.Final(), Value::UInt(4));
+}
+
+TEST(AggregateTest, WeightOneToWMovesCountsAndSumsIntoDoubleSpace) {
+  // Two updates at weight 1.0, then one at 2.5: `weighted` turns on,
+  // weight_sum leaves count behind, and count/sum/avg report
+  // Horvitz–Thompson doubles. The order statistics ignore the weight.
+  const uint64_t inputs[] = {10, 20, 30};
+  const double weights[] = {1.0, 1.0, 2.5};
+  for (AggregateKind k : kAllKinds) {
+    SCOPED_TRACE(static_cast<int>(k));
+    TestAccumulator acc(k, 0.5);
+    for (int j = 0; j < 3; ++j) {
+      acc.Update(Value::UInt(inputs[j]), weights[j]);
+      EXPECT_EQ((acc.flags() & kAccWeighted) != 0, j == 2);
+    }
+    EXPECT_EQ(acc.counts().count, 3u);
+    EXPECT_EQ(acc.counts().weight_sum, 4.5);
+    switch (k) {
+      case AggregateKind::kCount:
+        EXPECT_EQ(acc.Final(), Value::Double(4.5));
+        break;
+      case AggregateKind::kSum:
+        EXPECT_EQ(acc.Final(), Value::Double(10 + 20 + 2.5 * 30));
+        EXPECT_EQ(acc.flags() & kAccAllUInt, 0);
+        break;
+      case AggregateKind::kAvg:
+        EXPECT_EQ(acc.Final(), Value::Double((10 + 20 + 2.5 * 30) / 4.5));
+        break;
+      case AggregateKind::kMin:
+      case AggregateKind::kFirst:
+        EXPECT_EQ(acc.Final(), Value::UInt(10));
+        break;
+      case AggregateKind::kMax:
+      case AggregateKind::kLast:
+        EXPECT_EQ(acc.Final(), Value::UInt(30));
+        break;
+      case AggregateKind::kQuantile: {
+        TestAccumulator unweighted(k, 0.5);
+        for (uint64_t v : inputs) unweighted.Update(Value::UInt(v));
+        EXPECT_EQ(acc.Final(), unweighted.Final());
+        EXPECT_EQ(acc.Final().type(), FieldType::kDouble);
+        break;
+      }
+    }
+  }
+  // A weight back at 1.0 does not make a weighted sum exact again.
+  TestAccumulator sum(AggregateKind::kSum);
+  sum.Update(Value::UInt(1), 2.0);
+  sum.Update(Value::UInt(1), 1.0);
+  EXPECT_EQ(sum.Final(), Value::Double(3.0));
+}
+
+TEST(AggregateTest, LaneUpdatesMatchValueUpdates) {
+  // The operator feeds (type, raw) lanes; row mode feeds Values. Both
+  // must leave byte-identical state, strings and mixed types included.
+  const std::string apple = "apple", pear = "pear";
+  const std::vector<Value> values = {
+      Value::UInt(7),        Value::String(pear), Value::Double(-2.5),
+      Value::Int(-9),        Value::Bool(true),   Value::Null(),
+      Value::String(apple),  Value::UInt(3)};
+  for (AggregateKind k : kAllKinds) {
+    SCOPED_TRACE(static_cast<int>(k));
+    TestAccumulator by_value(k, 0.25), by_lane(k, 0.25);
+    std::deque<std::string> strings;
+    for (size_t j = 0; j < values.size(); ++j) {
+      const double w = j % 3 == 2 ? 1.5 : 1.0;
+      by_value.Update(values[j], w);
+      by_lane.UpdateLane(static_cast<uint8_t>(values[j].type()),
+                         EncodeRawValue(values[j], &strings), w);
+    }
+    EXPECT_EQ(by_lane.Bytes(), by_value.Bytes());
+    EXPECT_EQ(by_lane.Final(), by_value.Final());
+  }
+  TestAccumulator mn(AggregateKind::kMin), mx(AggregateKind::kMax);
+  std::deque<std::string> strings;
+  for (const std::string& s : {pear, apple, std::string("fig")}) {
+    const uint64_t raw = EncodeRawValue(Value::String(s), &strings);
+    mn.UpdateLane(static_cast<uint8_t>(FieldType::kString), raw);
+    mx.UpdateLane(static_cast<uint8_t>(FieldType::kString), raw);
+  }
+  EXPECT_EQ(mn.Final(), Value::String(apple));
+  EXPECT_EQ(mx.Final(), Value::String(pear));
+}
+
+TEST(AggregateTest, SnapshotRoundTripsEveryKindAndRejectsAnotherKind) {
+  for (AggregateKind k : kAllKinds) {
+    SCOPED_TRACE(static_cast<int>(k));
+    TestAccumulator acc(k, 0.9);
+    const std::string empty = acc.Bytes();
+    for (uint64_t v = 1; v <= 50; ++v) {
+      acc.Update(Value::UInt(v * 7 % 23), v > 40 ? 2.0 : 1.0);
+    }
+    const std::string bytes = acc.Bytes();
+    TestAccumulator back(k, 0.9);
+    ASSERT_TRUE(back.Restore(bytes));
+    EXPECT_EQ(back.Bytes(), bytes);
+    EXPECT_EQ(back.Final(), acc.Final());
+    TestAccumulator fresh(k, 0.9);
+    ASSERT_TRUE(fresh.Restore(empty));
+    EXPECT_EQ(fresh.Bytes(), empty);
+
+    // The encoding names its kind and param; another plan's accumulator
+    // refuses it.
+    const AggregateKind other =
+        k == AggregateKind::kCount ? AggregateKind::kSum : AggregateKind::kCount;
+    TestAccumulator wrong_kind(other, 0.9);
+    EXPECT_FALSE(wrong_kind.Restore(bytes));
+    TestAccumulator wrong_param(k, 0.5);
+    EXPECT_FALSE(wrong_param.Restore(bytes));
+  }
 }
 
 // ---------- stateful registry ----------

@@ -472,12 +472,13 @@ TEST(HotPathAllocTest, TimeseriesAlertsAndFlightGateStayAllocationFree) {
 // loopback TCP source has connected and cycled its buffer, a Read loop
 // allocates nothing (the sender thread's streaming loop included).
 TEST(HotPathAllocTest, TcpSocketSourceSteadyStateReadAllocatesNothing) {
-  TraceSenderConfig scfg;
-  scfg.records.resize(400000);
-  for (size_t i = 0; i < scfg.records.size(); ++i) {
-    scfg.records[i].ts_ns = i;
-    scfg.records[i].len = static_cast<uint16_t>(40 + i % 1460);
+  std::vector<PacketRecord> records(400000);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].ts_ns = i;
+    records[i].len = static_cast<uint16_t>(40 + i % 1460);
   }
+  TraceSenderConfig scfg;
+  scfg.records = records;
   scfg.records_per_frame = 512;
   scfg.handshake_timeout_ms = 20000;
   TraceSender sender(std::move(scfg));

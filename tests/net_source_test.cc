@@ -403,8 +403,9 @@ TEST(UdpSourceTest, SlowReaderBooksOverflowAsGaps) {
   // producer sends everything, then keeps reading slowly. The kernel drops
   // what overflows the socket, and every lost record must surface as a
   // booked gap, never as silent loss.
+  const std::vector<PacketRecord> records = CountingRecords(100000);
   TraceSenderConfig scfg;
-  scfg.records = CountingRecords(100000);
+  scfg.records = records;
   scfg.handshake_timeout_ms = 20000;
   scfg.linger_ms = 20000;  // answer re-HELLOs when the FIN itself is lost
 
@@ -435,10 +436,10 @@ TEST(UdpSourceTest, SlowReaderBooksOverflowAsGaps) {
   const SourceIngestStats& st = src.stats();
   EXPECT_TRUE(src.last_status().ok()) << src.last_status().ToString();
   EXPECT_GT(st.gap_records, 0u) << "the stall must overflow the socket";
-  EXPECT_EQ(st.records + st.gap_records, scfg.records.size());
+  EXPECT_EQ(st.records + st.gap_records, records.size());
   EXPECT_EQ(got.size(), st.records);
-  EXPECT_TRUE(IsSubsequence(got, scfg.records));
-  EXPECT_EQ(src.durable_offset(), scfg.records.size());
+  EXPECT_TRUE(IsSubsequence(got, records));
+  EXPECT_EQ(src.durable_offset(), records.size());
 }
 
 TEST(TcpSourceTest, DeliversEverythingInOrder) {
@@ -468,8 +469,9 @@ TEST(TcpSourceTest, SlowReaderStagingStaysWithinTheReceiveBuffer) {
   // The source reads only into its fixed receive buffer, so TCP flow
   // control holds the producer back: what waits in user space never
   // exceeds the buffer's record capacity, and delivery stays lossless.
+  const std::vector<PacketRecord> records = CountingRecords(200000);
   TraceSenderConfig scfg;
-  scfg.records = CountingRecords(200000);
+  scfg.records = records;
   scfg.records_per_frame = 512;
   scfg.handshake_timeout_ms = 20000;
   SenderRun run(scfg);
@@ -492,9 +494,9 @@ TEST(TcpSourceTest, SlowReaderStagingStaysWithinTheReceiveBuffer) {
   for (;;) {
     size_t n = 0;
     const auto r = src.Read(buf.data(), buf.size(), &n);
-    ASSERT_LE(delivered + n, scfg.records.size());
+    ASSERT_LE(delivered + n, records.size());
     for (size_t i = 0; i < n; ++i, ++delivered) {
-      ASSERT_TRUE(SameRecord(buf[i], scfg.records[delivered]))
+      ASSERT_TRUE(SameRecord(buf[i], records[delivered]))
           << "record " << delivered;
     }
     max_lag = std::max(max_lag, src.offset_lag());
@@ -504,7 +506,7 @@ TEST(TcpSourceTest, SlowReaderStagingStaysWithinTheReceiveBuffer) {
     if (n > 0) std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   EXPECT_TRUE(src.last_status().ok()) << src.last_status().ToString();
-  EXPECT_EQ(delivered, scfg.records.size());
+  EXPECT_EQ(delivered, records.size());
   EXPECT_EQ(src.stats().gaps, 0u);
   EXPECT_GT(max_lag, 0u);
   EXPECT_LE(max_lag, kCapacity);

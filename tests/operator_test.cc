@@ -417,12 +417,32 @@ TEST(SamplingOperatorTest, NoGroupByOrderedMeansSingleWindow) {
 
 // ---------- Group-state footprint ----------
 
+// A group record is its key values, one per-kind accumulator state per
+// aggregate and a last word holding the record's state byte and one flag
+// byte per aggregate: 32 + 16 + 32 + 8 bytes for replay_agg's high query
+// (two keys, count and sum), and 32 per extremum, 24 per quantile.
+TEST(OperatorFootprintTest, GroupRecordHoldsPerKindStates) {
+  auto stride = [](const char* sql) -> size_t {
+    auto cq = CompileQuery(sql, Catalog::Default(), {.seed = 1});
+    EXPECT_TRUE(cq.ok()) << cq.status().ToString();
+    return cq.ok() ? SamplingOperator(cq->sampling).group_record_bytes() : 0;
+  };
+  EXPECT_EQ(stride("SELECT tb, srcIP, count(*), sum(len) FROM PKT "
+                   "GROUP BY time/5 as tb, srcIP"),
+            88u);
+  EXPECT_EQ(stride("SELECT tb, proto, count(*), count(len), sum(len), "
+                   "avg(len), min(srcPort), max(len), first(destPort), "
+                   "last(srcIP), median(len) FROM PKT "
+                   "GROUP BY time/5 as tb, proto"),
+            32u + 2 * 16 + 2 * 32 + 4 * 32 + 24 + 16);
+}
+
 // What one live group costs in resident memory: an operator holding 65,536
 // groups of replay_agg's high query (two key values, count and sum)
-// commits at most 256 B for each, its record, index slot and membership
-// entry included. The input batches are built before the probe, so only
-// the operator is measured.
-TEST(OperatorFootprintTest, LiveGroupsCommitAtMost256BytesEach) {
+// commits at most 150 B for each, its 88-byte record, index slot and
+// membership entry included. The input batches are built before the
+// probe, so only the operator is measured.
+TEST(OperatorFootprintTest, LiveGroupsCommitAtMost150BytesEach) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "the sanitizer's shadow memory, redzones and quarantine "
                   "add to every allocation; the bound is for the allocator "
@@ -460,7 +480,7 @@ TEST(OperatorFootprintTest, LiveGroupsCommitAtMost256BytesEach) {
   const double per_group =
       static_cast<double>(growth) / static_cast<double>(kGroups);
   RecordProperty("bytes_per_group", std::to_string(per_group));
-  EXPECT_LE(per_group, 256.0)
+  EXPECT_LE(per_group, 150.0)
       << kGroups << " live groups committed " << growth << " bytes";
 }
 

@@ -102,6 +102,29 @@ TEST(SpanRingTest, DisabledRingRecordsNothing) {
   EXPECT_TRUE(ring.Snapshot().empty());
 }
 
+// Every operator points at SpanRing::Default(), and most processes never
+// turn spans on: the 4,096 slots (88 B each) are committed at the first
+// enable, not at construction.
+TEST(SpanRingTest, DisabledRingCommitsNoSlots) {
+  const int64_t growth = testing_rss::ChildRssGrowthBytes(
+      [] { return std::make_unique<SpanRing>(); });
+  ASSERT_GE(growth, 0) << "RSS probe child failed";
+  EXPECT_LT(growth, 32 << 10) << "constructing a SpanRing added " << growth
+                              << " resident bytes";
+  SpanRing ring(4);
+  EXPECT_TRUE(ring.Snapshot().empty());
+  EXPECT_EQ(ring.ToJson(), "{\"spans\": []}\n");
+  if (!obs::kStatsEnabled) return;
+  ring.set_enabled(true);
+  SpanRecord r;
+  r.name = "flush";
+  ring.Emit(r);
+  ring.set_enabled(false);
+  ring.set_enabled(true);  // the slots, and the span, stay
+  ASSERT_EQ(ring.Snapshot().size(), 1u);
+  EXPECT_DOUBLE_EQ(ring.Snapshot()[0].shed_p, 1.0);
+}
+
 TEST(SpanRingTest, WraparoundKeepsAtMostCapacitySpans) {
   if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
   // Over one wrap and over 125: exactly the newest `capacity` spans
@@ -384,6 +407,44 @@ TEST(ObsConcurrencyTest, SpanRingEmitRacesEveryExportPath) {
   EXPECT_EQ(ring.Snapshot().size(), ring.capacity());
 }
 
+TEST(ObsConcurrencyTest, FirstEnableRacesSnapshotAndExport) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
+  // The slots are allocated by the first enable. Exports and writers that
+  // race it must see either no slots or fully constructed ones: a slot
+  // that was never written reads as no span, never as a torn one.
+  for (int round = 0; round < 20; ++round) {
+    SpanRing ring(32);
+    std::atomic<bool> go{false};
+    std::thread enabler([&] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      ring.set_enabled(true);
+    });
+    std::thread writer([&] {
+      go.store(true, std::memory_order_release);
+      for (int i = 0; i < 200; ++i) {
+        SpanRecord r;
+        r.name = "admission";
+        r.ts_ns = static_cast<uint64_t>(i);
+        ring.Emit(r);
+      }
+    });
+    for (int i = 0; i < 50; ++i) {
+      for (const SpanRecord& s : ring.Snapshot()) {
+        EXPECT_STREQ(s.name, "admission");
+        EXPECT_DOUBLE_EQ(s.shed_p, 1.0);
+      }
+      ring.ToJson();
+      ring.ToChromeTraceJson();
+      ring.WindowJson(0);
+    }
+    enabler.join();
+    writer.join();
+    EXPECT_TRUE(ring.enabled());
+    EXPECT_LE(ring.Snapshot().size(), ring.capacity());
+  }
+}
+
 // ---------- end-to-end span integrity through the operator ----------
 
 // Test schema: S(t increasing, k, v) — same shape operator_test uses.
@@ -531,6 +592,42 @@ TEST(SpanIntegrityTest, BatchPathReportsContextAndParentsPhaseSpans) {
   EXPECT_GT(prof.phase_ns(Profiler::kBatchSelect), 0u);
   EXPECT_GT(prof.phase_ns(Profiler::kAdmission), 0u);
   EXPECT_GT(prof.phase_ns(Profiler::kFlush), 0u);
+}
+
+// A lane that closes a window runs the window's flush inside the batch's
+// lane loop. The flush is billed once, to the flush total: admission's
+// total and its per-lane mean are the loop's self time.
+TEST(SpanIntegrityTest, NestedWindowFlushIsBilledOnlyToFlush) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
+  Profiler prof;
+  obs::MetricRegistry registry;
+  const obs::OperatorMetrics metrics =
+      obs::OperatorMetrics::Create(registry, "nested_flush");
+  SamplingOperator op(MakePlan());
+  op.set_profiler(&prof);
+  op.set_metrics(metrics);
+  TupleBatch fill(3, 512);
+  for (uint64_t k = 0; k < 4096; ++k) {
+    fill.AppendTuple(Row(1, k, k));
+    if (fill.full()) {
+      ASSERT_TRUE(op.ProcessBatch(fill).ok());
+      fill.Clear();
+    }
+  }
+  ASSERT_EQ(op.num_groups(), 4096u);
+  const uint64_t admission0 = prof.phase_ns(Profiler::kAdmission);
+  const uint64_t flush0 = prof.phase_ns(Profiler::kFlush);
+  const uint64_t lane_ns0 = metrics.admission_ns->sum();
+
+  TupleBatch next(3, 1);
+  next.AppendTuple(Row(11, 0, 1));  // t/10 = 1 closes the 4,096 groups
+  ASSERT_TRUE(op.ProcessBatch(next).ok());
+  ASSERT_EQ(op.window_stats().size(), 1u);
+  const uint64_t admission = prof.phase_ns(Profiler::kAdmission) - admission0;
+  const uint64_t flush = prof.phase_ns(Profiler::kFlush) - flush0;
+  EXPECT_GT(flush, 0u);
+  EXPECT_LT(admission, flush);
+  EXPECT_LT(metrics.admission_ns->sum() - lane_ns0, flush);
 }
 
 TEST(SpanIntegrityTest, SpansDisabledLeavesRingEmptyAndContextZero) {

@@ -51,9 +51,10 @@ constexpr char kPassThroughLow[] =
     "FROM PKT";
 
 // Query/sampler axis: each scenario exercises a different durable-state
-// shape — per-group hash aggregates at two cardinalities, and the paper's
-// dynamic subset-sum operator (threshold z, RNG stream, supergroup
-// partials, cleaning phase).
+// shape — per-group hash aggregates at two cardinalities, every aggregate
+// kind's accumulator state (count, sum/avg, the extrema, a GK sketch), and
+// the paper's dynamic subset-sum operator (threshold z, RNG stream,
+// supergroup partials, cleaning phase).
 struct QueryScenario {
   const char* name;
   const char* sampler;
@@ -67,6 +68,10 @@ constexpr QueryScenario kQueries[] = {
     {"agg-coarse", "hash-agg",
      "SELECT tb, proto, count(*), sum(len) FROM PKT "
      "GROUP BY time/5 as tb, proto"},
+    {"agg-kinds", "hash-agg",
+     "SELECT tb, proto, count(*), count(len), sum(len), avg(len), "
+     "min(srcPort), max(len), first(destPort), last(srcIP), median(len) "
+     "FROM PKT GROUP BY time/5 as tb, proto"},
     {"subsetsum", "threshold",
      R"(SELECT tb, srcIP, destIP, UMAX(sum(len), ssthreshold())
         FROM PKTS
@@ -129,6 +134,10 @@ constexpr const char* kSmokeCells[] = {
     "agg-fine.steady.none.kill1",    "subsetsum.steady.bitflip.kill2",
     "agg-coarse.burst.truncate.kill1", "subsetsum.burst.stale.clean",
     "agg-fine.steady.none.clean",    "src-pcap.agg-fine.kill1",
+    // Every accumulator kind after a kill with a corrupted newest
+    // snapshot: kill1 has no older snapshot and starts fresh, kill2
+    // restores the older one.
+    "agg-kinds.burst.bitflip.kill1", "agg-kinds.burst.bitflip.kill2",
 };
 
 struct SweepArgs {
@@ -608,7 +617,10 @@ int Run(const SweepArgs& args) {
   // the steady overload with no checkpoint-file fault.
   for (const char* src : kSources) {
     for (const auto& q : kQueries) {
-      if (std::strcmp(q.name, "agg-coarse") == 0) continue;
+      if (std::strcmp(q.name, "agg-fine") != 0 &&
+          std::strcmp(q.name, "subsetsum") != 0) {
+        continue;
+      }
       for (const auto& k : kKills) {
         if (k.kill_after_snapshots == 0) continue;
         cells.push_back(
