@@ -10,7 +10,9 @@
 #ifndef STREAMOP_STREAM_RING_BUFFER_H_
 #define STREAMOP_STREAM_RING_BUFFER_H_
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <vector>
@@ -22,19 +24,19 @@ namespace streamop {
 template <typename T>
 class RingBuffer {
  public:
-  /// Capacity is rounded up to a power of two; one slot is kept empty to
-  /// distinguish full from empty, so usable capacity is capacity()-1.
-  explicit RingBuffer(size_t min_capacity) {
-    size_t cap = 2;
-    while (cap < min_capacity + 1) cap <<= 1;
-    buf_.resize(cap);
-    mask_ = cap - 1;
-  }
+  /// Holds exactly `capacity` items (at least one). The slot array is
+  /// `capacity` rounded up to a power of two; head and tail run freely and
+  /// are masked only to index it, so full (tail - head == capacity) and
+  /// empty (tail == head) need no spare slot.
+  explicit RingBuffer(size_t capacity)
+      : buf_(std::bit_ceil(std::max<size_t>(capacity, 1))),
+        mask_(buf_.size() - 1),
+        capacity_(std::max<size_t>(capacity, 1)) {}
 
   RingBuffer(const RingBuffer&) = delete;
   RingBuffer& operator=(const RingBuffer&) = delete;
 
-  size_t capacity() const { return buf_.size() - 1; }
+  size_t capacity() const { return capacity_; }
 
   /// Producer-side end-of-stream: after Close() every TryPush fails (not
   /// counted as an overload failure) while the consumer keeps draining what
@@ -66,7 +68,7 @@ class RingBuffer {
   size_t size() const {
     size_t h = head_.load(std::memory_order_acquire);
     size_t t = tail_.load(std::memory_order_acquire);
-    return (t - h) & mask_;
+    return t - h;
   }
 
   /// Producer side. Returns false if the buffer is full (the caller decides
@@ -74,17 +76,16 @@ class RingBuffer {
   bool TryPush(const T& item) {
     if (closed()) return false;  // EOS / poisoned: reject without counting
     size_t t = tail_.load(std::memory_order_relaxed);
-    size_t next = (t + 1) & mask_;
     size_t h = head_.load(std::memory_order_acquire);
-    if (next == h) {
+    if (t - h == capacity_) {
       if (obs::kStatsEnabled && metrics_ != nullptr) {
         metrics_->push_failures->Add();
       }
       return false;
     }
-    buf_[t] = item;
-    tail_.store(next, std::memory_order_release);
-    const size_t occupancy = (next - h) & mask_;
+    buf_[t & mask_] = item;
+    tail_.store(t + 1, std::memory_order_release);
+    const size_t occupancy = t + 1 - h;
     if (occupancy > occupancy_hwm_) occupancy_hwm_ = occupancy;
     if (obs::kStatsEnabled && metrics_ != nullptr) {
       metrics_->pushes->Add();
@@ -110,8 +111,8 @@ class RingBuffer {
     if (poisoned()) return false;  // hard abort: abandon buffered items
     size_t h = head_.load(std::memory_order_relaxed);
     if (h == tail_.load(std::memory_order_acquire)) return false;
-    *out = buf_[h];
-    head_.store((h + 1) & mask_, std::memory_order_release);
+    *out = buf_[h & mask_];
+    head_.store(h + 1, std::memory_order_release);
     if (obs::kStatsEnabled && metrics_ != nullptr) metrics_->pops->Add();
     return true;
   }
@@ -127,8 +128,9 @@ class RingBuffer {
   std::vector<T> buf_;
   const obs::RingBufferMetrics* metrics_ = nullptr;
   size_t mask_ = 0;
-  std::atomic<size_t> head_{0};
-  std::atomic<size_t> tail_{0};
+  size_t capacity_ = 0;
+  std::atomic<size_t> head_{0};  // items ever popped
+  std::atomic<size_t> tail_{0};  // items ever pushed
   std::atomic<bool> closed_{false};
   std::atomic<bool> poisoned_{false};
   size_t occupancy_hwm_ = 0;  // producer-owned

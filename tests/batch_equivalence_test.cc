@@ -11,7 +11,9 @@
 // (kDigest* below). The digests were recorded from the row side
 // (Process/Push) of each case at commit 7e84c24, when Process still ran the
 // tree-walk interpreter, so they hold today's single bytecode path to the
-// old tree-walk results.
+// old tree-walk results. The three LateLanes* cases over
+// StreamWithLateLanes() were recorded at 18bf2c8, when a window close still
+// built one heap Tuple per output row.
 
 #include <gtest/gtest.h>
 
@@ -108,6 +110,9 @@ constexpr const char* kDigestWhereRejectsFailingLane = "c6371d72f4e82ce6";
 constexpr const char* kDigestSelectionWhereError = "430d0e7c9fb00b2c";
 constexpr const char* kDigestDeepNesting = "143752db1bccad95";
 constexpr const char* kDigestLateLanesClampedKey = "e6ba2969ef3fab60";
+constexpr const char* kDigestLateLanesGroupedAggregation = "93130bec2c7b470c";
+constexpr const char* kDigestLateLanesSubsetSum = "289888ce881fc9a1";
+constexpr const char* kDigestLateLanesHorvitzThompson = "37fd82aa319d533a";
 
 // Both sides of a case must reproduce the frozen digest.
 void ExpectDigest(const char* frozen, const std::string& row_canonical,
@@ -610,6 +615,37 @@ TEST(BatchEquivalenceTest, LateLanesSeeTheClampedKeyInEveryClause) {
       "SELECT tb, srcIP, sum(tb), count(*) FROM PKTS "
       "WHERE tb % 2 = 0 OR len > 500 GROUP BY time/20 as tb, srcIP",
       StreamWithLateLanes(), 37, kDigestLateLanesClampedKey);
+}
+
+// The grouped-aggregation, subset-sum and Horvitz–Thompson cases above, over
+// the stream with late lanes: clamped stragglers join the open window's
+// groups, feed its samplers and carry the shedding weight.
+TEST(BatchEquivalenceTest, LateLanesGroupedAggregation) {
+  ExpectBatchEquivalent(
+      "SELECT tb, srcIP, destIP, sum(len), count(*), max(len) FROM PKTS "
+      "GROUP BY time/20 as tb, srcIP, destIP",
+      StreamWithLateLanes(), 37, kDigestLateLanesGroupedAggregation);
+}
+
+TEST(BatchEquivalenceTest, LateLanesSubsetSumSampling) {
+  ExpectBatchEquivalent(R"(
+      SELECT tb, srcIP, destIP, UMAX(sum(len), ssthreshold())
+      FROM PKTS
+      WHERE ssample(len, 100, 2, 100, 10.0) = TRUE
+      GROUP BY time/20 as tb, srcIP, destIP
+      HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
+      CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
+      CLEANING BY ssclean_with(sum(len)) = TRUE
+  )",
+                        StreamWithLateLanes(), 37, kDigestLateLanesSubsetSum);
+}
+
+TEST(BatchEquivalenceTest, LateLanesHorvitzThompsonWeights) {
+  ExpectBatchEquivalent(
+      "SELECT tb, srcIP, sum(len), count(*), sum$(len) FROM PKTS "
+      "GROUP BY time/20 as tb, srcIP SUPERGROUP BY tb",
+      StreamWithLateLanes(), 37, kDigestLateLanesHorvitzThompson,
+      /*weight=*/2.5);
 }
 
 TEST(BatchEquivalenceTest, LateLanesInsideOneBatchAreClampedInPlace) {

@@ -21,6 +21,22 @@ TEST(RingBufferTest, CapacityRoundsToPowerOfTwo) {
   EXPECT_GE(rb2.capacity(), 1u);
 }
 
+TEST(RingBufferTest, HoldsExactlyTheRequestedCapacity) {
+  // The runtime's default ring_capacity: all 2^16 slots hold an item.
+  RingBuffer<int> rb(65536);
+  EXPECT_EQ(rb.capacity(), 65536u);
+  size_t pushed = 0;
+  while (rb.TryPush(1)) ++pushed;
+  EXPECT_EQ(pushed, 65536u);
+  EXPECT_EQ(rb.size(), 65536u);
+  EXPECT_EQ(rb.occupancy_hwm(), 65536u);
+  // A request that is not a power of two is held exactly, too.
+  RingBuffer<int> odd(5);
+  EXPECT_EQ(odd.capacity(), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(odd.TryPush(i));
+  EXPECT_FALSE(odd.TryPush(5));
+}
+
 TEST(RingBufferTest, PushPopFifoOrder) {
   RingBuffer<int> rb(8);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(rb.TryPush(i));
