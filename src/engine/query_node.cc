@@ -70,6 +70,16 @@ Status QueryNode::Finish() {
   return s;
 }
 
+std::vector<TupleBatch> QueryNode::DrainBatches() {
+  if (sampling_ != nullptr) return sampling_->DrainBatches();
+  std::vector<TupleBatch> out;
+  if (output_.empty()) return out;
+  TupleBatch& batch = out.emplace_back(output_.front().size(), output_.size());
+  for (const Tuple& t : output_) batch.AppendTuple(t);
+  output_.clear();
+  return out;
+}
+
 std::vector<Tuple> QueryNode::DrainOutput() {
   if (sampling_ != nullptr) return sampling_->DrainOutput();
   std::vector<Tuple> out = std::move(output_);

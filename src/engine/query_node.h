@@ -54,8 +54,16 @@ class QueryNode {
   /// End-of-stream: close the final window (sampling nodes).
   Status Finish();
 
+  /// Removes and returns the output produced so far as column chunks in
+  /// emission order. A sampling node hands over its operator's chunks
+  /// (SamplingOperator::DrainBatches); a selection node packs its rows into
+  /// one batch.
+  std::vector<TupleBatch> DrainBatches();
+
   /// Removes and returns output rows produced so far. A sampling node's
-  /// rows stay in its operator until drained, so they live in one vector.
+  /// rows are materialized from its operator's chunks, each chunk freed as
+  /// its rows are built (SamplingOperator::DrainOutput); a selection node
+  /// hands over its own row vector.
   std::vector<Tuple> DrainOutput();
 
   uint64_t tuples_in() const { return tuples_in_; }
