@@ -98,8 +98,9 @@ class CheckpointManager {
   uint64_t last_write_ns() const { return last_write_ns_; }
   bool degraded() const { return degraded_; }
 
-  /// Snapshot wire format version accepted by this build.
-  static constexpr uint32_t kVersion = 1;
+  /// Snapshot wire format version accepted by this build. Version 2 added
+  /// the operator's plan fingerprint to the payload.
+  static constexpr uint32_t kVersion = 2;
   /// Fixed header size in bytes (see checkpoint.cc for the layout).
   static constexpr size_t kHeaderSize = 32;
 

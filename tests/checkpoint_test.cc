@@ -518,6 +518,75 @@ TEST(OperatorCheckpointTest, RestoreRejectsAnotherAggregateKind) {
   EXPECT_EQ(same.num_groups(), a.num_groups());
 }
 
+TEST(OperatorCheckpointTest, RestoreRejectsAnotherPlanOfTheSameShape) {
+  // Every variant has the snapshot's clause arities, aggregate kinds and
+  // seed; only the analyzed expressions differ. Restored, the first would
+  // emit the snapshot's source addresses as destinations, the second
+  // would add ports to byte sums.
+  auto compile = [](const std::string& sql) {
+    auto cq = CompileQuery(sql, Catalog::Default(), {.seed = 1});
+    EXPECT_TRUE(cq.ok()) << sql << ": " << cq.status().ToString();
+    return cq->sampling;
+  };
+  auto snapshot_of = [&](const std::string& sql, size_t* groups) {
+    const std::vector<Tuple> rows =
+        TraceSlice(TraceGenerator::MakeDataCenterFeed(7.0, 1), 40);
+    SamplingOperator a(compile(sql));
+    for (size_t i = 0; i < rows.size() * 7 / 10; ++i) {
+      EXPECT_TRUE(a.Process(rows[i]).ok());
+    }
+    *groups = a.num_groups();
+    ByteWriter w;
+    a.SerializeDurableState(w);
+    return w.Release();
+  };
+  auto expect_only_itself = [&](const std::string& sql,
+                                const std::vector<std::string>& others) {
+    SCOPED_TRACE(sql);
+    size_t groups = 0;
+    const std::string bytes = snapshot_of(sql, &groups);
+    ASSERT_GT(groups, 0u);
+    for (const std::string& other : others) {
+      SCOPED_TRACE(other);
+      SamplingOperator b(compile(other));
+      ByteReader r(bytes);
+      EXPECT_FALSE(b.RestoreDurableState(r));
+      EXPECT_EQ(b.num_groups(), 0u);
+    }
+    SamplingOperator same(compile(sql));
+    ByteReader r(bytes);
+    EXPECT_TRUE(same.RestoreDurableState(r));
+    EXPECT_EQ(same.num_groups(), groups);
+  };
+
+  // replay_agg's query, mid-window (the frozen case (a) snapshot below).
+  const std::string select = "SELECT tb, srcIP, count(*), sum(len) FROM PKT ";
+  const std::string group_by = "GROUP BY time/5 as tb, srcIP";
+  expect_only_itself(
+      select + group_by,
+      {"SELECT tb, destIP, count(*), sum(len) FROM PKT "
+       "GROUP BY time/5 as tb, destIP",
+       "SELECT tb, srcIP, count(*), sum(srcPort) FROM PKT " + group_by,
+       "SELECT tb, srcIP, count(*), sum(len) FROM PKT "
+       "GROUP BY time/10 as tb, srcIP",
+       select + "WHERE len > 100 " + group_by,
+       select + group_by + " HAVING count(*) > 1",
+       "SELECT tb, srcIP, count(*), sum(len) / 2 FROM PKT " + group_by});
+  // Supergroup slots and the cleaning clauses.
+  const std::string sg_select =
+      "SELECT tb, srcIP, destIP, count(*), count$(*) FROM PKT "
+      "GROUP BY time/5 as tb, srcIP, destIP ";
+  const std::string cleaning =
+      " CLEANING WHEN count_distinct$(*) >= 50 CLEANING BY count(*) > 1";
+  expect_only_itself(
+      sg_select + "SUPERGROUP BY tb, srcIP" + cleaning,
+      {sg_select + "SUPERGROUP BY tb, destIP" + cleaning,
+       sg_select + "SUPERGROUP BY tb, srcIP" +
+           " CLEANING WHEN count_distinct$(*) >= 60 CLEANING BY count(*) > 1",
+       sg_select + "SUPERGROUP BY tb, srcIP" +
+           " CLEANING WHEN count_distinct$(*) >= 50 CLEANING BY count(*) > 2"});
+}
+
 TEST(OperatorCheckpointTest, RestoreRejectsCorruptPayloadWithoutCrashing) {
   SamplingOperator a(MakeAggregationPlan());
   Pcg64 rng(23);
@@ -661,7 +730,10 @@ TEST(OperatorCheckpointTest, DeadGroupsOfAFailedCleaningPhaseRoundTrip) {
 // and case (e) at 3c09aaa, before the accumulators became per-kind state
 // (see CHANGES.md), with
 //   ctest --test-dir build -R SnapshotBytesMatchFrozenDigests
-// and any change to them is a snapshot format change.
+// and any change to them is a snapshot format change. One such change
+// re-pinned them all: the plan fingerprint (CheckpointManager::kVersion 2)
+// inserted 8 bytes after the seed, at offset 28, and the bytes with those
+// 8 removed still gave the digests recorded before it.
 
 // FNV-1a 64 of the bytes, as hex (batch_equivalence_test's Digest).
 std::string SnapshotDigest(const std::string& bytes) {
@@ -774,7 +846,7 @@ TEST(OperatorCheckpointTest, SnapshotBytesMatchFrozenDigests) {
     const std::vector<Tuple> rows =
         TraceSlice(TraceGenerator::MakeDataCenterFeed(7.0, 1), 40);
     ExpectFrozenSnapshots(*cq, rows, 0, rows.size() * 7 / 10, nullptr,
-                          "6a9694d437b30e65", "16a13797387f11a6");
+                          "f64f38e88a1c6681", "9c07390f5e99265a");
   }
   // (b) the paper's subset-sum query with one sampler per source, at a
   // target of one sample: by its 40th group-removing cleaning phase the
@@ -796,8 +868,8 @@ TEST(OperatorCheckpointTest, SnapshotBytesMatchFrozenDigests) {
     ASSERT_TRUE(cq.ok()) << cq.status().ToString();
     const std::vector<Tuple> rows =
         TraceSlice(TraceGenerator::MakeResearchFeed(5.0, 11), 4);
-    ExpectFrozenSnapshots(*cq, rows, 40, 0, "e07e4a13e5bc1c71",
-                          "2ed7319f7099da40", nullptr);
+    ExpectFrozenSnapshots(*cq, rows, 40, 0, "12ecc7ee40ee5a03",
+                          "feee107c473f87fe", nullptr);
   }
   // (c) integration_test's min-hash query: kth_smallest$ per source, with
   // CLEANING, over three sources and two window boundaries.
@@ -827,8 +899,8 @@ TEST(OperatorCheckpointTest, SnapshotBytesMatchFrozenDigests) {
       packets.push_back(p);
     }
     const std::vector<Tuple> rows = TraceSlice(Trace(std::move(packets)), 1);
-    ExpectFrozenSnapshots(*cq, rows, 5, 0, "409c75e2617bade4",
-                          "9aadb437eda99710", nullptr);
+    ExpectFrozenSnapshots(*cq, rows, 5, 0, "ba4300caa1aad4bb",
+                          "598e16d0bacf256f", nullptr);
   }
   // (d) string keys, string extrema and a GK quantile sketch.
   {
@@ -842,7 +914,7 @@ TEST(OperatorCheckpointTest, SnapshotBytesMatchFrozenDigests) {
     const std::vector<Tuple> rows =
         TraceSlice(TraceGenerator::MakeResearchFeed(33.0, 13), 40);
     ExpectFrozenSnapshots(*cq, rows, 0, rows.size() * 5 / 6, nullptr,
-                          "bfb67cdceb67c016", "acea97e0cae049c0");
+                          "62c2011a37ca3d86", "1cf5435474d21250");
   }
   // (e) every aggregate kind, fed in runs of 64 rows alternately at weight
   // 1.0 and 2.5, so `weighted` flips inside groups, weight_sum departs
@@ -858,8 +930,8 @@ TEST(OperatorCheckpointTest, SnapshotBytesMatchFrozenDigests) {
     const std::vector<Tuple> rows =
         TraceSlice(TraceGenerator::MakeDataCenterFeed(7.0, 2), 40);
     ExpectFrozenSnapshots(
-        *cq, rows, 0, rows.size() * 7 / 10, nullptr, "1170a32ef6b05b9a",
-        "833d724b4007a0e1",
+        *cq, rows, 0, rows.size() * 7 / 10, nullptr, "a7cf9f5b069fbe0b",
+        "017b0bee9f20de2a",
         [](size_t i) { return (i / 64) % 2 == 0 ? 1.0 : 2.5; });
   }
 }
