@@ -9,8 +9,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/sampling_operator.h"
@@ -283,6 +285,84 @@ TEST(ChaosTest, SingleNodeRunRejectsTruncatedRecords) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->packets_malformed, truncated);
   EXPECT_EQ(rt.high_node(0).DrainOutput(), run->output);
+}
+
+// FNV-1a 64 over the rows' text, as hex (readable on mismatch).
+std::string RowsDigest(const std::vector<Tuple>& rows) {
+  uint64_t h = 14695981039346656037ULL;
+  for (const Tuple& row : rows) {
+    for (unsigned char c : row.ToString() + "\n") {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+  }
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// Three low queries over a trace with truncated and duplicated records,
+// each through Run and RunThreaded: the pass-through (an identity), a
+// filtering projection, and the pass-through with srcIP and destIP
+// swapped. Only the first may hand its input batch on as its output. The
+// digests and the malformed count were recorded before any low node
+// handed its batch on.
+TEST(ChaosTest, LowQueriesOverTruncatedRecordsKeepTheirDigests) {
+  FaultInjectionConfig fcfg;
+  fcfg.seed = 21;
+  fcfg.p_truncate = 0.01;
+  fcfg.p_duplicate = 0.01;
+  const Trace faulty =
+      InjectFaults(TraceGenerator::MakeResearchFeed(41.0, 23), fcfg);
+  uint64_t truncated = 0;
+  for (const PacketRecord& p : faulty.packets()) truncated += p.len < 20;
+  EXPECT_EQ(truncated, 3799u);
+
+  Catalog catalog = TestCatalog();
+  ASSERT_TRUE(catalog
+                  .RegisterStream(std::make_shared<Schema>(
+                      "PKT_FILT",
+                      std::vector<Field>{
+                          {"time", FieldType::kUInt, Ordering::kIncreasing},
+                          {"srcIP", FieldType::kUInt, Ordering::kNone},
+                          {"destIP", FieldType::kUInt, Ordering::kNone},
+                          {"len", FieldType::kUInt, Ordering::kNone}}))
+                  .ok());
+  struct Case {
+    const char* low;
+    const char* high_stream;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {kPassThroughLow, "PKT", "6a87d2dea9ff32e9"},
+      {"SELECT time, srcIP, destIP, len FROM PKT WHERE len > 100",
+       "PKT_FILT", "04b2fced29e33a67"},
+      {"SELECT time, ts_ns, destIP, srcIP, srcPort, destPort, proto, len "
+       "FROM PKT",
+       "PKT", "a84172a895f47371"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.low);
+    auto low = CompileQuery(c.low, catalog);
+    auto high = CompileQuery(std::string("SELECT tb, srcIP, sum(len), "
+                                         "count(*) FROM ") +
+                                 c.high_stream +
+                                 " GROUP BY time/20 as tb, srcIP",
+                             catalog);
+    ASSERT_TRUE(low.ok()) << low.status().ToString();
+    ASSERT_TRUE(high.ok()) << high.status().ToString();
+    for (const bool threaded : {false, true}) {
+      SCOPED_TRACE(threaded ? "RunThreaded" : "Run");
+      TwoLevelRuntime rt(*low, {*high});
+      auto report = threaded ? rt.RunThreaded(faulty) : rt.Run(faulty);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(report->packets_malformed, truncated);
+      EXPECT_EQ(report->low.tuples_in, faulty.size() - truncated);
+      EXPECT_EQ(report->high[0].tuples_in, report->low.tuples_out);
+      EXPECT_EQ(RowsDigest(rt.high_node(0).DrainOutput()), c.digest);
+    }
+  }
 }
 
 TEST(ChaosTest, LateTuplesClampIntoCurrentWindowWithExactCounts) {

@@ -14,12 +14,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -637,6 +640,77 @@ TEST_F(FlightRecorderTest, SpillLoadRoundTrip) {
   // Both render paths must mention the fired alert.
   EXPECT_NE(r.ToText().find("shed_fraction_critical"), std::string::npos);
   EXPECT_NE(r.ToJson().find("shed_fraction_critical"), std::string::npos);
+}
+
+// A spill writes the newest max_spans spans by start time, and its segment
+// bytes depend only on the span ring and the series table. The spans go
+// into a private 4,096-slot ring out of start order, and more of them than
+// it holds, so the newest by start time are neither the newest emitted nor
+// one run of slots. The digest covers the segment after its 32-byte header
+// (the header carries the spill time).
+TEST_F(FlightRecorderTest, SpillWritesTheNewestSpansByStartTime) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
+  MetricRegistry reg;
+  Counter* c = reg.GetCounter("streamop_test_total");
+  Gauge* g = reg.GetGauge("streamop_runtime_shed_fraction");
+  Histogram* h = reg.GetHistogram("streamop_test_latency_ns");
+  TimeSeries ts(SmallRing(16));
+  AlertEngine eng;
+  eng.AddBuiltinRules();
+  uint64_t t = kT0;
+  for (int k = 0; k < 20; ++k) {
+    c->Add(10 + k);
+    g->Set(0.1 * (k % 8));
+    h->Record(1000 * (k + 1));
+    ts.Scrape(reg, t);
+    eng.Evaluate(ts, t);
+    t += kStep;
+  }
+
+  obs::SpanRing ring(4096);
+  ring.set_enabled(true);
+  constexpr uint64_t kEmitted = 5000;
+  std::vector<uint64_t> retained_ts;
+  for (uint64_t i = 0; i < kEmitted; ++i) {
+    obs::SpanRecord s;
+    s.name = i % 3 == 0 ? "flush" : "admission";
+    s.window_seq = i / 100;
+    // 7919 is prime to 5000, so the start times are a permutation.
+    s.ts_ns = kT0 + (i * 7919) % kEmitted * 1000;
+    s.dur_ns = 10 + i;
+    s.rows = i % 512;
+    ring.Emit(s);
+    if (i >= kEmitted - ring.capacity()) retained_ts.push_back(s.ts_ns);
+  }
+  std::sort(retained_ts.begin(), retained_ts.end());
+
+  FlightRecorderOptions fopt;
+  fopt.dir = dir_.string();
+  fopt.span_ring = &ring;
+  FlightRecorder rec(fopt);
+  ASSERT_TRUE(rec.Spill(ts, &eng).ok());
+
+  auto loaded = FlightRecorder::Load(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ASSERT_EQ(loaded->spans.size(), fopt.max_spans);
+  const size_t first = retained_ts.size() - fopt.max_spans;
+  for (size_t i = 0; i < fopt.max_spans; ++i) {
+    EXPECT_EQ(loaded->spans[i].ts_ns, retained_ts[first + i]) << "span " << i;
+  }
+
+  std::ifstream in(rec.segment_path(), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_GT(bytes.size(), FlightRecorder::kHeaderSize);
+  uint64_t hash = 14695981039346656037ULL;  // FNV-1a 64
+  for (size_t i = FlightRecorder::kHeaderSize; i < bytes.size(); ++i) {
+    hash ^= static_cast<unsigned char>(bytes[i]);
+    hash *= 1099511628211ULL;
+  }
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(hash));
+  EXPECT_STREQ(hex, "d93df28412495704");
 }
 
 TEST_F(FlightRecorderTest, CorruptAndTruncatedSegmentsAreRejected) {
