@@ -1,7 +1,8 @@
 // Ingestion micro-benchmarks (google-benchmark): the same two-level
-// pipeline fed three ways — in-process trace (the baseline every other
-// bench uses), a pcap file through PcapReader, and a loopback TCP socket
-// through SocketSource — in records/second, plus a reconnect-storm case
+// pipeline fed four ways — in-process trace (the baseline every other
+// bench uses), the same trace through RunThreaded's ring, a pcap file
+// through PcapReader, and a loopback TCP socket through SocketSource — in
+// records/second, plus a reconnect-storm case
 // where the producer kills the connection every few frames and the
 // consumer's backoff + HELLO-resume machinery carries the stream anyway.
 // run_bench.sh distills these into BENCH_operator.json's
@@ -79,6 +80,28 @@ void BM_InProcessIngest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * BenchTrace().size());
 }
 BENCHMARK(BM_InProcessIngest);
+
+// The same trace through RunThreaded: a producer thread publishes slices of
+// the trace through the ring, and the drive loop reads them. A run that
+// loses a record is an error, not a faster run.
+void BM_ThreadedIngest(benchmark::State& state) {
+  const Trace& trace = BenchTrace();
+  for (auto _ : state) {
+    TwoLevelRuntime rt(LowQuery(), {HighQuery()});
+    auto report = rt.RunThreaded(trace);
+    if (!report.ok()) {
+      state.SkipWithError(report.status().ToString().c_str());
+      return;
+    }
+    if (report->low.tuples_in != trace.size()) {
+      state.SkipWithError("the threaded run lost records");
+      return;
+    }
+    benchmark::DoNotOptimize(rt.high_node(0).DrainOutput());
+  }
+  state.SetItemsProcessed(state.iterations() * trace.size());
+}
+BENCHMARK(BM_ThreadedIngest);
 
 void BM_PcapIngest(benchmark::State& state) {
   if (BenchPcapPath().empty()) {

@@ -57,7 +57,9 @@ void RunQueryBenchmark(benchmark::State& state, const std::string& sql) {
     size_t i = 0;
     while (i < pkts.size()) {
       batch.Clear();
-      while (i < pkts.size() && !batch.full()) batch.AppendPacket(pkts[i++]);
+      const size_t n = std::min(batch.capacity(), pkts.size() - i);
+      batch.AppendPackets(&pkts[i], n);
+      i += n;
       Status s = node.PushBatch(batch);
       if (!s.ok()) {
         state.SkipWithError(s.ToString().c_str());

@@ -61,6 +61,7 @@ class ByteWriter {
 
   const std::string& data() const { return buf_; }
   size_t size() const { return buf_.size(); }
+  void Reserve(size_t n) { buf_.reserve(n); }
   void Clear() { buf_.clear(); }
   std::string Release() { return std::move(buf_); }
 
@@ -70,6 +71,11 @@ class ByteWriter {
     for (int i = 0; i < 4; ++i) {
       buf_[pos + static_cast<size_t>(i)] = static_cast<char>(v >> (8 * i));
     }
+  }
+  /// PatchU32() for an 8-byte slot.
+  void PatchU64(size_t pos, uint64_t v) {
+    PatchU32(pos, static_cast<uint32_t>(v));
+    PatchU32(pos + 4, static_cast<uint32_t>(v >> 32));
   }
 
  private:

@@ -14,6 +14,7 @@ QueryNode::QueryNode(std::string name, const CompiledQuery& query,
     sampling_->set_quality(nullptr, name_);  // default ring, node-labeled
   } else {
     selection_ = std::make_unique<SelectionOperator>(query.selection);
+    identity_ = selection_->is_identity();
   }
 }
 
@@ -35,14 +36,23 @@ Status QueryNode::Push(const Tuple& t, double weight) {
   return Status::OK();
 }
 
-Status QueryNode::PushBatch(const TupleBatch& batch, double weight,
-                            TupleBatch* out, obs::SpanContext* span_ctx) {
+size_t QueryNode::CountInput(const TupleBatch& batch) {
   const size_t lanes = batch.num_selected();
   tuples_in_ += lanes;
   if (metrics_.enabled()) {
     if (lanes > 0) metrics_.tuples_in->Add(lanes);
     metrics_.batch_fill->Record(lanes);
   }
+  return lanes;
+}
+
+void QueryNode::CountPassThrough(const TupleBatch& batch) {
+  CountOutput(CountInput(batch));
+}
+
+Status QueryNode::PushBatch(const TupleBatch& batch, double weight,
+                            TupleBatch* out, obs::SpanContext* span_ctx) {
+  CountInput(batch);
   if (sampling_ != nullptr) {
     const size_t before = sampling_->output_size();
     Status s = sampling_->ProcessBatch(batch, weight, span_ctx);

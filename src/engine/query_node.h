@@ -51,6 +51,16 @@ class QueryNode {
                    TupleBatch* out = nullptr,
                    obs::SpanContext* span_ctx = nullptr);
 
+  /// True for a selection node whose output is its input
+  /// (SelectionOperator::is_identity). The drive loop hands such a node's
+  /// input batch on to the next nodes as its output, with
+  /// CountPassThrough() in place of PushBatch().
+  bool is_identity() const { return identity_; }
+
+  /// What PushBatch() counts for an identity node, without the copy:
+  /// every selected lane in and out.
+  void CountPassThrough(const TupleBatch& batch);
+
   /// End-of-stream: close the final window (sampling nodes).
   Status Finish();
 
@@ -113,12 +123,16 @@ class QueryNode {
   uint64_t late_tuples() const;
 
  private:
+  // Adds the batch's selected lanes to tuples_in_ and their number to the
+  // registry's fill histogram; returns that number.
+  size_t CountInput(const TupleBatch& batch);
   // Adds `n` output rows to tuples_out_ and its registry mirror.
   void CountOutput(size_t n);
 
   std::string name_;
   std::unique_ptr<SamplingOperator> sampling_;
   std::unique_ptr<SelectionOperator> selection_;
+  bool identity_ = false;  // selection_->is_identity(), read once
   std::vector<Tuple> output_;  // selection nodes only
   TupleBatch scratch_out_;  // PushBatch without caller-supplied out
   Tuple scratch_row_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -441,13 +442,25 @@ std::string TwoLevelRuntime::HealthJson() const {
   return buf;
 }
 
+// A run of consecutive records of the trace: what RunThreaded's ring
+// carries, 16 bytes a slot.
+struct TraceSlice {
+  size_t first = 0;
+  size_t count = 0;
+};
+
 // RunThreaded's input: a TraceSource whose records arrive through the ring.
-// A producer thread pushes pointers into the trace arena — Gigascope's
-// zero-copy feed of the low-level queries — and Read() pops them, so the
-// durable offset is the index just past the last record popped and a
-// snapshot names a trace offset whichever run wrote it. The rest is
-// RunThreaded's own: the producer's backoff ladder and drop policy, the
-// load-shed controller's tick, the consumer stall hook and the watchdog.
+// A producer thread publishes slices of the trace arena, one per push —
+// Gigascope's zero-copy feed of the low-level queries — and Read() pops
+// one and copies its records into the caller's buffer, so the durable
+// offset is the index just past the last record popped and a snapshot
+// names a trace offset whichever run wrote it. A slice holds up to
+// min(batch_size, ring_capacity) records and the ring has ring_capacity /
+// slice slots, so ring_capacity still bounds the records in flight; the
+// ring's metrics, its high-water mark and the shed controller's occupancy
+// count records. The rest is RunThreaded's own: the producer's backoff
+// ladder and drop policy, the load-shed controller's tick, the consumer
+// stall hook and the watchdog.
 class TwoLevelRuntime::ThreadedFeed : public TraceSource {
  public:
   ThreadedFeed(const Trace& trace, const RuntimeOptions& options,
@@ -455,10 +468,10 @@ class TwoLevelRuntime::ThreadedFeed : public TraceSource {
       : TraceSource(&trace),
         options_(options),
         ring_metrics_(obs::RingBufferMetrics::Create(reg)),
-        ring_(options.ring_capacity),
-        shed_(options.shed, &reg) {
-    ring_.AttachMetrics(&ring_metrics_);
-  }
+        slice_(std::max<size_t>(
+            std::min(options.batch_size, options.ring_capacity), 1)),
+        ring_(std::max<size_t>(options.ring_capacity / slice_, 1)),
+        shed_(options.shed, &reg) {}
   ~ThreadedFeed() override { Stop(); }
 
   // Starts the producer at the durable offset, and the watchdog.
@@ -471,7 +484,7 @@ class TwoLevelRuntime::ThreadedFeed : public TraceSource {
     return Status::OK();
   }
 
-  // Waits for records, the producer's end, or the watchdog (kEnd with
+  // Waits for a slice, the producer's end, or the watchdog (kEnd with
   // last_status() set).
   ReadResult Read(PacketRecord* buf, size_t max, size_t* n_out) override;
   Status last_status() const override { return status_; }
@@ -492,7 +505,7 @@ class TwoLevelRuntime::ThreadedFeed : public TraceSource {
   // This run's overload and degradation counts; call after Stop().
   void FillReport(RunReport* report) const {
     report->ring_push_failures = push_failures_;
-    report->ring_occupancy_hwm = ring_.occupancy_hwm();
+    report->ring_occupancy_hwm = occupancy_hwm_;
     report->ring_producer_retries = retries_;
     report->packets_dropped = dropped_;
     report->producer_backoff_sleeps = backoff_sleeps_;
@@ -509,27 +522,31 @@ class TwoLevelRuntime::ThreadedFeed : public TraceSource {
  private:
   void Produce(size_t start);
   void Watch();
+  // Producer side of a successful push: counts its records and the records
+  // now in flight.
+  void NotePush(const TraceSlice& s);
 
   const RuntimeOptions& options_;
   const obs::RingBufferMetrics ring_metrics_;
-  RingBuffer<const PacketRecord*> ring_;
+  const size_t slice_;  // records per full slice
+  RingBuffer<TraceSlice> ring_;
   LoadShedController shed_;  // consumer-owned
   std::thread producer_;
   std::thread watchdog_;
   std::atomic<bool> abort_{false};  // raised by the watchdog or Stop()
   // Heartbeat for the watchdog: bumped on every push, drop and pop.
   std::atomic<uint64_t> progress_{0};
-  // TryPush calls that found the ring full: the controller's feedback,
-  // and this run's count in the report.
+  // Slice pushes that found the ring full: the controller's feedback, and
+  // this run's count in the report.
   std::atomic<uint64_t> push_failures_{0};
   // Producer-owned, read after the join.
   uint64_t retries_ = 0;
   uint64_t dropped_ = 0;
   uint64_t backoff_sleeps_ = 0;
   uint64_t backoff_ns_ = 0;
+  uint64_t occupancy_hwm_ = 0;  // records
   bool watchdog_fired_ = false;  // watchdog-owned, read after the join
   // Consumer-owned.
-  std::vector<const PacketRecord*> popped_;
   uint64_t batch_index_ = 0;
   uint64_t last_tick_ns_ = 0;
   uint64_t last_failures_ = 0;
@@ -537,19 +554,23 @@ class TwoLevelRuntime::ThreadedFeed : public TraceSource {
 };
 
 void TwoLevelRuntime::ThreadedFeed::Produce(size_t start) {
-  const std::vector<PacketRecord>& packets = trace_->packets();
+  const size_t total = trace_->size();
   const bool drop = options_.drop_on_overload;
   int yields = 0;
   uint64_t sleep_ns = kBackoffMinSleepNs;
-  for (size_t i = start; i < packets.size(); ++i) {
-    while (!ring_.TryPush(&packets[i])) {
+  for (size_t first = start; first < total; first += slice_) {
+    const TraceSlice s{first, std::min(slice_, total - first)};
+    bool pushed = true;
+    while (!ring_.TryPush(s)) {
       if (abort_.load(std::memory_order_acquire) || ring_.poisoned()) {
         return;  // aborted runs leave the ring poisoned, not closed
       }
       push_failures_.fetch_add(1, std::memory_order_relaxed);
+      if (ring_metrics_.enabled()) ring_metrics_.push_failures->Add();
       if (drop) {
-        ++dropped_;
-        break;  // overload: shed this packet, move on
+        dropped_ += s.count;
+        pushed = false;
+        break;  // overload: shed this slice, move on
       }
       // Bounded backoff ladder: a burst of yields, then exponentially
       // growing sleeps capped at 1 ms — the producer never busy-spins
@@ -565,12 +586,25 @@ void TwoLevelRuntime::ThreadedFeed::Produce(size_t start) {
         sleep_ns = std::min(sleep_ns * 2, kBackoffMaxSleepNs);
       }
     }
+    if (pushed) NotePush(s);
     // Ladder resets after any successful push (or drop).
     yields = 0;
     sleep_ns = kBackoffMinSleepNs;
     progress_.fetch_add(1, std::memory_order_relaxed);
   }
   ring_.Close();  // end of stream: the consumer drains and ends
+}
+
+void TwoLevelRuntime::ThreadedFeed::NotePush(const TraceSlice& s) {
+  // Only the producer pushes, so the newest slice in the ring is `s`, and
+  // every slice before it is full: only the trace's last slice is short.
+  const size_t in_ring = ring_.size();
+  const uint64_t occupancy = in_ring == 0 ? 0 : (in_ring - 1) * slice_ + s.count;
+  occupancy_hwm_ = std::max(occupancy_hwm_, occupancy);
+  if (ring_metrics_.enabled()) {
+    ring_metrics_.pushes->Add(s.count);
+    ring_metrics_.occupancy_hwm->SetMax(static_cast<double>(occupancy));
+  }
 }
 
 // If the progress heartbeat freezes for stall_timeout_ms — a hung consumer,
@@ -597,27 +631,28 @@ void TwoLevelRuntime::ThreadedFeed::Watch() {
 }
 
 ResumableSource::ReadResult TwoLevelRuntime::ThreadedFeed::Read(
-    PacketRecord* buf, size_t max, size_t* n_out) {
+    PacketRecord* buf, [[maybe_unused]] size_t max, size_t* n_out) {
   *n_out = 0;
   if (options_.consumer_stall_hook) {
     options_.consumer_stall_hook(batch_index_++, abort_);
   }
   // Controller tick, rate-limited here so the controller itself stays pure
   // (unit tests drive Tick directly). The loop applies the post-tick p to
-  // the whole batch.
+  // the whole batch. Occupancy is in records: the slices in the ring, of
+  // which no more than the trace has left past the consumer.
   if (options_.shed.enabled) {
     const uint64_t now = NowNanos();
     if (last_tick_ns_ == 0 ||
         now - last_tick_ns_ >= options_.shed.tick_interval_us * 1000) {
       const uint64_t f = push_failures_.load(std::memory_order_relaxed);
-      shed_.Tick(ring_.size(), ring_.capacity(), f - last_failures_);
+      shed_.Tick(std::min(ring_.size() * slice_, trace_->size() - pos_),
+                 ring_.capacity() * slice_, f - last_failures_);
       last_failures_ = f;
       last_tick_ns_ = now;
     }
   }
-  if (popped_.size() < max) popped_.resize(max);
-  size_t n = 0;
-  while ((n = ring_.PopBatch(popped_.data(), max)) == 0) {
+  TraceSlice s;
+  while (!ring_.TryPop(&s)) {
     if (abort_.load(std::memory_order_acquire)) {
       status_ = Status::ResourceExhausted(
           "pipeline stalled: no progress for " +
@@ -628,11 +663,14 @@ ResumableSource::ReadResult TwoLevelRuntime::ThreadedFeed::Read(
     if (ring_.closed() && ring_.empty()) return ReadResult::kEnd;
     std::this_thread::yield();  // the producer is behind
   }
-  for (size_t i = 0; i < n; ++i) buf[i] = *popped_[i];
-  pos_ = static_cast<size_t>(popped_[n - 1] - trace_->packets().data()) + 1;
-  stats_.records += n;
-  progress_.fetch_add(n, std::memory_order_relaxed);
-  *n_out = n;
+  assert(s.count <= max);  // a slice holds at most batch_size records
+  const PacketRecord* from = trace_->packets().data() + s.first;
+  std::copy(from, from + s.count, buf);
+  pos_ = s.first + s.count;
+  stats_.records += s.count;
+  if (ring_metrics_.enabled()) ring_metrics_.pops->Add(s.count);
+  progress_.fetch_add(1, std::memory_order_relaxed);
+  *n_out = s.count;
   return ReadResult::kRecords;
 }
 
@@ -707,7 +745,9 @@ Result<RunReport> TwoLevelRuntime::Drive(ResumableSource& source,
       const uint64_t t0 = NowNanos();
       const double weight = shed != nullptr ? shed->weight() : 1.0;
       if (delivered == 0 && n > 0) first_ts = records[0].ts_ns;
-      batch.Clear();
+      // Records are rejected one by one and the kept ones compacted to the
+      // front of the buffer, which becomes columns in one call.
+      size_t kept = 0;
       for (size_t i = 0; i < n; ++i) {
         const PacketRecord& p = records[i];
         last_ts = std::max(last_ts, p.ts_ns);
@@ -720,8 +760,11 @@ Result<RunReport> TwoLevelRuntime::Drive(ResumableSource& source,
           OfferShedExemplar(p, weight);
           continue;
         }
-        batch.AppendPacket(p);  // weight is constant across the batch
+        if (kept != i) records[kept] = p;
+        ++kept;
       }
+      batch.Clear();
+      batch.AppendPackets(records.data(), kept);  // one weight for the batch
       delivered += n;
       // One clock read ends the drain phase for its span and its total.
       const uint64_t drain_end = (obs_on || span_on) ? NowNanos() : 0;
@@ -737,19 +780,26 @@ Result<RunReport> TwoLevelRuntime::Drive(ResumableSource& source,
       sctx.rows = batch.num_rows();
       // Packet->batch conversion and selection both bill to the low node
       // (the "memory copy" costs §7.2 attributes to low-level evaluation).
-      status = low_->PushBatch(batch, weight, &low_out_batch);
+      // An identity low node hands its input batch on as its output.
+      const TupleBatch* low_out = &batch;
+      if (low_->is_identity()) {
+        low_->CountPassThrough(batch);
+      } else {
+        status = low_->PushBatch(batch, weight, &low_out_batch);
+        low_out = &low_out_batch;
+      }
       const uint64_t batch_ns = NowNanos() - t0;
       low_->AddCpuNanos(batch_ns);
       if (n > 0) low_->RecordBatch(batch_ns, batch.num_rows());
       for (size_t h = 0; h < high_.size() && status.ok(); ++h) {
         QueryNode& node = *high_[h];
         const uint64_t h0 = NowNanos();
-        status = node.PushBatch(low_out_batch, weight, nullptr,
+        status = node.PushBatch(*low_out, weight, nullptr,
                                 span_on ? &sctx : nullptr);
         const uint64_t h_ns = NowNanos() - h0;
         node.AddCpuNanos(h_ns);
-        if (low_out_batch.num_rows() > 0) {
-          node.RecordBatch(h_ns, low_out_batch.num_rows());
+        if (low_out->num_rows() > 0) {
+          node.RecordBatch(h_ns, low_out->num_rows());
         }
       }
       if (!status.ok()) break;
@@ -879,15 +929,18 @@ Result<SingleRunResult> RunQueryOverTrace(const CompiledQuery& query,
   while (source.Read(records.data(), kBatch, &n) ==
          ResumableSource::ReadResult::kRecords) {
     const uint64_t t0 = NowNanos();
-    batch.Clear();
+    size_t kept = 0;
     for (size_t i = 0; i < n; ++i) {
       if (records[i].len < kMinPacketLen) {
         ++malformed;
         OfferMalformedExemplar(records[i]);
         continue;
       }
-      batch.AppendPacket(records[i]);
+      if (kept != i) records[kept] = records[i];
+      ++kept;
     }
+    batch.Clear();
+    batch.AppendPackets(records.data(), kept);
     STREAMOP_RETURN_NOT_OK(node.PushBatch(batch));
     const uint64_t batch_ns = NowNanos() - t0;
     node.AddCpuNanos(batch_ns);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -96,36 +95,36 @@ Status FlightRecorder::Spill(const TimeSeries& ts, const AlertEngine* alerts) {
   if (!enabled()) return Status::OK();
   if constexpr (!kStatsEnabled) return Status::OK();
   std::lock_guard<std::mutex> lock(spill_mu_);
+  // The segment is framed in the buffer it is written to: the header's
+  // bytes are reserved here and filled in once the payload is complete.
   ByteWriter w;
+  w.Reserve(last_segment_size_);  // a segment rarely changes size
+  const char header[kHeaderSize] = {};
+  w.Raw(header, kHeaderSize);
   w.U64(ts.scrapes());
   w.U64(ts.options().interval_ms);
 
   // Section 1: the pre-rendered last-K-intervals table. Rendering at
   // spill time (rates already computed) keeps Load() free of any
-  // dependency on the live ring's encoding.
-  std::vector<std::string> keys;
-  std::vector<uint8_t> kinds;
-  std::vector<std::vector<uint64_t>> times;
-  std::vector<std::vector<double>> values;
+  // dependency on the live ring's encoding. Each series is written as it
+  // is visited, and the count patched in after.
+  const size_t nseries_at = w.size();
+  w.U64(0);
+  uint64_t nseries = 0;
   ts.VisitTail(options_.last_k_intervals,
                [&](const std::string& key, SeriesKind kind,
                    const std::vector<uint64_t>& t_ns,
                    const std::vector<double>& vals) {
-                 keys.push_back(key);
-                 kinds.push_back(static_cast<uint8_t>(kind));
-                 times.push_back(t_ns);
-                 values.push_back(vals);
+                 w.Str(key);
+                 w.U8(static_cast<uint8_t>(kind));
+                 w.U64(t_ns.size());
+                 for (size_t k = 0; k < t_ns.size(); ++k) {
+                   w.U64(t_ns[k]);
+                   w.F64(vals[k]);
+                 }
+                 ++nseries;
                });
-  w.U64(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    w.Str(keys[i]);
-    w.U8(kinds[i]);
-    w.U64(times[i].size());
-    for (size_t k = 0; k < times[i].size(); ++k) {
-      w.U64(times[i][k]);
-      w.F64(values[i][k]);
-    }
-  }
+  w.PatchU64(nseries_at, nseries);
 
   // Section 2: the alert board + transition log.
   if (alerts != nullptr) {
@@ -155,44 +154,35 @@ Status FlightRecorder::Spill(const TimeSeries& ts, const AlertEngine* alerts) {
 
   // Section 3: the newest spans (names resolved to strings — the ring
   // stores literal pointers that die with the process).
-  {
-    std::vector<SpanRecord> spans = options_.span_ring->Snapshot();
-    const size_t n = std::min(spans.size(), options_.max_spans);
-    w.U64(n);
-    for (size_t i = spans.size() - n; i < spans.size(); ++i) {
-      const SpanRecord& s = spans[i];
-      w.Str(s.name != nullptr ? s.name : "?");
-      w.U64(s.window_seq);
-      w.U64(s.ts_ns);
-      w.U64(s.dur_ns);
-      w.U64(s.rows);
-    }
+  const std::vector<SpanRecord> spans =
+      options_.span_ring->Newest(options_.max_spans);
+  w.U64(spans.size());
+  for (const SpanRecord& s : spans) {
+    w.Str(s.name != nullptr ? s.name : "?");
+    w.U64(s.window_seq);
+    w.U64(s.ts_ns);
+    w.U64(s.dur_ns);
+    w.U64(s.rows);
   }
 
-  const std::string& payload = w.data();
-  std::string framed;
-  framed.resize(kHeaderSize);
   const uint64_t now = NowNanos();
-  const uint32_t magic = kMagic;
-  const uint32_t version = kVersion;
-  const uint64_t len = payload.size();
-  const uint32_t payload_crc = Crc32c(payload.data(), payload.size());
-  std::memcpy(&framed[0], &magic, 4);
-  std::memcpy(&framed[4], &version, 4);
-  std::memcpy(&framed[8], &now, 8);
-  std::memcpy(&framed[16], &len, 8);
-  std::memcpy(&framed[24], &payload_crc, 4);
-  const uint32_t header_crc = Crc32c(framed.data(), 28);
-  std::memcpy(&framed[28], &header_crc, 4);
-  framed += payload;
+  const std::string_view payload =
+      std::string_view(w.data()).substr(kHeaderSize);
+  w.PatchU32(0, kMagic);
+  w.PatchU32(4, kVersion);
+  w.PatchU64(8, now);
+  w.PatchU64(16, payload.size());
+  w.PatchU32(24, Crc32c(payload.data(), payload.size()));
+  w.PatchU32(28, Crc32c(w.data().data(), 28));
 
   // The write creates the dir, so a fresh --flight-dir needs no
   // pre-creating, and a recorder that never spills never touches the disk.
-  Status st = WriteFileAtomic(options_.dir, "flight.seg", framed);
+  Status st = WriteFileAtomic(options_.dir, "flight.seg", w.data());
   if (!st.ok()) {
     spill_failures_.fetch_add(1, std::memory_order_relaxed);
     return st;
   }
+  last_segment_size_ = w.size();
   spills_.fetch_add(1, std::memory_order_relaxed);
   last_spill_ns_.store(now, std::memory_order_relaxed);
   return Status::OK();
@@ -210,14 +200,13 @@ Result<ForensicReport> FlightRecorder::Load(const std::string& dir) {
   if (bytes.size() < kHeaderSize) {
     return Status::IOError("flight segment truncated: " + path);
   }
-  uint32_t magic = 0, version = 0, payload_crc = 0, header_crc = 0;
-  uint64_t written_at = 0, len = 0;
-  std::memcpy(&magic, &bytes[0], 4);
-  std::memcpy(&version, &bytes[4], 4);
-  std::memcpy(&written_at, &bytes[8], 8);
-  std::memcpy(&len, &bytes[16], 8);
-  std::memcpy(&payload_crc, &bytes[24], 4);
-  std::memcpy(&header_crc, &bytes[28], 4);
+  ByteReader h(bytes.data(), kHeaderSize);
+  const uint32_t magic = h.U32();
+  const uint32_t version = h.U32();
+  const uint64_t written_at = h.U64();
+  const uint64_t len = h.U64();
+  const uint32_t payload_crc = h.U32();
+  const uint32_t header_crc = h.U32();
   if (magic != kMagic) {
     return Status::IOError("flight segment bad magic: " + path);
   }

@@ -144,6 +144,7 @@ class FlightRecorder {
  private:
   FlightRecorderOptions options_;
   std::mutex spill_mu_;
+  size_t last_segment_size_ = 0;  // of the last spill written; spill_mu_
   std::atomic<bool> spill_requested_{false};
   std::atomic<uint64_t> spills_{0};
   std::atomic<uint64_t> spill_failures_{0};

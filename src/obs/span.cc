@@ -55,18 +55,30 @@ void SpanRing::set_enabled(bool on) {
   enabled_.store(on, std::memory_order_relaxed);
 }
 
-std::vector<SpanRecord> SpanRing::Snapshot() const {
+std::vector<SpanRecord> SpanRing::Snapshot() const { return Newest(cap_); }
+
+std::vector<SpanRecord> SpanRing::Newest(size_t n) const {
   const uint64_t seq = seq_.load(std::memory_order_relaxed);
   const Slot* const slots = slots_.load(std::memory_order_acquire);
   std::vector<SpanRecord> out;
-  if (slots == nullptr) return out;
-  const size_t n =
+  if (slots == nullptr || n == 0) return out;
+  const size_t filled =
       static_cast<size_t>(std::min<uint64_t>(seq, static_cast<uint64_t>(cap_)));
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+  auto starts_before = [](const SpanRecord& a, const SpanRecord& b) {
+    if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
+    return a.span_id < b.span_id;
+  };
+  // Once `n` spans are kept they form a heap whose top is the one that
+  // starts first, which any span starting later replaces.
+  auto starts_after = [&](const SpanRecord& a, const SpanRecord& b) {
+    return starts_before(b, a);
+  };
+  out.reserve(std::min(n, filled));
+  for (size_t i = 0; i < filled; ++i) {
     const Slot& s = slots[i];
     SpanRecord r;
     r.name = s.name.load(std::memory_order_relaxed);
+    if (r.name == nullptr) continue;  // torn with a concurrent first write
     r.span_id = s.span_id.load(std::memory_order_relaxed);
     r.parent_id = s.parent_id.load(std::memory_order_relaxed);
     r.window_seq = s.window_seq.load(std::memory_order_relaxed);
@@ -77,14 +89,16 @@ std::vector<SpanRecord> SpanRing::Snapshot() const {
     r.shed_p = s.shed_p.load(std::memory_order_relaxed);
     r.max_weight = s.max_weight.load(std::memory_order_relaxed);
     r.z = s.z.load(std::memory_order_relaxed);
-    if (r.name == nullptr) continue;  // torn with a concurrent first write
-    out.push_back(r);
+    if (out.size() < n) {
+      out.push_back(r);
+      if (out.size() == n) std::make_heap(out.begin(), out.end(), starts_after);
+    } else if (starts_before(out.front(), r)) {
+      std::pop_heap(out.begin(), out.end(), starts_after);
+      out.back() = r;
+      std::push_heap(out.begin(), out.end(), starts_after);
+    }
   }
-  std::sort(out.begin(), out.end(),
-            [](const SpanRecord& a, const SpanRecord& b) {
-              if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
-              return a.span_id < b.span_id;
-            });
+  std::sort(out.begin(), out.end(), starts_before);
   return out;
 }
 

@@ -130,6 +130,11 @@ class SpanRing {
   /// Copies out the retained spans, oldest first by start timestamp.
   std::vector<SpanRecord> Snapshot() const;
 
+  /// The `n` retained spans that start last, oldest first: the tail of
+  /// Snapshot(), picked in one pass over the slots, so only those `n` are
+  /// copied.
+  std::vector<SpanRecord> Newest(size_t n) const;
+
   /// Chrome trace format ({"traceEvents": [...]}): complete "X" events with
   /// span/parent/window ids and the shed/weight/z context in args, timestamps
   /// rebased to the earliest retained span, in microseconds.

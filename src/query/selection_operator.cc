@@ -30,6 +30,12 @@ SelectionOperator::SelectionOperator(std::shared_ptr<const SelectionPlan> plan)
     cc.Compile(plan_->select_exprs[c].get(), &select_progs_[c]);
   }
   compile_status_ = cc.status;
+  identity_ = compile_status_.ok() && plan_->where == nullptr &&
+              plan_->sfun_states.empty() &&
+              select_progs_.size() == plan_->input_schema->num_fields();
+  for (size_t c = 0; identity_ && c < select_progs_.size(); ++c) {
+    identity_ = select_progs_[c].identity_input_slot() == static_cast<int>(c);
+  }
   row_stack_.resize(cc.stack_size);
   select_cols_.resize(plan_->select_exprs.size());
   select_col_ok_.assign(plan_->select_exprs.size(), 0);

@@ -53,6 +53,11 @@ class SelectionOperator {
   /// the lanes before the failing one.
   Status ProcessBatch(const TupleBatch& in, TupleBatch* out);
 
+  /// True when the output is the input: no WHERE, no SFUN, and input
+  /// column c projected to output column c for every column. Decided once,
+  /// at construction.
+  bool is_identity() const { return identity_; }
+
   const SelectionPlan& plan() const { return *plan_; }
   uint64_t tuples_in() const { return tuples_in_; }
   uint64_t tuples_out() const { return tuples_out_; }
@@ -69,6 +74,7 @@ class SelectionOperator {
   ExprProgram where_prog_;
   std::vector<ExprProgram> select_progs_;
   Status compile_status_;
+  bool identity_ = false;
   std::vector<Value> row_stack_;  // row-mode value stack, deepest program
 
   // Per-batch columnar scratch, capacity-stable across batches.

@@ -3,9 +3,10 @@
 // Gigascope, where "data from a source stream is fed to the low level
 // queries from a ring buffer without copying".
 //
-// Lock-free: one producer thread calls TryPush / PushBatch, one consumer
-// thread calls TryPop / PopBatch. Also usable single-threaded (the
-// benchmarks replay traces synchronously).
+// Lock-free: one producer thread calls TryPush, one consumer thread calls
+// TryPop. Also usable single-threaded (the benchmarks replay traces
+// synchronously). RunThreaded's ring carries slices of the trace, so one
+// push or pop moves a whole batch of records.
 
 #ifndef STREAMOP_STREAM_RING_BUFFER_H_
 #define STREAMOP_STREAM_RING_BUFFER_H_
@@ -99,13 +100,6 @@ class RingBuffer {
   /// been joined.
   size_t occupancy_hwm() const { return occupancy_hwm_; }
 
-  /// Pushes up to n items; returns how many were accepted.
-  size_t PushBatch(const T* items, size_t n) {
-    size_t pushed = 0;
-    while (pushed < n && TryPush(items[pushed])) ++pushed;
-    return pushed;
-  }
-
   /// Consumer side. Returns false if the buffer is empty.
   bool TryPop(T* out) {
     if (poisoned()) return false;  // hard abort: abandon buffered items
@@ -115,13 +109,6 @@ class RingBuffer {
     head_.store(h + 1, std::memory_order_release);
     if (obs::kStatsEnabled && metrics_ != nullptr) metrics_->pops->Add();
     return true;
-  }
-
-  /// Pops up to max items into out; returns how many were popped.
-  size_t PopBatch(T* out, size_t max) {
-    size_t popped = 0;
-    while (popped < max && TryPop(&out[popped])) ++popped;
-    return popped;
   }
 
  private:

@@ -201,19 +201,33 @@ class TupleBatch {
     if (owned_ != nullptr) owned_->clear();
   }
 
-  /// Fast path: appends one packet as the 8-column PKT row (all kUInt),
-  /// bypassing per-tuple Value construction entirely. PacketToTuple below
-  /// is the same mapping as a row.
-  void AppendPacket(const PacketRecord& p) {
-    const uint64_t vals[8] = {p.ts_sec(), p.ts_ns,    p.src_ip, p.dst_ip,
-                              p.src_port, p.dst_port, p.proto,  p.len};
+  /// Fast path: appends `n` packets as 8-column PKT rows (all kUInt),
+  /// bypassing per-tuple Value construction entirely. Each column grows
+  /// once and is written by index; the type columns and the selection
+  /// vector are filled in bulk. PacketToTuple below is the same mapping as
+  /// a row.
+  void AppendPackets(const PacketRecord* p, size_t n) {
+    const size_t end = num_rows_ + n;
+    uint64_t* raw[8];
     for (size_t c = 0; c < 8; ++c) {
-      cols_[c].raw.push_back(vals[c]);
-      cols_[c].type.push_back(static_cast<uint8_t>(FieldType::kUInt));
+      cols_[c].raw.resize(end);
+      cols_[c].type.resize(end, static_cast<uint8_t>(FieldType::kUInt));
+      raw[c] = cols_[c].raw.data() + num_rows_;
     }
-    sel_.push_back(1);
-    ++num_rows_;
+    for (size_t i = 0; i < n; ++i) {
+      raw[0][i] = p[i].ts_sec();
+      raw[1][i] = p[i].ts_ns;
+      raw[2][i] = p[i].src_ip;
+      raw[3][i] = p[i].dst_ip;
+      raw[4][i] = p[i].src_port;
+      raw[5][i] = p[i].dst_port;
+      raw[6][i] = p[i].proto;
+      raw[7][i] = p[i].len;
+    }
+    sel_.resize(end, 1);
+    num_rows_ = end;
   }
+  void AppendPacket(const PacketRecord& p) { AppendPackets(&p, 1); }
 
   /// Appends one row from a Tuple (generic path; string payloads are copied
   /// into the batch so the source tuple may die immediately).

@@ -305,9 +305,9 @@ std::string RowsDigest(const std::vector<Tuple>& rows) {
 // Three low queries over a trace with truncated and duplicated records,
 // each through Run and RunThreaded: the pass-through (an identity), a
 // filtering projection, and the pass-through with srcIP and destIP
-// swapped. Only the first may hand its input batch on as its output. The
-// digests and the malformed count were recorded before any low node
-// handed its batch on.
+// swapped. Only the first is an identity, which hands its input batch on
+// as its output. The digests and the malformed count were recorded before
+// any low node handed its batch on.
 TEST(ChaosTest, LowQueriesOverTruncatedRecordsKeepTheirDigests) {
   FaultInjectionConfig fcfg;
   fcfg.seed = 21;
@@ -333,14 +333,15 @@ TEST(ChaosTest, LowQueriesOverTruncatedRecordsKeepTheirDigests) {
     const char* low;
     const char* high_stream;
     const char* digest;
+    bool identity;
   };
   const Case cases[] = {
-      {kPassThroughLow, "PKT", "6a87d2dea9ff32e9"},
+      {kPassThroughLow, "PKT", "6a87d2dea9ff32e9", true},
       {"SELECT time, srcIP, destIP, len FROM PKT WHERE len > 100",
-       "PKT_FILT", "04b2fced29e33a67"},
+       "PKT_FILT", "04b2fced29e33a67", false},
       {"SELECT time, ts_ns, destIP, srcIP, srcPort, destPort, proto, len "
        "FROM PKT",
-       "PKT", "a84172a895f47371"},
+       "PKT", "a84172a895f47371", false},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.low);
@@ -355,6 +356,7 @@ TEST(ChaosTest, LowQueriesOverTruncatedRecordsKeepTheirDigests) {
     for (const bool threaded : {false, true}) {
       SCOPED_TRACE(threaded ? "RunThreaded" : "Run");
       TwoLevelRuntime rt(*low, {*high});
+      EXPECT_EQ(rt.low_node().is_identity(), c.identity);
       auto report = threaded ? rt.RunThreaded(faulty) : rt.Run(faulty);
       ASSERT_TRUE(report.ok()) << report.status().ToString();
       EXPECT_EQ(report->packets_malformed, truncated);

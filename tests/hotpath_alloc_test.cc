@@ -33,23 +33,29 @@
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_allocated_bytes{0};
+
+void CountAllocation(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
+}
 }  // namespace
 
-// Counting global allocator. Only the allocation side is counted — the
-// steady-state invariant is "no heap traffic", and every free implies a
-// prior counted allocation.
+// Counting global allocator: calls and bytes. Only the allocation side is
+// counted — the steady-state invariant is "no heap traffic", and every
+// free implies a prior counted allocation.
 void* operator new(std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(n);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(n);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new(std::size_t n, std::align_val_t a) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(n);
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(a),
                                    (n + static_cast<std::size_t>(a) - 1) /
                                        static_cast<std::size_t>(a) *
@@ -386,14 +392,72 @@ TEST(HotPathAllocTest, BatchRefillFromPacketsAllocatesNothing) {
   p.dst_port = 80;
   p.proto = 6;
   p.len = 512;
+  const std::vector<PacketRecord> packets(512, p);
   for (int i = 0; i < 512; ++i) batch.AppendPacket(p);  // reach capacity
   uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int pass = 0; pass < 8; ++pass) {
     batch.Clear();
     for (int i = 0; i < 512; ++i) batch.AppendPacket(p);
   }
+  // The drive loop's one-call refill, whole and in two parts.
+  for (int pass = 0; pass < 8; ++pass) {
+    batch.Clear();
+    batch.AppendPackets(packets.data(), packets.size());
+    batch.Clear();
+    batch.AppendPackets(packets.data(), 100);
+    batch.AppendPackets(packets.data() + 100, packets.size() - 100);
+  }
   uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(batch.num_rows(), packets.size());
+}
+
+// A spill allocates about its own segment: it copies out only the spans it
+// writes (not every slot of the span ring), writes each series as it is
+// visited and frames the segment in the buffer it was written to. The
+// ring here is full (4,096 slots, 352 KiB as SpanRecords); the table and
+// the alert board are small, so anything near a copy of the ring breaks
+// the bound. The first spill sizes the buffer; the second is measured.
+TEST(HotPathAllocTest, FlightSpillAllocatesAboutItsSegment) {
+  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "hotpath_flight_spill";
+  fs::remove_all(dir);
+
+  obs::MetricRegistry reg;
+  obs::Counter* c = reg.GetCounter("streamop_test_total");
+  obs::Gauge* g = reg.GetGauge("streamop_runtime_shed_fraction");
+  obs::TimeSeries ts({.capacity = 64, .max_series = 64, .max_points = 64,
+                      .max_bucket_deltas = 256, .interval_ms = 100});
+  obs::AlertEngine alerts;
+  alerts.AddBuiltinRules();
+  uint64_t t_ns = 1000000000ull;
+  for (int k = 0; k < 48; ++k) {
+    c->Add(10 + k);
+    g->Set(0.01 * k);
+    ts.Scrape(reg, t_ns += 100000000ull);
+    alerts.Evaluate(ts, t_ns);
+  }
+  obs::SpanRing ring(4096);
+  ring.set_enabled(true);
+  for (uint64_t i = 0; i < 2 * ring.capacity(); ++i) {
+    obs::SpanRecord s;
+    s.name = "admission";
+    s.ts_ns = (i * 7919) % (2 * ring.capacity());
+    ring.Emit(s);
+  }
+  obs::FlightRecorder flight(
+      {.dir = dir.string(), .span_ring = &ring});
+  ASSERT_TRUE(flight.Spill(ts, &alerts).ok());
+
+  const uint64_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+  ASSERT_TRUE(flight.Spill(ts, &alerts).ok());
+  const uint64_t spill_bytes =
+      g_allocated_bytes.load(std::memory_order_relaxed) - before;
+  const uint64_t segment = fs::file_size(flight.segment_path());
+  fs::remove_all(dir);
+  EXPECT_LE(spill_bytes, segment + 64 * 1024)
+      << "segment " << segment << " B";
 }
 
 // The flight-recorder stack rides along without reintroducing heap

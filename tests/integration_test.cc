@@ -16,6 +16,7 @@
 #include "query/query.h"
 #include "sampling/distinct.h"
 #include "sampling/kmv.h"
+#include "stream/fault_injection.h"
 #include "tuple/tuple_batch.h"
 
 namespace streamop {
@@ -771,6 +772,85 @@ TEST(TwoLevelE2E, ThreadedRunMatchesSequentialRun) {
   }
   EXPECT_GT(par_report->pipeline_seconds, 0.0);
   EXPECT_EQ(par_report->low.tuples_in, trace.size());
+}
+
+// RunThreaded's ring carries slices of the trace: min(batch_size,
+// ring_capacity) records each, in ring_capacity / slice slots. Each run
+// gets fresh queries (the operators are stateful).
+struct SliceRun {
+  RunReport report;
+  std::vector<Tuple> out;
+};
+SliceRun RunSliced(const Trace& trace, const RuntimeOptions& options,
+                   bool threaded) {
+  auto low = CompileQuery(kPassThroughLow, TestCatalog());
+  auto high = CompileQuery(SubsetSumSql(500, 10.0), TestCatalog(), {.seed = 5});
+  EXPECT_TRUE(low.ok() && high.ok());
+  TwoLevelRuntime rt(*low, {*high}, options);
+  auto report = threaded ? rt.RunThreaded(trace) : rt.Run(trace);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  SliceRun run;
+  if (report.ok()) run.report = *report;
+  run.out = rt.high_node(0).DrainOutput();
+  return run;
+}
+
+// A ring smaller than a batch, and one that is not a multiple of a batch:
+// the slices shrink to the ring, or the ring holds fewer records than its
+// capacity, and neither changes a row.
+TEST(ThreadedRunSliceTest, RingSmallerThanOrNotAMultipleOfABatchMatchesRun) {
+  const Trace trace = TraceGenerator::MakeResearchFeed(31.0, 65);
+  for (const size_t ring : {size_t{100}, size_t{1000}}) {
+    SCOPED_TRACE(ring);
+    RuntimeOptions options;
+    options.ring_capacity = ring;
+    options.batch_size = 512;
+    const SliceRun seq = RunSliced(trace, options, false);
+    const SliceRun par = RunSliced(trace, options, true);
+    ASSERT_FALSE(seq.out.empty());
+    EXPECT_EQ(par.out, seq.out);
+    EXPECT_EQ(par.report.low.tuples_in, trace.size());
+    EXPECT_GT(par.report.ring_occupancy_hwm, 0u);
+    EXPECT_LE(par.report.ring_occupancy_hwm, ring);
+  }
+}
+
+// A full ring drops the whole slice, and its records count as dropped.
+TEST(ThreadedRunSliceTest, DropOnOverloadDropsWholeSlices) {
+  const Trace trace = TraceGenerator::MakeResearchFeed(31.0, 66);
+  RuntimeOptions options;
+  options.batch_size = 64;
+  options.ring_capacity = 128;
+  options.drop_on_overload = true;
+  ConsumerStallSpec stall;
+  stall.per_batch_ms = 1;
+  options.consumer_stall_hook = MakeConsumerStallHook(stall);
+  const SliceRun run = RunSliced(trace, options, true);
+  EXPECT_GT(run.report.packets_dropped, 0u);
+  EXPECT_EQ(run.report.low.tuples_in + run.report.packets_dropped,
+            trace.size());
+  EXPECT_LE(run.report.ring_occupancy_hwm, options.ring_capacity);
+}
+
+// The ring's exported metrics count records, not slices.
+TEST(ThreadedRunSliceTest, RingMetricsCountRecords) {
+  obs::MetricRegistry reg;
+  const Trace trace = TraceGenerator::MakeResearchFeed(31.0, 67);
+  RuntimeOptions options;
+  options.registry = &reg;
+  const SliceRun run = RunSliced(trace, options, true);
+  EXPECT_EQ(run.report.packets, trace.size());
+  EXPECT_LE(run.report.ring_occupancy_hwm, options.ring_capacity);
+  if (!obs::kStatsEnabled) return;  // stats compiled out
+  EXPECT_EQ(reg.GetCounter("streamop_ring_pushes_total")->value(),
+            run.report.packets);
+  EXPECT_EQ(reg.GetCounter("streamop_ring_pops_total")->value(),
+            run.report.packets);
+  EXPECT_EQ(reg.GetGauge("streamop_ring_occupancy_hwm")->value(),
+            static_cast<double>(run.report.ring_occupancy_hwm));
+  // Push failures count slice pushes, as the report does.
+  EXPECT_EQ(reg.GetCounter("streamop_ring_push_failures_total")->value(),
+            run.report.ring_push_failures);
 }
 
 TEST(DistinctSamplingE2E, QueryPathMatchesLibraryPath) {

@@ -431,6 +431,41 @@ TEST(SelectionOperatorTest, StatefulBasicSubsetSum) {
   EXPECT_NEAR(est, truth, 0.03 * truth);
 }
 
+// Only a query whose output is its input — no WHERE, no SFUN, every input
+// column projected to its own slot — is an identity, which the drive loop
+// hands on without a copy.
+TEST(SelectionOperatorTest, IdentityIsEveryColumnInPlaceWithoutAFilter) {
+  struct Case {
+    const char* sql;
+    bool identity;
+  };
+  const Case cases[] = {
+      {"SELECT time, ts_ns, srcIP, destIP, srcPort, destPort, proto, len "
+       "FROM PKT",
+       true},
+      {"SELECT time, ts_ns, destIP, srcIP, srcPort, destPort, proto, len "
+       "FROM PKT",
+       false},
+      {"SELECT time, ts_ns, srcIP, destIP, srcPort, destPort, proto, len "
+       "FROM PKT WHERE len > 100",
+       false},
+      {"SELECT time, ts_ns, srcIP, destIP, srcPort, destPort, proto, len "
+       "FROM PKT WHERE ssample(len, 0, 2, 1, 5000.0) = TRUE",
+       false},
+      {"SELECT time, ts_ns, srcIP, destIP, srcPort, destPort, proto, len + 0 "
+       "FROM PKT",
+       false},
+      {"SELECT time, srcIP, destIP, len FROM PKT", false},
+  };
+  for (const Case& c : cases) {
+    auto cq = CompileQuery(c.sql, TestCatalog());
+    ASSERT_TRUE(cq.ok()) << c.sql << ": " << cq.status().ToString();
+    EXPECT_EQ(SelectionOperator(cq->selection).is_identity(), c.identity)
+        << c.sql;
+    EXPECT_EQ(QueryNode("low", *cq).is_identity(), c.identity) << c.sql;
+  }
+}
+
 // INT64_MIN / -1 traps in hardware when computed natively; the engine's
 // signed arithmetic wraps instead, so this query yields INT64_MIN on every
 // row, through the one-row Push as through PushBatch.

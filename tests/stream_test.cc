@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <thread>
 
 #include "net/trace_generator.h"
@@ -58,16 +57,6 @@ TEST(RingBufferTest, FullBufferRejectsPush) {
   int v;
   ASSERT_TRUE(rb.TryPop(&v));
   EXPECT_TRUE(rb.TryPush(2));  // space reclaimed
-}
-
-TEST(RingBufferTest, BatchOperations) {
-  RingBuffer<int> rb(16);
-  int in[10];
-  std::iota(in, in + 10, 0);
-  EXPECT_EQ(rb.PushBatch(in, 10), 10u);
-  int out[10];
-  EXPECT_EQ(rb.PopBatch(out, 10), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[i], i);
 }
 
 TEST(RingBufferTest, WrapAroundManyTimes) {

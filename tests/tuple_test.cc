@@ -10,6 +10,7 @@
 
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
+#include "tuple/tuple_batch.h"
 #include "tuple/value.h"
 
 namespace streamop {
@@ -312,6 +313,45 @@ TEST(GroupKeyTest, UsableInUnorderedMap) {
   m[GroupKey({Value::UInt(1)})] = 11;  // overwrite
   EXPECT_EQ(m.size(), 2u);
   EXPECT_EQ(m[GroupKey({Value::UInt(1)})], 11);
+}
+
+// AppendPackets(p, n) is n AppendPacket calls: the same lanes in every
+// column, type column and selection slot, after rows already in the batch.
+TEST(TupleBatchTest, AppendPacketsEqualsOneAppendPacketPerRecord) {
+  std::vector<PacketRecord> packets(37);
+  for (size_t i = 0; i < packets.size(); ++i) {
+    PacketRecord& p = packets[i];
+    p.ts_ns = 1'000'000'000ULL * (i + 3) + i;
+    p.src_ip = 0x0a000000u + static_cast<uint32_t>(i);
+    p.dst_ip = 0xc0a80000u + static_cast<uint32_t>(i * 7);
+    p.src_port = static_cast<uint16_t>(1000 + i);
+    p.dst_port = 80;
+    p.proto = static_cast<uint8_t>(i % 2 == 0 ? 6 : 17);
+    p.len = static_cast<uint16_t>(40 + i * 31);
+  }
+  TupleBatch one(8, 16);
+  TupleBatch bulk(8, 16);
+  one.AppendPacket(packets[0]);
+  bulk.AppendPacket(packets[0]);
+  one.set_selected(0, false);
+  bulk.set_selected(0, false);
+  for (size_t i = 1; i < packets.size(); ++i) one.AppendPacket(packets[i]);
+  bulk.AppendPackets(packets.data() + 1, packets.size() - 1);
+
+  ASSERT_EQ(bulk.num_rows(), one.num_rows());
+  ASSERT_EQ(bulk.num_rows(), packets.size());
+  for (size_t row = 0; row < one.num_rows(); ++row) {
+    EXPECT_EQ(bulk.selected(row), one.selected(row)) << "row " << row;
+    for (size_t c = 0; c < 8; ++c) {
+      EXPECT_EQ(bulk.raw_at(c, row), one.raw_at(c, row)) << row << "," << c;
+      EXPECT_EQ(bulk.type_at(c, row), one.type_at(c, row)) << row << "," << c;
+    }
+  }
+  EXPECT_EQ(bulk.num_selected(), packets.size() - 1);
+  // And both are the row form of PacketToTuple.
+  Tuple row;
+  bulk.MaterializeRow(5, &row);
+  EXPECT_EQ(row, PacketToTuple(packets[5]));
 }
 
 }  // namespace
