@@ -14,7 +14,6 @@ QueryNode::QueryNode(std::string name, const CompiledQuery& query,
     sampling_->set_quality(nullptr, name_);  // default ring, node-labeled
   } else {
     selection_ = std::make_unique<SelectionOperator>(query.selection);
-    identity_ = selection_->is_identity();
   }
 }
 

@@ -55,7 +55,9 @@ class QueryNode {
   /// (SelectionOperator::is_identity). The drive loop hands such a node's
   /// input batch on to the next nodes as its output, with
   /// CountPassThrough() in place of PushBatch().
-  bool is_identity() const { return identity_; }
+  bool is_identity() const {
+    return selection_ != nullptr && selection_->is_identity();
+  }
 
   /// What PushBatch() counts for an identity node, without the copy:
   /// every selected lane in and out.
@@ -132,7 +134,6 @@ class QueryNode {
   std::string name_;
   std::unique_ptr<SamplingOperator> sampling_;
   std::unique_ptr<SelectionOperator> selection_;
-  bool identity_ = false;  // selection_->is_identity(), read once
   std::vector<Tuple> output_;  // selection nodes only
   TupleBatch scratch_out_;  // PushBatch without caller-supplied out
   Tuple scratch_row_;

@@ -599,7 +599,8 @@ void TwoLevelRuntime::ThreadedFeed::NotePush(const TraceSlice& s) {
   // Only the producer pushes, so the newest slice in the ring is `s`, and
   // every slice before it is full: only the trace's last slice is short.
   const size_t in_ring = ring_.size();
-  const uint64_t occupancy = in_ring == 0 ? 0 : (in_ring - 1) * slice_ + s.count;
+  const uint64_t occupancy =
+      in_ring == 0 ? 0 : (in_ring - 1) * slice_ + s.count;
   occupancy_hwm_ = std::max(occupancy_hwm_, occupancy);
   if (ring_metrics_.enabled()) {
     ring_metrics_.pushes->Add(s.count);

@@ -6,7 +6,8 @@
 // paper's ring buffer between a producer thread and that loop. The
 // low-level node is a selection (or pre-sampling selection) query; its
 // output tuples are the only per-packet copies, which is why a selective
-// low-level query slashes total cost (Fig. 6). The runtime stopwatches each
+// low-level query slashes total cost (Fig. 6), and an identity low query
+// hands its input batch on without one. The runtime stopwatches each
 // node and reports %CPU relative to the stream's real-time duration — the
 // paper's metric of "fraction of one CPU consumed at line rate".
 
@@ -58,14 +59,15 @@ struct RunReport {
   uint64_t packets = 0;           // records the source delivered this run
 
   // Ring-buffer overload accounting (RunThreaded; zero for the other runs,
-  // which have no ring). A full ring makes the producer either retry
-  // (default: yield until space, deterministic) or drop the packet
-  // (drop_on_overload — Gigascope's behaviour). Either way the overload is
-  // visible instead of silent. All four count this run only.
-  uint64_t ring_push_failures = 0;   // TryPush calls that found the ring full
+  // which have no ring). The ring carries slices of the trace, and a full
+  // ring makes the producer either retry the slice (default: yield until
+  // space, deterministic) or drop it (drop_on_overload — Gigascope's
+  // behaviour). Either way the overload is visible instead of silent. All
+  // four count this run only.
+  uint64_t ring_push_failures = 0;   // slice pushes that found the ring full
   uint64_t ring_producer_retries = 0;  // producer yield-and-retry rounds
-  uint64_t packets_dropped = 0;        // only with drop_on_overload
-  uint64_t ring_occupancy_hwm = 0;     // high-water mark of ring occupancy
+  uint64_t packets_dropped = 0;        // records of dropped slices
+  uint64_t ring_occupancy_hwm = 0;     // most records in flight at once
 
   // Producer backoff ladder (RunThreaded): after a burst of yields the
   // producer sleeps with exponentially growing intervals instead of
@@ -110,12 +112,16 @@ struct RunReport {
 
 /// Runtime tuning knobs.
 struct RuntimeOptions {
-  /// RunThreaded's ring between its producer thread and the nodes.
+  /// RunThreaded's ring between its producer thread and the nodes, in
+  /// records: it bounds the records in flight. The ring carries slices of
+  /// min(batch_size, ring_capacity) records in ring_capacity / slice
+  /// slots.
   size_t ring_capacity = 1 << 16;
   /// Records per source read, i.e. per batch through the nodes.
   size_t batch_size = 512;
-  /// RunThreaded only: drop packets when the ring is full instead of
-  /// spinning the producer (the paper's Gigascope drops under overload).
+  /// RunThreaded only: drop a slice of packets when the ring is full
+  /// instead of spinning the producer (the paper's Gigascope drops under
+  /// overload).
   /// Off by default — dropping makes results depend on thread timing.
   bool drop_on_overload = false;
   /// Registry backing all runtime/node/operator metrics; nullptr uses the
@@ -211,8 +217,8 @@ class TwoLevelRuntime {
   Result<RunReport> Run(const Trace& trace);
 
   /// Like Run(), but with true pipeline parallelism, the way Gigascope
-  /// deploys its query nodes: a producer thread pushes pointers into the
-  /// trace through the ring buffer, and the calling thread reads the ring
+  /// deploys its query nodes: a producer thread pushes slices of the trace
+  /// through the ring buffer, and the calling thread reads the ring
   /// through the same loop as Run(). Results are identical to Run() (the
   /// pipeline is deterministic); only the wall-clock overlap differs. Its
   /// snapshots carry the consumer's trace offset, so they resume under
