@@ -86,19 +86,12 @@ class RingBuffer {
     }
     buf_[t & mask_] = item;
     tail_.store(t + 1, std::memory_order_release);
-    const size_t occupancy = t + 1 - h;
-    if (occupancy > occupancy_hwm_) occupancy_hwm_ = occupancy;
     if (obs::kStatsEnabled && metrics_ != nullptr) {
       metrics_->pushes->Add();
-      metrics_->occupancy_hwm->SetMax(static_cast<double>(occupancy));
+      metrics_->occupancy_hwm->SetMax(static_cast<double>(t + 1 - h));
     }
     return true;
   }
-
-  /// The highest occupancy a push left behind, in every build. A plain
-  /// field written by the producer only; read it after the producer has
-  /// been joined.
-  size_t occupancy_hwm() const { return occupancy_hwm_; }
 
   /// Consumer side. Returns false if the buffer is empty.
   bool TryPop(T* out) {
@@ -120,7 +113,6 @@ class RingBuffer {
   std::atomic<size_t> tail_{0};  // items ever pushed
   std::atomic<bool> closed_{false};
   std::atomic<bool> poisoned_{false};
-  size_t occupancy_hwm_ = 0;  // producer-owned
 };
 
 }  // namespace streamop

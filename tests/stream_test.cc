@@ -28,7 +28,6 @@ TEST(RingBufferTest, HoldsExactlyTheRequestedCapacity) {
   while (rb.TryPush(1)) ++pushed;
   EXPECT_EQ(pushed, 65536u);
   EXPECT_EQ(rb.size(), 65536u);
-  EXPECT_EQ(rb.occupancy_hwm(), 65536u);
   // A request that is not a power of two is held exactly, too.
   RingBuffer<int> odd(5);
   EXPECT_EQ(odd.capacity(), 5u);
