@@ -24,6 +24,21 @@ namespace {
 
 Catalog TestCatalog() { return Catalog::Default(); }
 
+// FNV-1a 64 over the rows' text, as hex (readable on mismatch).
+std::string RowsDigest(const std::vector<Tuple>& rows) {
+  uint64_t h = 14695981039346656037ULL;
+  for (const Tuple& row : rows) {
+    for (unsigned char c : row.ToString() + "\n") {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+  }
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
 // The paper's dynamic subset-sum query (§6.1), parameterized by target
 // sample count and relaxation factor (1 = non-relaxed).
 std::string SubsetSumSql(uint64_t n, double relax) {
@@ -433,6 +448,9 @@ TEST(CascadeE2E, HeavyHittersThenReservoir) {
   ASSERT_TRUE((*rt)->Finish().ok());
   std::vector<Tuple> out = (*rt)->DrainOutput();
   ASSERT_EQ(out.size(), 5u);  // one 60 s window, 5 uniform picks
+  // Recorded from the row-at-a-time cascade, before the stages ran as
+  // chained runtime nodes.
+  EXPECT_EQ(RowsDigest(out), "cc26ee6a2a72b6b0");
 
   // Every sampled source must be one the heavy-hitter stage emitted
   // (lossy counting admits false positives below the support, so compare
@@ -469,6 +487,9 @@ TEST(CascadeE2E, OrderingPropagatesThroughStages) {
   // Three 20 s windows -> three stage-1 rows, each counting stage-0 groups.
   ASSERT_EQ(out.size(), 3u);
   for (const Tuple& t : out) EXPECT_GT(t[1].AsUInt(), 0u);
+  // Recorded from the row-at-a-time cascade, before the stages ran as
+  // chained runtime nodes.
+  EXPECT_EQ(RowsDigest(out), "3d17ce910c0c91ce");
 }
 
 TEST(CascadeE2E, CreateErrors) {
