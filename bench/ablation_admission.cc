@@ -28,12 +28,10 @@ ErrStats RunOnce(const Trace& trace, const std::vector<uint64_t>& truth,
                  double relax, bool probabilistic, uint64_t seed) {
   CompiledQuery cq =
       MustCompile(SubsetSumSql(1000, relax, 2.0, probabilistic), seed);
-  Result<SingleRunResult> run = RunQueryOverTrace(cq, trace);
-  if (!run.ok()) {
-    std::fprintf(stderr, "run failed: %s\n", run.status().ToString().c_str());
-    std::exit(1);
-  }
-  std::vector<double> est = EstimatePerWindow(run->output, truth.size());
+  TwoLevelRuntime rt({cq});
+  MustRun(rt, trace);
+  std::vector<double> est =
+      EstimatePerWindow(rt.high_node(0).DrainOutput(), truth.size());
   ErrStats out;
   size_t full = truth.size() - 1;
   for (size_t w = 0; w < full; ++w) {

@@ -24,13 +24,10 @@ int main() {
   for (double f : {1.0, 2.0, 5.0, 10.0, 20.0, 50.0}) {
     CompiledQuery cq =
         MustCompile(SubsetSumSql(1000, f, 2.0, /*probabilistic=*/true), 61);
-    Result<SingleRunResult> run = RunQueryOverTrace(cq, trace);
-    if (!run.ok()) {
-      std::fprintf(stderr, "run failed: %s\n",
-                   run.status().ToString().c_str());
-      return 1;
-    }
-    std::vector<double> est = EstimatePerWindow(run->output, truth.size());
+    TwoLevelRuntime rt({cq});
+    const RunReport report = MustRun(rt, trace);
+    std::vector<double> est =
+        EstimatePerWindow(rt.high_node(0).DrainOutput(), truth.size());
     double mean_err = 0.0, worst = 0.0;
     size_t full = truth.size() - 1;
     for (size_t w = 0; w < full; ++w) {
@@ -42,13 +39,14 @@ int main() {
     }
     mean_err /= static_cast<double>(full);
     double cleanings = 0;
-    for (const WindowStats& ws : run->windows) {
+    const std::vector<WindowStats>& windows = rt.high_node(0).window_stats();
+    for (const WindowStats& ws : windows) {
       cleanings += static_cast<double>(ws.cleaning_phases);
     }
-    cleanings /= static_cast<double>(run->windows.size());
+    cleanings /= static_cast<double>(windows.size());
     std::printf("%-8.0f %15.2f%% %15.2f%% %18.1f %9.2f%%\n", f,
                 100 * mean_err, 100 * worst, cleanings,
-                run->report.cpu_percent);
+                report.high[0].cpu_percent);
   }
   std::printf(
       "\nreading: f=1 (non-relaxed) shows the worst-case windows; accuracy "

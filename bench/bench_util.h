@@ -86,6 +86,18 @@ inline CompiledQuery MustCompile(const std::string& sql, uint64_t seed = 1) {
   return *std::move(cq);
 }
 
+/// Runs `rt` over `trace` or dies. The runtime's nodes keep their output
+/// and window stats for the caller.
+inline RunReport MustRun(TwoLevelRuntime& rt, const Trace& trace) {
+  Result<RunReport> report = rt.Run(trace);
+  if (!report.ok()) {
+    std::fprintf(stderr, "run failed: %s\n",
+                 report.status().ToString().c_str());
+    std::exit(1);
+  }
+  return *std::move(report);
+}
+
 }  // namespace bench
 }  // namespace streamop
 

@@ -23,20 +23,17 @@ int main() {
   double min_cpu = 1e18, max_cpu = 0.0;
   for (double beta : {1.25, 1.5, 2.0, 3.0, 4.0}) {
     CompiledQuery cq = MustCompile(SubsetSumSql(1000, 10.0, beta), 51);
-    Result<SingleRunResult> run = RunQueryOverTrace(cq, trace);
-    if (!run.ok()) {
-      std::fprintf(stderr, "run failed: %s\n",
-                   run.status().ToString().c_str());
-      return 1;
-    }
+    TwoLevelRuntime rt({cq});
+    const RunReport report = MustRun(rt, trace);
+    const std::vector<WindowStats>& windows = rt.high_node(0).window_stats();
     double cleanings = 0, removed = 0;
-    for (const WindowStats& ws : run->windows) {
+    for (const WindowStats& ws : windows) {
       cleanings += static_cast<double>(ws.cleaning_phases);
       removed += static_cast<double>(ws.groups_removed);
     }
-    cleanings /= static_cast<double>(run->windows.size());
-    removed /= static_cast<double>(run->windows.size());
-    double cpu = run->report.cpu_percent;
+    cleanings /= static_cast<double>(windows.size());
+    removed /= static_cast<double>(windows.size());
+    double cpu = report.high[0].cpu_percent;
     min_cpu = std::min(min_cpu, cpu);
     max_cpu = std::max(max_cpu, cpu);
     std::printf("%-8.2f %18.1f %18.0f %9.2f%%\n", beta, cleanings, removed,

@@ -31,13 +31,11 @@ AccuracyRun RunAccuracy(const Trace& trace, uint64_t n, double relax,
                         const std::vector<uint64_t>& truth) {
   CompiledQuery cq = MustCompile(SubsetSumSql(n, relax, 2.0, /*probabilistic=*/true),
                                /*seed=*/17);
-  Result<SingleRunResult> run = RunQueryOverTrace(cq, trace);
-  if (!run.ok()) {
-    std::fprintf(stderr, "run failed: %s\n", run.status().ToString().c_str());
-    std::exit(1);
-  }
+  TwoLevelRuntime rt({cq});
+  MustRun(rt, trace);
   AccuracyRun out;
-  out.estimate = EstimatePerWindow(run->output, truth.size());
+  out.estimate =
+      EstimatePerWindow(rt.high_node(0).DrainOutput(), truth.size());
   size_t full = truth.size() > 1 ? truth.size() - 1 : truth.size();
   for (size_t w = 0; w < full; ++w) {
     if (truth[w] == 0) continue;

@@ -17,12 +17,9 @@ namespace {
 std::vector<WindowStats> RunWindows(const Trace& trace, double relax) {
   CompiledQuery cq = MustCompile(
       SubsetSumSql(1000, relax, 2.0, /*probabilistic=*/true), /*seed=*/17);
-  Result<SingleRunResult> run = RunQueryOverTrace(cq, trace);
-  if (!run.ok()) {
-    std::fprintf(stderr, "run failed: %s\n", run.status().ToString().c_str());
-    std::exit(1);
-  }
-  return run->windows;
+  TwoLevelRuntime rt({cq});
+  MustRun(rt, trace);
+  return rt.high_node(0).window_stats();
 }
 
 }  // namespace

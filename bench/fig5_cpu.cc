@@ -21,13 +21,10 @@ namespace {
 
 double RunCpuPercent(const CompiledQuery& cq, const Trace& trace,
                      uint64_t* samples_out) {
-  Result<SingleRunResult> run = RunQueryOverTrace(cq, trace);
-  if (!run.ok()) {
-    std::fprintf(stderr, "run failed: %s\n", run.status().ToString().c_str());
-    std::exit(1);
-  }
-  if (samples_out != nullptr) *samples_out = run->report.tuples_out;
-  return run->report.cpu_percent;
+  TwoLevelRuntime rt({cq});
+  const RunReport report = MustRun(rt, trace);
+  if (samples_out != nullptr) *samples_out = report.high[0].tuples_out;
+  return report.high[0].cpu_percent;
 }
 
 }  // namespace

@@ -87,16 +87,18 @@ int main() {
   CompiledQuery naive = MustCompile(NaiveFlowSql(), 91);
   CompiledQuery sampled = MustCompile(SampledFlowSql(kTarget), 92);
 
-  Result<SingleRunResult> naive_run = RunQueryOverTrace(naive, trace);
-  Result<SingleRunResult> sampled_run = RunQueryOverTrace(sampled, trace);
-  if (!naive_run.ok() || !sampled_run.ok()) {
-    std::fprintf(stderr, "run failed\n");
-    return 1;
-  }
+  // Both queries run as the high nodes of one runtime over the trace.
+  TwoLevelRuntime rt({naive, sampled});
+  MustRun(rt, trace);
+  const std::vector<WindowStats>& naive_windows =
+      rt.high_node(0).window_stats();
+  const std::vector<WindowStats>& sampled_windows =
+      rt.high_node(1).window_stats();
+  const std::vector<Tuple> sampled_rows = rt.high_node(1).DrainOutput();
 
   // Per-window byte estimates from the sampled-flows output.
   std::vector<double> est(truth.bytes_per_window.size(), 0.0);
-  for (const Tuple& t : sampled_run->output) {
+  for (const Tuple& t : sampled_rows) {
     uint64_t tb = t[0].AsUInt();
     if (tb < est.size()) est[tb] += t[6].AsDouble();
   }
@@ -105,12 +107,9 @@ int main() {
               "naive groups", "sampled peak", "est. bytes", "err");
   uint64_t naive_peak = 0, sampled_peak = 0;
   for (size_t w = 0; w < truth.flows_per_window.size(); ++w) {
-    uint64_t ng = w < naive_run->windows.size()
-                      ? naive_run->windows[w].peak_groups
-                      : 0;
-    uint64_t sg = w < sampled_run->windows.size()
-                      ? sampled_run->windows[w].peak_groups
-                      : 0;
+    uint64_t ng = w < naive_windows.size() ? naive_windows[w].peak_groups : 0;
+    uint64_t sg =
+        w < sampled_windows.size() ? sampled_windows[w].peak_groups : 0;
     naive_peak = std::max(naive_peak, ng);
     sampled_peak = std::max(sampled_peak, sg);
     double actual = static_cast<double>(truth.bytes_per_window[w]);
@@ -131,7 +130,7 @@ int main() {
   std::sort(ranked.rbegin(), ranked.rend());
 
   std::set<std::array<uint64_t, 5>> sampled_flows;
-  for (const Tuple& t : sampled_run->output) {
+  for (const Tuple& t : sampled_rows) {
     sampled_flows.insert({t[1].AsUInt(), t[2].AsUInt(), t[3].AsUInt(),
                           t[4].AsUInt(), t[5].AsUInt()});
   }

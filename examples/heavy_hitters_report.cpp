@@ -45,11 +45,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "compile error: %s\n", cq.status().ToString().c_str());
     return 1;
   }
-  Result<SingleRunResult> run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  Result<RunReport> run = rt.Run(trace);
   if (!run.ok()) {
     std::fprintf(stderr, "run error: %s\n", run.status().ToString().c_str());
     return 1;
   }
+  const std::vector<Tuple> rows = rt.high_node(0).DrainOutput();
 
   // Packets per window (to apply the support threshold s*N per minute).
   std::vector<uint64_t> packets_per_min = trace.PacketsPerWindow(60);
@@ -61,7 +63,7 @@ int main(int argc, char** argv) {
     uint64_t packets;
   };
   std::map<uint64_t, std::vector<Row>> per_window;
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : rows) {
     uint64_t tb = t[0].AsUInt();
     uint64_t n = tb < packets_per_min.size() ? packets_per_min[tb] : 0;
     double threshold = (support - epsilon) * static_cast<double>(n);

@@ -56,15 +56,17 @@ int main() {
     std::fprintf(stderr, "compile error: %s\n", cq.status().ToString().c_str());
     return 1;
   }
-  Result<SingleRunResult> run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  Result<RunReport> run = rt.Run(trace);
   if (!run.ok()) {
     std::fprintf(stderr, "run error: %s\n", run.status().ToString().c_str());
     return 1;
   }
+  const std::vector<Tuple> rows = rt.high_node(0).DrainOutput();
 
   // Signatures from the query output.
   std::map<std::pair<uint64_t, uint32_t>, std::set<uint64_t>> signatures;
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : rows) {
     signatures[{t[0].AsUInt(), static_cast<uint32_t>(t[1].AsUInt())}].insert(
         t[2].AsUInt());
   }

@@ -48,17 +48,22 @@ int main() {
               trace.DurationSec());
 
   // 4. Run to completion and inspect the sample.
-  Result<SingleRunResult> run = RunQueryOverTrace(*query, trace);
+  //    The runtime has no low-level node here: the query is its one
+  //    high-level node and reads the trace's packets as they are.
+  TwoLevelRuntime rt({*query});
+  Result<RunReport> run = rt.Run(trace);
   if (!run.ok()) {
     std::fprintf(stderr, "execution error: %s\n",
                  run.status().ToString().c_str());
     return 1;
   }
+  const std::vector<Tuple> rows = rt.high_node(0).DrainOutput();
+  const std::vector<WindowStats>& windows = rt.high_node(0).window_stats();
 
   std::printf("%-6s %-16s %-16s %14s\n", "tb", "srcIP", "destIP",
               "est. weight");
   int shown = 0;
-  for (const Tuple& row : run->output) {
+  for (const Tuple& row : rows) {
     if (++shown > 12) break;
     std::printf("%-6llu %-16s %-16s %14.0f\n",
                 static_cast<unsigned long long>(row[0].AsUInt()),
@@ -66,11 +71,11 @@ int main() {
                 FormatIpv4(static_cast<uint32_t>(row[2].AsUInt())).c_str(),
                 row[3].AsDouble());
   }
-  std::printf("... (%zu sampled rows total)\n\n", run->output.size());
+  std::printf("... (%zu sampled rows total)\n\n", rows.size());
 
   // 5. The per-window execution statistics the operator keeps.
-  for (size_t w = 0; w < run->windows.size(); ++w) {
-    const WindowStats& ws = run->windows[w];
+  for (size_t w = 0; w < windows.size(); ++w) {
+    const WindowStats& ws = windows[w];
     std::printf(
         "window %zu: %s tuples in, %llu admitted, %llu cleaning phases, "
         "%llu samples out\n",

@@ -44,11 +44,13 @@ int main() {
     std::fprintf(stderr, "compile error: %s\n", cq.status().ToString().c_str());
     return 1;
   }
-  Result<SingleRunResult> run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  Result<RunReport> run = rt.Run(trace);
   if (!run.ok()) {
     std::fprintf(stderr, "run error: %s\n", run.status().ToString().c_str());
     return 1;
   }
+  const std::vector<Tuple> rows = rt.high_node(0).DrainOutput();
 
   // Exact per-minute statistics.
   struct Exact {
@@ -71,7 +73,7 @@ int main() {
     uint64_t n = 0;
   };
   std::map<uint64_t, Sampled> sampled;
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : rows) {
     Sampled& s = sampled[t[0].AsUInt()];
     s.len_sum += t[1].AsDouble();
     s.tcp += (t[2].AsUInt() == kProtoTcp) ? 1 : 0;

@@ -55,15 +55,18 @@ int main() {
     std::fprintf(stderr, "compile error: %s\n", cq.status().ToString().c_str());
     return 1;
   }
-  Result<SingleRunResult> run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  Result<RunReport> run = rt.Run(trace);
   if (!run.ok()) {
     std::fprintf(stderr, "run error: %s\n", run.status().ToString().c_str());
     return 1;
   }
+  const std::vector<Tuple> rows = rt.high_node(0).DrainOutput();
+  const std::vector<WindowStats>& windows = rt.high_node(0).window_stats();
 
   std::vector<double> est(truth.bytes_per_window.size(), 0.0);
   std::vector<uint64_t> flow_samples(truth.bytes_per_window.size(), 0);
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : rows) {
     uint64_t tb = t[0].AsUInt();
     if (tb < est.size()) {
       est[tb] += t[6].AsDouble();
@@ -75,8 +78,7 @@ int main() {
               "peak groups", "flow samples", "est. MB", "err");
   for (size_t w = 0; w < truth.flows_per_window.size(); ++w) {
     double actual = static_cast<double>(truth.bytes_per_window[w]);
-    uint64_t peak =
-        w < run->windows.size() ? run->windows[w].peak_groups : 0;
+    uint64_t peak = w < windows.size() ? windows[w].peak_groups : 0;
     std::printf("%-8zu %12llu %14llu | %12llu %12.2f %+7.1f%%\n", w,
                 static_cast<unsigned long long>(truth.flows_per_window[w]),
                 static_cast<unsigned long long>(peak),
@@ -88,7 +90,7 @@ int main() {
   // not attack mice.
   uint64_t flood_tb = static_cast<uint64_t>(cfg.attack_start_sec) / 20;
   std::vector<const Tuple*> flood_rows;
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : rows) {
     if (t[0].AsUInt() == flood_tb) flood_rows.push_back(&t);
   }
   std::sort(flood_rows.begin(), flood_rows.end(),

@@ -84,8 +84,7 @@ void Usage(const char* argv0) {
       "  --checkpoint-dir <path>  durable snapshots: write a versioned,\n"
       "                        CRC-guarded checkpoint of all sampler state\n"
       "                        at window flushes and restore the newest\n"
-      "                        valid one at startup (runs the two-level\n"
-      "                        pipeline)\n"
+      "                        valid one at startup (runs threaded)\n"
       "  --checkpoint-every-n-windows <n>  snapshot cadence (default 1)\n"
       "  --checkpoint-retain <n>  keep the newest n snapshots (default 3)\n"
       "  --fault-seed <n>      inject seeded faults into the trace "
@@ -106,8 +105,8 @@ void Usage(const char* argv0) {
       "  --timeseries-interval-ms <n>  scrape the metric registry every n ms\n"
       "                        into the in-memory time-series ring and run\n"
       "                        the SLO alert engine over it (serves\n"
-      "                        /timeseries, /alerts, /dashboard; runs the\n"
-      "                        two-level pipeline)\n"
+      "                        /timeseries, /alerts, /dashboard; runs\n"
+      "                        threaded)\n"
       "  --alert-rules <path>  install extra alert rules from a file (one\n"
       "                        rule per line; see docs/OBSERVABILITY.md)\n"
       "  --quality-ci-target <f>  fire the built-in accuracy-SLO rule when\n"
@@ -514,7 +513,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Header helper shared by both execution paths.
+  // Prints the output schema's header and up to --limit rows.
   SchemaPtr out_schema = cq->output_schema();
   auto print_rows = [&](const std::vector<Tuple>& rows) {
     for (size_t i = 0; i < out_schema->num_fields(); ++i) {
@@ -561,199 +560,163 @@ int main(int argc, char** argv) {
     }
   };
 
-  if (source != nullptr || args.shed || !args.checkpoint_dir.empty() ||
-      args.use_timeseries()) {
-    // Threaded two-level pipeline: a pass-through low node feeds the user's
-    // query, with the AIMD shedding gate at the ring drain. Admitted tuples
-    // are reweighted by 1/p, so sums and counts remain unbiased estimates.
-    // Durable checkpoints also live here (the runtime owns the snapshot
-    // cadence), so --checkpoint-dir routes through this path too.
-    static constexpr char kPassThroughLow[] =
-        "SELECT time, ts_ns, srcIP, destIP, srcPort, destPort, proto, len "
-        "FROM PKT";
-    Result<CompiledQuery> low =
-        CompileQuery(kPassThroughLow, catalog, {.seed = args.seed});
-    if (!low.ok()) {
-      std::fprintf(stderr, "%s\n", low.status().ToString().c_str());
-      return 1;
-    }
-    RuntimeOptions opt;
-    opt.shed.enabled = args.shed;
-    opt.shed.seed = args.seed;
-    opt.shed.high_watermark = args.shed_high_watermark;
-    opt.shed.low_watermark = args.shed_low_watermark;
-    opt.shed.min_probability = args.shed_min_p;
-    opt.stall_timeout_ms = args.stall_timeout_ms;
-    opt.http_port = args.http_port;
-    opt.checkpoint.dir = args.checkpoint_dir;
-    opt.checkpoint.every_n_windows = args.checkpoint_every;
-    opt.checkpoint.retain = args.checkpoint_retain;
-    opt.source_max_idle_ms = args.source_max_idle_ms;
-    opt.source_max_records = args.source_max_records;
-    if (args.use_timeseries()) {
-      opt.timeseries.interval_ms = args.timeseries_interval_ms;
-      opt.quality_ci_target = args.quality_ci_target;
-      opt.flight.dir = args.flight_dir;
-      if (!args.alert_rules_file.empty()) {
-        std::ifstream in(args.alert_rules_file);
-        if (!in) {
-          std::fprintf(stderr, "cannot read %s\n",
-                       args.alert_rules_file.c_str());
-          return 1;
-        }
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        opt.alert_rules = ss.str();
+  // One runtime for every invocation: the query is its one high node and
+  // reads the packets as they arrive, with no low node in front. What the
+  // invocation asks for picks the entry point: a live source runs
+  // RunSource; shedding (the AIMD gate at the ring drain, admitted tuples
+  // reweighted by 1/p so sums and counts stay unbiased), durable
+  // checkpoints and the time-series stack run RunThreaded; anything else
+  // runs Run.
+  RuntimeOptions opt;
+  opt.shed.enabled = args.shed;
+  opt.shed.seed = args.seed;
+  opt.shed.high_watermark = args.shed_high_watermark;
+  opt.shed.low_watermark = args.shed_low_watermark;
+  opt.shed.min_probability = args.shed_min_p;
+  opt.stall_timeout_ms = args.stall_timeout_ms;
+  opt.http_port = args.http_port;
+  opt.checkpoint.dir = args.checkpoint_dir;
+  opt.checkpoint.every_n_windows = args.checkpoint_every;
+  opt.checkpoint.retain = args.checkpoint_retain;
+  opt.source_max_idle_ms = args.source_max_idle_ms;
+  opt.source_max_records = args.source_max_records;
+  if (args.use_timeseries()) {
+    opt.timeseries.interval_ms = args.timeseries_interval_ms;
+    opt.quality_ci_target = args.quality_ci_target;
+    opt.flight.dir = args.flight_dir;
+    if (!args.alert_rules_file.empty()) {
+      std::ifstream in(args.alert_rules_file);
+      if (!in) {
+        std::fprintf(stderr, "cannot read %s\n",
+                     args.alert_rules_file.c_str());
+        return 1;
       }
+      std::ostringstream ss;
+      ss << in.rdbuf();
+      opt.alert_rules = ss.str();
     }
-    TwoLevelRuntime rt(*low, {*cq}, opt);
-    if (rt.recovered()) {
-      std::fprintf(stderr, "recovered from checkpoint at window %llu\n",
-                   static_cast<unsigned long long>(rt.recovered_windows()));
-    }
-    if (want_http) {
-      if (rt.http_server() != nullptr) {
-        std::fprintf(stderr, "introspection server on 127.0.0.1:%d\n",
-                     rt.http_server()->port());
-      } else {
-        std::fprintf(stderr, "http server failed: %s\n",
-                     rt.http_status().ToString().c_str());
-      }
-    }
-    Result<RunReport> report = Status::Internal("run not started");
-    if (source != nullptr) {
-      std::fprintf(stderr, "ingesting from %s\n", source->describe().c_str());
-      report = rt.RunSource(*source);
+  }
+  TwoLevelRuntime rt({*cq}, opt);
+  if (rt.recovered()) {
+    std::fprintf(stderr, "recovered from checkpoint at window %llu\n",
+                 static_cast<unsigned long long>(rt.recovered_windows()));
+  }
+  if (want_http) {
+    if (rt.http_server() != nullptr) {
+      std::fprintf(stderr, "introspection server on 127.0.0.1:%d\n",
+                   rt.http_server()->port());
     } else {
-      report = rt.RunThreaded(trace);
+      std::fprintf(stderr, "http server failed: %s\n",
+                   rt.http_status().ToString().c_str());
     }
-    const RunReport& r = report.ok() ? *report : rt.last_report();
-    if (!report.ok()) {
-      std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-    } else {
-      print_rows(rt.high_node(0).DrainOutput());
+  }
+  Result<RunReport> report = Status::Internal("run not started");
+  if (source != nullptr) {
+    std::fprintf(stderr, "ingesting from %s\n", source->describe().c_str());
+    report = rt.RunSource(*source);
+  } else if (args.shed || !args.checkpoint_dir.empty() ||
+             args.use_timeseries()) {
+    report = rt.RunThreaded(trace);
+  } else {
+    report = rt.Run(trace);
+  }
+  const RunReport& r = report.ok() ? *report : rt.last_report();
+  QueryNode& node = rt.high_node(0);
+  if (!report.ok()) {
+    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+  } else {
+    const std::vector<Tuple> rows = node.DrainOutput();
+    print_rows(rows);
+    std::fprintf(stderr, "%zu row(s); %.2f%% CPU at stream rate\n",
+                 rows.size(), r.high[0].cpu_percent);
+  }
+  if (r.packets_malformed > 0) {
+    std::fprintf(stderr, "malformed=%llu records rejected\n",
+                 static_cast<unsigned long long>(r.packets_malformed));
+  }
+  if (args.stats) {
+    for (size_t w = 0; w < node.window_stats().size(); ++w) {
+      const WindowStats& ws = node.window_stats()[w];
+      std::fprintf(stderr,
+                   "window %zu: in=%llu admitted=%llu late=%llu groups=%llu "
+                   "peak=%llu cleanings=%llu removed=%llu out=%llu\n",
+                   w, static_cast<unsigned long long>(ws.tuples_in),
+                   static_cast<unsigned long long>(ws.tuples_admitted),
+                   static_cast<unsigned long long>(ws.late_tuples),
+                   static_cast<unsigned long long>(ws.groups_created),
+                   static_cast<unsigned long long>(ws.peak_groups),
+                   static_cast<unsigned long long>(ws.cleaning_phases),
+                   static_cast<unsigned long long>(ws.groups_removed),
+                   static_cast<unsigned long long>(ws.groups_output));
     }
+  }
+  std::fprintf(
+      stderr,
+      "degradation summary: offered=%s shed=%s (%.2f%%) p=[%.3f, %.3f] "
+      "late=%llu malformed=%llu backoff_sleeps=%llu (%.3f s) "
+      "watchdog=%s\n",
+      FormatWithCommas(r.tuples_offered).c_str(),
+      FormatWithCommas(r.tuples_shed).c_str(), 100.0 * r.shed_fraction,
+      r.shed_p_min, r.shed_p_max,
+      static_cast<unsigned long long>(r.late_tuples),
+      static_cast<unsigned long long>(r.packets_malformed),
+      static_cast<unsigned long long>(r.producer_backoff_sleeps),
+      r.producer_backoff_seconds, r.watchdog_fired ? "FIRED" : "ok");
+  if (args.use_timeseries() && rt.alert_engine() != nullptr) {
+    // Final tick: scrape the end-of-run registry state, give every rule
+    // one last evaluation and (with a flight dir) spill the final tail.
+    if (rt.flight_recorder() != nullptr) {
+      rt.flight_recorder()->RequestSpill();
+    }
+    if (rt.sampler() != nullptr) rt.sampler()->TickOnce();
+    const obs::AlertSummary as = rt.alert_engine()->Summary();
     std::fprintf(
         stderr,
-        "degradation summary: offered=%s shed=%s (%.2f%%) p=[%.3f, %.3f] "
-        "late=%llu malformed=%llu backoff_sleeps=%llu (%.3f s) "
-        "watchdog=%s\n",
-        FormatWithCommas(r.tuples_offered).c_str(),
-        FormatWithCommas(r.tuples_shed).c_str(), 100.0 * r.shed_fraction,
-        r.shed_p_min, r.shed_p_max,
-        static_cast<unsigned long long>(r.late_tuples),
-        static_cast<unsigned long long>(r.packets_malformed),
-        static_cast<unsigned long long>(r.producer_backoff_sleeps),
-        r.producer_backoff_seconds, r.watchdog_fired ? "FIRED" : "ok");
-    if (args.use_timeseries() && rt.alert_engine() != nullptr) {
-      // Final tick: scrape the end-of-run registry state, give every rule
-      // one last evaluation and (with a flight dir) spill the final tail.
-      if (rt.flight_recorder() != nullptr) {
-        rt.flight_recorder()->RequestSpill();
-      }
-      if (rt.sampler() != nullptr) rt.sampler()->TickOnce();
-      const obs::AlertSummary as = rt.alert_engine()->Summary();
-      std::fprintf(
-          stderr,
-          "alert summary: rules=%zu firing=%zu pending=%zu worst=%s "
-          "scrapes=%llu%s\n",
-          rt.alert_engine()->num_rules(), as.firing, as.pending,
-          as.firing > 0 ? obs::AlertSeverityName(as.worst) : "none",
-          static_cast<unsigned long long>(
-              rt.timeseries() != nullptr ? rt.timeseries()->scrapes() : 0),
-          rt.flight_recorder() == nullptr ? ""
-          : rt.flight_recorder()->spills() > 0
-              ? " (flight segment spilled)"
-              : " (flight spill FAILED)");
-    }
-    if (!args.checkpoint_dir.empty()) {
-      std::fprintf(
-          stderr,
-          "checkpoint summary: written=%llu failures=%llu "
-          "corrupt_skipped=%llu degraded=%s recovered=%s\n",
-          static_cast<unsigned long long>(r.checkpoints_written),
-          static_cast<unsigned long long>(r.checkpoint_failures),
-          static_cast<unsigned long long>(r.checkpoint_corrupt_skipped),
-          r.checkpoint_degraded ? "yes" : "no", r.recovered ? "yes" : "no");
-    }
-    for (const SourceReport& s : r.sources) {
-      std::fprintf(
-          stderr,
-          "ingest summary: %s resumed=%s end=%s offset=%llu lag=%llu "
-          "frames=%llu records=%llu malformed_frames=%llu reconnects=%llu "
-          "gaps=%llu (%llu records) dups=%llu heartbeats=%llu%s%s\n",
-          s.source.c_str(), s.resumed_from_offset ? "yes" : "no",
-          s.clean_end ? "clean" : "error",
-          static_cast<unsigned long long>(s.durable_offset),
-          static_cast<unsigned long long>(s.offset_lag),
-          static_cast<unsigned long long>(s.stats.frames),
-          static_cast<unsigned long long>(s.stats.records),
-          static_cast<unsigned long long>(s.stats.malformed_frames),
-          static_cast<unsigned long long>(s.stats.reconnects),
-          static_cast<unsigned long long>(s.stats.gaps),
-          static_cast<unsigned long long>(s.stats.gap_records),
-          static_cast<unsigned long long>(s.stats.duplicate_records),
-          static_cast<unsigned long long>(s.stats.heartbeats),
-          s.error.empty() ? "" : " error=", s.error.c_str());
-    }
-    if (!report.ok()) return 1;
-    write_exports();
-    if (args.serve_ms > 0 && rt.http_server() != nullptr) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(args.serve_ms));
-    }
-  } else {
-    // Single-node path: the runtime owns no server here, so stand one up
-    // against the default registry and rings for the duration of main().
-    std::unique_ptr<obs::HttpServer> server;
-    if (want_http) {
-      obs::HttpServerOptions hopt;
-      hopt.port = args.http_port;
-      hopt.registry = &registry;
-      server = std::make_unique<obs::HttpServer>(hopt);
-      Status s = server->Start();
-      if (!s.ok()) {
-        std::fprintf(stderr, "http server failed: %s\n",
-                     s.ToString().c_str());
-        server.reset();
-      } else {
-        std::fprintf(stderr, "introspection server on 127.0.0.1:%d\n",
-                     server->port());
-      }
-    }
-    Result<SingleRunResult> run =
-        RunQueryOverTrace(*cq, trace, "query", &registry);
-    if (!run.ok()) {
-      std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
-      return 1;
-    }
-    print_rows(run->output);
-    std::fprintf(stderr, "%zu row(s); %.2f%% CPU at stream rate\n",
-                 run->output.size(), run->report.cpu_percent);
-    if (run->packets_malformed > 0) {
-      std::fprintf(stderr, "malformed=%llu records rejected\n",
-                   static_cast<unsigned long long>(run->packets_malformed));
-    }
-
-    if (args.stats) {
-      for (size_t w = 0; w < run->windows.size(); ++w) {
-        const WindowStats& ws = run->windows[w];
-        std::fprintf(stderr,
-                     "window %zu: in=%llu admitted=%llu late=%llu groups=%llu "
-                     "peak=%llu cleanings=%llu removed=%llu out=%llu\n",
-                     w, static_cast<unsigned long long>(ws.tuples_in),
-                     static_cast<unsigned long long>(ws.tuples_admitted),
-                     static_cast<unsigned long long>(ws.late_tuples),
-                     static_cast<unsigned long long>(ws.groups_created),
-                     static_cast<unsigned long long>(ws.peak_groups),
-                     static_cast<unsigned long long>(ws.cleaning_phases),
-                     static_cast<unsigned long long>(ws.groups_removed),
-                     static_cast<unsigned long long>(ws.groups_output));
-      }
-    }
-    write_exports();
-    if (args.serve_ms > 0 && server != nullptr) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(args.serve_ms));
-    }
+        "alert summary: rules=%zu firing=%zu pending=%zu worst=%s "
+        "scrapes=%llu%s\n",
+        rt.alert_engine()->num_rules(), as.firing, as.pending,
+        as.firing > 0 ? obs::AlertSeverityName(as.worst) : "none",
+        static_cast<unsigned long long>(
+            rt.timeseries() != nullptr ? rt.timeseries()->scrapes() : 0),
+        rt.flight_recorder() == nullptr ? ""
+        : rt.flight_recorder()->spills() > 0
+            ? " (flight segment spilled)"
+            : " (flight spill FAILED)");
+  }
+  if (!args.checkpoint_dir.empty()) {
+    std::fprintf(
+        stderr,
+        "checkpoint summary: written=%llu failures=%llu "
+        "corrupt_skipped=%llu degraded=%s recovered=%s\n",
+        static_cast<unsigned long long>(r.checkpoints_written),
+        static_cast<unsigned long long>(r.checkpoint_failures),
+        static_cast<unsigned long long>(r.checkpoint_corrupt_skipped),
+        r.checkpoint_degraded ? "yes" : "no", r.recovered ? "yes" : "no");
+  }
+  for (const SourceReport& s : r.sources) {
+    std::fprintf(
+        stderr,
+        "ingest summary: %s resumed=%s end=%s offset=%llu lag=%llu "
+        "frames=%llu records=%llu malformed_frames=%llu reconnects=%llu "
+        "gaps=%llu (%llu records) dups=%llu heartbeats=%llu%s%s\n",
+        s.source.c_str(), s.resumed_from_offset ? "yes" : "no",
+        s.clean_end ? "clean" : "error",
+        static_cast<unsigned long long>(s.durable_offset),
+        static_cast<unsigned long long>(s.offset_lag),
+        static_cast<unsigned long long>(s.stats.frames),
+        static_cast<unsigned long long>(s.stats.records),
+        static_cast<unsigned long long>(s.stats.malformed_frames),
+        static_cast<unsigned long long>(s.stats.reconnects),
+        static_cast<unsigned long long>(s.stats.gaps),
+        static_cast<unsigned long long>(s.stats.gap_records),
+        static_cast<unsigned long long>(s.stats.duplicate_records),
+        static_cast<unsigned long long>(s.stats.heartbeats),
+        s.error.empty() ? "" : " error=", s.error.c_str());
+  }
+  if (!report.ok()) return 1;
+  write_exports();
+  if (args.serve_ms > 0 && rt.http_server() != nullptr) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(args.serve_ms));
   }
 
   if (want_profile) profiler.Stop();

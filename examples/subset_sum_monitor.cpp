@@ -47,13 +47,15 @@ std::vector<double> RunEstimates(const std::string& sql, const Trace& trace,
     std::fprintf(stderr, "compile error: %s\n", cq.status().ToString().c_str());
     std::exit(1);
   }
-  Result<SingleRunResult> run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  Result<RunReport> run = rt.Run(trace);
   if (!run.ok()) {
     std::fprintf(stderr, "run error: %s\n", run.status().ToString().c_str());
     std::exit(1);
   }
+  const std::vector<Tuple> rows = rt.high_node(0).DrainOutput();
   std::vector<double> est(windows, 0.0);
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : rows) {
     uint64_t tb = t[0].AsUInt();
     if (tb < windows) est[tb] += t[3].AsDouble();
   }

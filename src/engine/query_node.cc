@@ -38,10 +38,7 @@ Status QueryNode::Push(const Tuple& t, double weight) {
 size_t QueryNode::CountInput(const TupleBatch& batch) {
   const size_t lanes = batch.num_selected();
   tuples_in_ += lanes;
-  if (metrics_.enabled()) {
-    if (lanes > 0) metrics_.tuples_in->Add(lanes);
-    metrics_.batch_fill->Record(lanes);
-  }
+  if (metrics_.enabled() && lanes > 0) metrics_.tuples_in->Add(lanes);
   return lanes;
 }
 

@@ -92,13 +92,12 @@ class QueryNode {
 
   /// Records one consumed batch (processing latency + fill, i.e. rows the
   /// batch carried) into the registry-backed histograms; called by the
-  /// runtime per drained batch. A fill of 0 skips the fill histogram
-  /// (legacy call sites that only know the latency).
-  void RecordBatch(uint64_t latency_ns, uint64_t fill = 0) {
+  /// runtime per drained batch, and the only place a fill is recorded.
+  void RecordBatch(uint64_t latency_ns, uint64_t fill) {
     if (metrics_.enabled()) {
       metrics_.batches->Add();
       metrics_.batch_latency_ns->Record(latency_ns);
-      if (fill > 0) metrics_.batch_fill->Record(fill);
+      metrics_.batch_fill->Record(fill);
     }
   }
 
@@ -125,8 +124,8 @@ class QueryNode {
   uint64_t late_tuples() const;
 
  private:
-  // Adds the batch's selected lanes to tuples_in_ and their number to the
-  // registry's fill histogram; returns that number.
+  // Adds the batch's selected lanes to tuples_in_ and its registry mirror;
+  // returns their number.
   size_t CountInput(const TupleBatch& batch);
   // Adds `n` output rows to tuples_out_ and its registry mirror.
   void CountOutput(size_t n);

@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
+#include "query/query.h"
 #include "stream/ring_buffer.h"
 #include "stream/trace_source.h"
 
@@ -21,10 +22,12 @@ namespace {
 using obs::NowNanos;
 
 // A packet whose length is below the 20-byte IPv4 header minimum is
-// malformed (fault injection truncates below this); the drive loop and the
-// single-node loop both reject it on arrival instead of feeding garbage to
-// the query nodes.
+// malformed (fault injection truncates below this); the drive loop rejects
+// it on arrival instead of feeding garbage to the query nodes.
 constexpr uint16_t kMinPacketLen = 20;
+
+// Columns of the drive loop's packet batch: the PKT row (PacketLanes).
+constexpr size_t kPacketColumns = 8;
 
 // Producer backoff ladder: this many plain yields before sleeping, then
 // exponentially growing sleeps between these bounds.
@@ -98,7 +101,16 @@ NodeReport MakeReport(const QueryNode& node, double stream_seconds) {
 TwoLevelRuntime::TwoLevelRuntime(const CompiledQuery& low,
                                  const std::vector<CompiledQuery>& high,
                                  Options options)
-    : options_(options),
+    : TwoLevelRuntime(&low, high, std::move(options)) {}
+
+TwoLevelRuntime::TwoLevelRuntime(const std::vector<CompiledQuery>& high,
+                                 Options options)
+    : TwoLevelRuntime(nullptr, high, std::move(options)) {}
+
+TwoLevelRuntime::TwoLevelRuntime(const CompiledQuery* low,
+                                 const std::vector<CompiledQuery>& high,
+                                 Options options)
+    : options_(std::move(options)),
       registry_(options_.registry != nullptr
                     ? options_.registry
                     : &obs::MetricRegistry::Default()) {
@@ -113,10 +125,28 @@ TwoLevelRuntime::TwoLevelRuntime(const CompiledQuery& low,
   packets_malformed_gauge_ =
       reg.GetGauge("streamop_runtime_packets_malformed");
   watchdog_fired_gauge_ = reg.GetGauge("streamop_runtime_watchdog_fired");
-  low_ = std::make_unique<QueryNode>("low", low, &reg);
+  if (low != nullptr) {
+    low_ = std::make_unique<QueryNode>("low", *low, &reg);
+    if (low_->is_sampling()) {
+      shape_status_ = Status::InvalidArgument(
+          "the low node must be a selection query, not a sampling query");
+    }
+  }
+  readers_.resize(high.size());
   for (size_t i = 0; i < high.size(); ++i) {
     high_.push_back(std::make_unique<QueryNode>("high" + std::to_string(i),
                                                 high[i], &reg));
+    const std::string& input = high[i].input_schema()->name();
+    const std::optional<size_t> stage = StageOfStream(input);
+    if (!stage.has_value()) {
+      source_readers_.push_back(i);
+    } else if (*stage < i) {
+      readers_[*stage].push_back(i);
+    } else if (shape_status_.ok()) {
+      shape_status_ = Status::InvalidArgument(
+          "high node " + std::to_string(i) + " reads " + input +
+          ", which no earlier high node provides");
+    }
   }
 
   // Durability (engine/checkpoint.h): one manager per sampling node. The
@@ -675,8 +705,30 @@ ResumableSource::ReadResult TwoLevelRuntime::ThreadedFeed::Read(
   return ReadResult::kRecords;
 }
 
+Status TwoLevelRuntime::PushHigh(size_t h, const TupleBatch& batch,
+                                 double weight, obs::SpanContext* span_ctx) {
+  QueryNode& node = *high_[h];
+  const uint64_t h0 = NowNanos();
+  const Status status = node.PushBatch(batch, weight, nullptr, span_ctx);
+  const uint64_t h_ns = NowNanos() - h0;
+  node.AddCpuNanos(h_ns);
+  if (batch.num_rows() > 0) node.RecordBatch(h_ns, batch.num_rows());
+  return status.ok() ? HandOn(h) : status;
+}
+
+Status TwoLevelRuntime::HandOn(size_t j) {
+  if (readers_[j].empty()) return Status::OK();
+  for (const TupleBatch& chunk : high_[j]->DrainBatches()) {
+    for (size_t r : readers_[j]) {
+      STREAMOP_RETURN_NOT_OK(PushHigh(r, chunk, 1.0, nullptr));
+    }
+  }
+  return Status::OK();
+}
+
 Result<RunReport> TwoLevelRuntime::Drive(ResumableSource& source,
                                          ThreadedFeed* threaded) {
+  STREAMOP_RETURN_NOT_OK(shape_status_);
   RunningGuard running(running_);
   const uint64_t wall0 = NowNanos();
   const obs::IngestSourceMetrics ingest =
@@ -699,7 +751,7 @@ Result<RunReport> TwoLevelRuntime::Drive(ResumableSource& source,
   snapshot_due_ = false;
 
   std::vector<PacketRecord> records(options_.batch_size);
-  TupleBatch batch(low_->input_width(), options_.batch_size);
+  TupleBatch batch(kPacketColumns, options_.batch_size);
   TupleBatch low_out_batch;
   uint64_t delivered = 0;
   uint64_t malformed = 0;
@@ -742,7 +794,7 @@ Result<RunReport> TwoLevelRuntime::Drive(ResumableSource& source,
     if (n > 0 || rr == ResumableSource::ReadResult::kIdle) {
       obs::SpanRing& spans = obs::SpanRing::Default();
       const bool span_on = spans.enabled();
-      const bool obs_on = low_->metrics().enabled();
+      const bool obs_on = obs::kStatsEnabled;
       const uint64_t t0 = NowNanos();
       const double weight = shed != nullptr ? shed->weight() : 1.0;
       if (delivered == 0 && n > 0) first_ts = records[0].ts_ns;
@@ -780,28 +832,24 @@ Result<RunReport> TwoLevelRuntime::Drive(ResumableSource& source,
       sctx.shed_p = weight > 1.0 ? 1.0 / weight : 1.0;
       sctx.rows = batch.num_rows();
       // Packet->batch conversion and selection both bill to the low node
-      // (the "memory copy" costs §7.2 attributes to low-level evaluation).
-      // An identity low node hands its input batch on as its output.
+      // (the "memory copy" costs §7.2 attributes to low-level evaluation),
+      // or to no node without one. An identity low node, like a missing
+      // one, hands the packet batch on as its output.
       const TupleBatch* low_out = &batch;
-      if (low_->is_identity()) {
-        low_->CountPassThrough(batch);
-      } else {
-        status = low_->PushBatch(batch, weight, &low_out_batch);
-        low_out = &low_out_batch;
-      }
-      const uint64_t batch_ns = NowNanos() - t0;
-      low_->AddCpuNanos(batch_ns);
-      if (n > 0) low_->RecordBatch(batch_ns, batch.num_rows());
-      for (size_t h = 0; h < high_.size() && status.ok(); ++h) {
-        QueryNode& node = *high_[h];
-        const uint64_t h0 = NowNanos();
-        status = node.PushBatch(*low_out, weight, nullptr,
-                                span_on ? &sctx : nullptr);
-        const uint64_t h_ns = NowNanos() - h0;
-        node.AddCpuNanos(h_ns);
-        if (low_out->num_rows() > 0) {
-          node.RecordBatch(h_ns, low_out->num_rows());
+      if (low_ != nullptr) {
+        if (low_->is_identity()) {
+          low_->CountPassThrough(batch);
+        } else {
+          status = low_->PushBatch(batch, weight, &low_out_batch);
+          low_out = &low_out_batch;
         }
+        const uint64_t batch_ns = NowNanos() - t0;
+        low_->AddCpuNanos(batch_ns);
+        if (n > 0) low_->RecordBatch(batch_ns, batch.num_rows());
+      }
+      for (size_t i = 0; i < source_readers_.size() && status.ok(); ++i) {
+        status = PushHigh(source_readers_[i], *low_out, weight,
+                          span_on ? &sctx : nullptr);
       }
       if (!status.ok()) break;
       if (span_on && n > 0) {
@@ -842,20 +890,15 @@ Result<RunReport> TwoLevelRuntime::Drive(ResumableSource& source,
 
   // End of stream: flush the final windows, but only on a clean end — an
   // aborted or failed run must not emit partial windows as if they
-  // completed.
+  // completed. A selection low node holds nothing to flush. The high nodes
+  // finish in index order, each handing its tail on to its readers before
+  // they finish.
   if (status.ok() && clean_end) {
-    const uint64_t t0 = NowNanos();
-    status = low_->Finish();
-    const std::vector<Tuple> rows = low_->DrainOutput();
-    low_->AddCpuNanos(NowNanos() - t0);
-    const double weight = shed != nullptr ? shed->weight() : 1.0;
     for (size_t h = 0; h < high_.size() && status.ok(); ++h) {
       const uint64_t h0 = NowNanos();
-      for (size_t i = 0; i < rows.size() && status.ok(); ++i) {
-        status = high_[h]->Push(rows[i], weight);
-      }
-      if (status.ok()) status = high_[h]->Finish();
+      status = high_[h]->Finish();
       high_[h]->AddCpuNanos(NowNanos() - h0);
+      if (status.ok()) status = HandOn(h);
     }
   }
   // Snapshots requested by the final flush bind to the end-of-stream
@@ -876,8 +919,7 @@ Result<RunReport> TwoLevelRuntime::Drive(ResumableSource& source,
   if (threaded != nullptr) threaded->FillReport(&report);
   producer_retries_->Add(report.ring_producer_retries);
   packets_dropped_->Add(report.packets_dropped);
-  report.late_tuples = low_->late_tuples();
-  report.low = MakeReport(*low_, report.stream_seconds);
+  if (low_ != nullptr) report.low = MakeReport(*low_, report.stream_seconds);
   for (auto& node : high_) {
     report.late_tuples += node->late_tuples();
     report.high.push_back(MakeReport(*node, report.stream_seconds));
@@ -909,54 +951,6 @@ Result<RunReport> TwoLevelRuntime::Run(const Trace& trace) {
 Result<RunReport> TwoLevelRuntime::RunThreaded(const Trace& trace) {
   ThreadedFeed feed(trace, options_, *registry_);
   return Drive(feed, &feed);
-}
-
-Result<SingleRunResult> RunQueryOverTrace(const CompiledQuery& query,
-                                          const Trace& trace,
-                                          const std::string& name,
-                                          obs::MetricRegistry* registry) {
-  obs::MetricRegistry& reg =
-      registry != nullptr ? *registry : obs::MetricRegistry::Default();
-  QueryNode node(name, query, &reg);
-
-  // The same batched read of the trace that Run() does, into one node.
-  constexpr size_t kBatch = 512;
-  TraceSource source(&trace);
-  STREAMOP_RETURN_NOT_OK(source.Open());
-  std::vector<PacketRecord> records(kBatch);
-  TupleBatch batch(node.input_width(), kBatch);
-  size_t n = 0;
-  uint64_t malformed = 0;
-  while (source.Read(records.data(), kBatch, &n) ==
-         ResumableSource::ReadResult::kRecords) {
-    const uint64_t t0 = NowNanos();
-    size_t kept = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (records[i].len < kMinPacketLen) {
-        ++malformed;
-        OfferMalformedExemplar(records[i]);
-        continue;
-      }
-      if (kept != i) records[kept] = records[i];
-      ++kept;
-    }
-    batch.Clear();
-    batch.AppendPackets(records.data(), kept);
-    STREAMOP_RETURN_NOT_OK(node.PushBatch(batch));
-    const uint64_t batch_ns = NowNanos() - t0;
-    node.AddCpuNanos(batch_ns);
-    node.RecordBatch(batch_ns, batch.num_rows());
-  }
-  const uint64_t t0 = NowNanos();
-  STREAMOP_RETURN_NOT_OK(node.Finish());
-  node.AddCpuNanos(NowNanos() - t0);
-
-  SingleRunResult out;
-  out.report = MakeReport(node, trace.DurationSec());
-  out.packets_malformed = malformed;
-  out.output = node.DrainOutput();
-  out.windows = node.window_stats();
-  return out;
 }
 
 }  // namespace streamop

@@ -4,12 +4,16 @@
 // a time, through one drive loop whatever the source: an in-memory trace
 // (stream/trace_source.h), a pcap file or a socket. RunThreaded adds the
 // paper's ring buffer between a producer thread and that loop. The
-// low-level node is a selection (or pre-sampling selection) query; its
-// output tuples are the only per-packet copies, which is why a selective
-// low-level query slashes total cost (Fig. 6), and an identity low query
-// hands its input batch on without one. The runtime stopwatches each
-// node and reports %CPU relative to the stream's real-time duration — the
-// paper's metric of "fraction of one CPU consumed at line rate".
+// low-level node is optional and a selection (or pre-sampling selection)
+// query; its output tuples are the only per-packet copies, which is why a
+// selective low-level query slashes total cost (Fig. 6), and an identity
+// low query hands its input batch on without one. A high-level node may
+// read another high-level node's output instead, which chains sampling
+// operators the way §8 cascades them (query/query.h CompileChain). A single
+// query, a fan-out and a cascade all run through the one loop. The runtime
+// stopwatches each node and reports %CPU relative to the stream's
+// real-time duration — the paper's metric of "fraction of one CPU consumed
+// at line rate".
 
 #ifndef STREAMOP_ENGINE_RUNTIME_H_
 #define STREAMOP_ENGINE_RUNTIME_H_
@@ -106,7 +110,7 @@ struct RunReport {
   // The source this run read: one entry (a trace run reports its trace).
   std::vector<SourceReport> sources;
 
-  NodeReport low;
+  NodeReport low;  // all zero without a low node
   std::vector<NodeReport> high;
 };
 
@@ -199,17 +203,26 @@ struct RuntimeOptions {
   obs::FlightRecorderOptions flight;
 };
 
-/// One low-level query feeding any number of high-level queries.
+/// An optional low-level query feeding any number of high-level queries,
+/// which may feed each other.
 class TwoLevelRuntime {
  public:
   using Options = RuntimeOptions;
 
-  /// `low` must be a selection query over the packet schema; each entry of
-  /// `high` consumes the low node's output schema (which, for the bundled
-  /// benchmarks, re-exposes the packet columns).
+  /// `low` must be a selection query over the packet schema; a run refuses
+  /// a sampling one. The plans decide who feeds whom: a high query whose
+  /// input stream is StageStreamName(j) (query/query.h) reads high node j's
+  /// output, where j must be below its own index, and every other high
+  /// query reads the low node's output (which, for the bundled benchmarks,
+  /// re-exposes the packet columns).
   TwoLevelRuntime(const CompiledQuery& low,
                   const std::vector<CompiledQuery>& high,
                   RuntimeOptions options = RuntimeOptions());
+
+  /// No low node: each high node that reads no other high node gets the
+  /// drive loop's packet batch as it is.
+  explicit TwoLevelRuntime(const std::vector<CompiledQuery>& high,
+                           RuntimeOptions options = RuntimeOptions());
 
   /// Replays the trace through the pipeline on the calling thread:
   /// RunSource() over a TraceSource of `trace`. High-level node outputs
@@ -229,10 +242,17 @@ class TwoLevelRuntime {
   /// Feeds the pipeline from `source` (a pcap file, a socket or a
   /// TraceSource — stream/resumable_source.h) through the one drive loop:
   /// read a batch, reject malformed records, push the batch through the
-  /// low and high nodes, write any due snapshot, repeat. Read() is called
-  /// on the calling thread only, once every earlier record has gone
-  /// through the nodes. Read timeouts degrade to heartbeat-empty batches
+  /// low and high nodes, write any due snapshot, repeat. After a high node
+  /// consumes a batch, its output chunks go on to the high nodes reading
+  /// it, with weight 1 (the shed weight applies to source records only); a
+  /// node that other nodes read keeps no output for the caller. Read() is
+  /// called on the calling thread only, once every earlier record has gone
+  /// through every node. Read timeouts degrade to heartbeat-empty batches
   /// so the loop keeps turning while the wire is quiet.
+  ///
+  /// Every run entry point returns InvalidArgument before opening its
+  /// source when the low node is a sampling query or a high node reads a
+  /// stage stream that no earlier high node provides.
   ///
   /// Snapshots requested by the window-flush hook are written at the next
   /// batch boundary, where every record read so far has been fully
@@ -247,6 +267,7 @@ class TwoLevelRuntime {
   /// the run starts fresh, with one line on stderr.
   Result<RunReport> RunSource(ResumableSource& source);
 
+  /// Valid only when the runtime has a low node.
   QueryNode& low_node() { return *low_; }
   QueryNode& high_node(size_t i) { return *high_[i]; }
   size_t num_high_nodes() const { return high_.size(); }
@@ -296,7 +317,9 @@ class TwoLevelRuntime {
   uint64_t recovered_windows() const { return recovered_windows_; }
 
   /// The checkpoint manager of high node `i`, or nullptr when
-  /// checkpointing is disabled or the node is not a sampling node.
+  /// checkpointing is disabled or the node is not a sampling node. Every
+  /// sampling high node has one, chained or not, and all of them write at
+  /// the same batch boundary.
   CheckpointManager* checkpoint_manager(size_t i) {
     return i < checkpoint_mgrs_.size() ? checkpoint_mgrs_[i].get() : nullptr;
   }
@@ -314,11 +337,23 @@ class TwoLevelRuntime {
     bool operator==(const RestoredSourceInfo&) const = default;
   };
 
+  // `low` is nullptr for a runtime without a low node.
+  TwoLevelRuntime(const CompiledQuery* low,
+                  const std::vector<CompiledQuery>& high,
+                  RuntimeOptions options);
+
   // The one drive loop behind every run: resume or start fresh, read
   // `source` batch by batch through the nodes, finish the stream on a
   // clean end, and report. `threaded` is RunThreaded's feed (the same
   // object as `source`), nullptr otherwise.
   Result<RunReport> Drive(ResumableSource& source, ThreadedFeed* threaded);
+  // Pushes `batch` into high node `h`, billing the node, then hands the
+  // node's output on to its readers.
+  Status PushHigh(size_t h, const TupleBatch& batch, double weight,
+                  obs::SpanContext* span_ctx);
+  // Pushes high node `j`'s output chunks into the nodes reading it, with
+  // weight 1 and no span context. A no-op for a node nobody reads.
+  Status HandOn(size_t j);
   // Folds the checkpoint counters and recovery state into `report`.
   void FillCheckpointReport(RunReport* report) const;
   // Publishes the report to last_report_ (under the mutex, for /healthz
@@ -340,8 +375,16 @@ class TwoLevelRuntime {
   RunReport last_report_;
   mutable std::mutex report_mu_;
   std::atomic<bool> running_{false};
-  std::unique_ptr<QueryNode> low_;
+  std::unique_ptr<QueryNode> low_;  // nullptr without a low node
   std::vector<std::unique_ptr<QueryNode>> high_;
+  // Who feeds whom, from the plans' input streams: the high nodes that read
+  // the low node's output (the source's batch without a low node), and per
+  // high node j the nodes that read j's output.
+  std::vector<size_t> source_readers_;
+  std::vector<std::vector<size_t>> readers_;
+  // InvalidArgument for a pipeline shape no run can drive; every run
+  // returns it before opening its source.
+  Status shape_status_;
   // Durability (engine/checkpoint.h): one manager per high node (nullptr
   // for selection nodes or with checkpointing disabled).
   std::vector<std::unique_ptr<CheckpointManager>> checkpoint_mgrs_;
@@ -385,23 +428,6 @@ class TwoLevelRuntime {
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;
   std::unique_ptr<obs::HttpServer> http_server_;
 };
-
-/// Single-node convenience: run one query over a trace and report stats.
-/// The trace is read from a TraceSource in batches, as Run() reads it;
-/// records below the 20-byte IP header are rejected and counted, as Run()
-/// does, and batch-latency metrics land in `registry` (nullptr = default
-/// registry).
-struct SingleRunResult {
-  NodeReport report;
-  uint64_t packets_malformed = 0;
-  std::vector<Tuple> output;
-  std::vector<WindowStats> windows;
-};
-Result<SingleRunResult> RunQueryOverTrace(const CompiledQuery& query,
-                                          const Trace& trace,
-                                          const std::string& name = "query",
-                                          obs::MetricRegistry* registry =
-                                              nullptr);
 
 }  // namespace streamop
 

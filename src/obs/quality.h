@@ -72,7 +72,7 @@ struct EstimatorQuality {
 
 /// Everything the engine can say about one closed window's sample quality.
 struct WindowQualityReport {
-  std::string node;        // query-node name ("high0", "query", ...)
+  std::string node;        // query-node name ("high0", "high1", ...)
   uint64_t seq = 0;        // 0-based window index within the node
   std::string window_id;   // ordered group-by values, comma-joined
   uint64_t tuples_in = 0;

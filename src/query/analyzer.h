@@ -31,6 +31,10 @@ struct CompiledQuery {
   std::shared_ptr<SamplingQueryPlan> sampling;
   std::shared_ptr<SelectionPlan> selection;
 
+  SchemaPtr input_schema() const {
+    return kind == CompiledQueryKind::kSampling ? sampling->input_schema
+                                                : selection->input_schema;
+  }
   SchemaPtr output_schema() const {
     return kind == CompiledQueryKind::kSampling ? sampling->output_schema
                                                 : selection->output_schema;

@@ -1476,6 +1476,44 @@ TEST_F(RuntimeResumeTest, NodesWithDifferentWindowsResumeAtOneOffset) {
   EXPECT_EQ(RowsAsStrings(rt.high_node(1).DrainOutput()), reference[1]);
 }
 
+TEST_F(RuntimeResumeTest, ChainResumesItsFinalStageAtOneOffset) {
+  // A two-stage chain without a low node: the subset-sum stage feeds a
+  // per-window count. Both stages snapshot at one batch boundary, so the
+  // restart seeks, and the final stage emits a byte-identical suffix of the
+  // uninterrupted run's rows.
+  Trace trace = TraceGenerator::MakeResearchFeed(31.0, 42);
+  const std::vector<std::string> sqls = {
+      kSubsetSumQuery, "SELECT tb2, count(*) FROM S0 GROUP BY tb as tb2"};
+  auto chain = CompileChain(sqls, Catalog::Default(), {.seed = 3});
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  std::vector<std::string> reference;
+  {
+    TwoLevelRuntime ref(*chain);
+    ASSERT_TRUE(ref.Run(trace).ok());
+    reference = RowsAsStrings(ref.high_node(1).DrainOutput());
+  }
+  {
+    TwoLevelRuntime crashed(*chain, Checkpointed());
+    ASSERT_NE(crashed.checkpoint_manager(1), nullptr);
+    FlakyTraceSource source(&trace, trace.size() * 2 / 5, 0);
+    EXPECT_FALSE(crashed.RunSource(source).ok());
+    EXPECT_GT(crashed.checkpoint_manager(0)->writes(), 0u);
+    EXPECT_EQ(crashed.checkpoint_manager(1)->writes(),
+              crashed.checkpoint_manager(0)->writes());
+  }
+
+  TwoLevelRuntime rt(*chain, Checkpointed());
+  ASSERT_TRUE(rt.recovered());
+  auto report = rt.Run(trace);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->sources.size(), 1u);
+  EXPECT_TRUE(report->sources[0].resumed_from_offset);
+  const std::vector<std::string> resumed =
+      RowsAsStrings(rt.high_node(1).DrainOutput());
+  EXPECT_LT(resumed.size(), reference.size());
+  ExpectSuffix(resumed, reference);
+}
+
 TEST_F(RuntimeResumeTest, FailedOpenLeavesTheResumeToTheNextRun) {
   // A run whose source fails to open reads nothing; the next run must
   // still seek to the restored offset, not read the restored state's

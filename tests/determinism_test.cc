@@ -39,13 +39,14 @@ std::string SubsetSumSql(uint64_t n, double relax) {
 
 // Canonical serialization of a run: every output row in emission order,
 // then every window's statistics. Byte-for-byte comparable across builds.
-std::string Canonicalize(const SingleRunResult& run) {
+std::string Canonicalize(const std::vector<Tuple>& rows,
+                         const std::vector<WindowStats>& windows) {
   std::string out;
-  for (const Tuple& t : run.output) {
+  for (const Tuple& t : rows) {
     out += t.ToString();
     out += '\n';
   }
-  for (const WindowStats& w : run.windows) {
+  for (const WindowStats& w : windows) {
     out += "window";
     for (const Value& v : w.window_id) {
       out += ' ';
@@ -82,9 +83,11 @@ std::string RunOnce() {
   Catalog catalog = Catalog::Default();
   auto cq = CompileQuery(SubsetSumSql(100, 10.0), catalog, {.seed = 7});
   EXPECT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
-  return Canonicalize(*run);
+  return Canonicalize(rt.high_node(0).DrainOutput(),
+                      rt.high_node(0).window_stats());
 }
 
 TEST(DeterminismTest, RepeatedRunsAreByteIdentical) {

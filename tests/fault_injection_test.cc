@@ -255,10 +255,10 @@ TEST(ChaosTest, MalformedAndLatePacketsSurviveBothRunModes) {
   }
 }
 
-// The single-node path rejects the records the drive loop rejects: a
-// record truncated below the 20-byte IP header never reaches the query, so
-// count(*) is the record count minus the truncated ones, and
-// RunQueryOverTrace and TwoLevelRuntime::Run give one answer.
+// A runtime without a low node rejects the records a pass-through low node
+// sees rejected: a record truncated below the 20-byte IP header never
+// reaches the query, so count(*) is the record count minus the truncated
+// ones, and both shapes give one answer.
 TEST(ChaosTest, SingleNodeRunRejectsTruncatedRecords) {
   FaultInjectionConfig fcfg;
   fcfg.seed = 9;
@@ -271,10 +271,12 @@ TEST(ChaosTest, SingleNodeRunRejectsTruncatedRecords) {
 
   auto high = CompileQuery(kWindowAggHigh, TestCatalog());
   ASSERT_TRUE(high.ok()) << high.status().ToString();
-  auto run = RunQueryOverTrace(*high, faulty);
+  TwoLevelRuntime single({*high});
+  auto run = single.Run(faulty);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<Tuple> output = single.high_node(0).DrainOutput();
   uint64_t counted = 0;
-  for (const Tuple& row : run->output) counted += row[2].AsUInt();
+  for (const Tuple& row : output) counted += row[2].AsUInt();
   EXPECT_EQ(counted, faulty.size() - truncated);
   EXPECT_EQ(run->packets_malformed, truncated);
 
@@ -284,7 +286,7 @@ TEST(ChaosTest, SingleNodeRunRejectsTruncatedRecords) {
   auto report = rt.Run(faulty);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->packets_malformed, truncated);
-  EXPECT_EQ(rt.high_node(0).DrainOutput(), run->output);
+  EXPECT_EQ(rt.high_node(0).DrainOutput(), output);
 }
 
 // FNV-1a 64 over the rows' text, as hex (readable on mismatch).
@@ -381,17 +383,21 @@ TEST(ChaosTest, LateTuplesClampIntoCurrentWindowWithExactCounts) {
   auto cq = CompileQuery("SELECT tb, count(*) FROM PKT GROUP BY time/20 as tb",
                          TestCatalog());
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
 
-  ASSERT_EQ(run->output.size(), 3u);
-  EXPECT_EQ(run->output[0][1].AsUInt(), 2u);  // window 0
-  EXPECT_EQ(run->output[1][1].AsUInt(), 3u);  // window 1 absorbs the late one
-  EXPECT_EQ(run->output[2][1].AsUInt(), 1u);  // window 2
-  ASSERT_EQ(run->windows.size(), 3u);
-  EXPECT_EQ(run->windows[0].late_tuples, 0u);
-  EXPECT_EQ(run->windows[1].late_tuples, 1u);
-  EXPECT_EQ(run->windows[2].late_tuples, 0u);
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
+  const std::vector<WindowStats>& windows = rt.high_node(0).window_stats();
+  ASSERT_EQ(output.size(), 3u);
+  EXPECT_EQ(output[0][1].AsUInt(), 2u);  // window 0
+  EXPECT_EQ(output[1][1].AsUInt(), 3u);  // window 1 absorbs the late one
+  EXPECT_EQ(output[2][1].AsUInt(), 1u);  // window 2
+  ASSERT_EQ(windows.size(), 3u);
+  EXPECT_EQ(windows[0].late_tuples, 0u);
+  EXPECT_EQ(windows[1].late_tuples, 1u);
+  EXPECT_EQ(windows[2].late_tuples, 0u);
+  EXPECT_EQ(run->late_tuples, 1u);
 }
 
 // The acceptance scenario: a feed that overflows the ring. With shedding

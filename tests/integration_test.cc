@@ -9,7 +9,6 @@
 #include <set>
 
 #include "common/hash.h"
-#include "engine/cascade.h"
 #include "engine/runtime.h"
 #include "net/flow_generator.h"
 #include "net/trace_generator.h"
@@ -17,6 +16,7 @@
 #include "sampling/distinct.h"
 #include "sampling/kmv.h"
 #include "stream/fault_injection.h"
+#include "stream/trace_source.h"
 #include "tuple/tuple_batch.h"
 
 namespace streamop {
@@ -60,12 +60,14 @@ TEST(SubsetSumE2E, EstimatesWindowSumsOnBurstyFeed) {
   Trace trace = TraceGenerator::MakeResearchFeed(61.0, 42);
   auto cq = CompileQuery(SubsetSumSql(1000, 10.0), TestCatalog(), {.seed = 7});
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
 
   auto truth = trace.BytesPerWindow(20);
   std::vector<double> est(truth.size(), 0.0);
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : output) {
     uint64_t tb = t[0].AsUInt();
     ASSERT_LT(tb, truth.size());
     est[tb] += t[3].AsDouble();
@@ -81,15 +83,17 @@ TEST(SubsetSumE2E, SampleCountRespectsTarget) {
   Trace trace = TraceGenerator::MakeResearchFeed(61.0, 43);
   auto cq = CompileQuery(SubsetSumSql(500, 10.0), TestCatalog(), {.seed = 9});
   ASSERT_TRUE(cq.ok());
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  for (const WindowStats& ws : run->windows) {
+  const std::vector<WindowStats>& windows = rt.high_node(0).window_stats();
+  for (const WindowStats& ws : windows) {
     EXPECT_LE(ws.groups_output, 500u);
   }
   // Full windows of a busy feed reach (nearly) the target.
-  ASSERT_GE(run->windows.size(), 3u);
-  for (size_t i = 0; i + 1 < run->windows.size(); ++i) {
-    EXPECT_GE(run->windows[i].groups_output, 400u) << "window " << i;
+  ASSERT_GE(windows.size(), 3u);
+  for (size_t i = 0; i + 1 < windows.size(); ++i) {
+    EXPECT_GE(windows[i].groups_output, 400u) << "window " << i;
   }
 }
 
@@ -103,26 +107,24 @@ TEST(SubsetSumE2E, RelaxedBeatsNonRelaxedAfterLoadDrops) {
       CompileQuery(SubsetSumSql(1000, 1.0), TestCatalog(), {.seed = 1});
   ASSERT_TRUE(relaxed_q.ok());
   ASSERT_TRUE(nonrelaxed_q.ok());
-  auto relaxed = RunQueryOverTrace(*relaxed_q, trace);
-  auto nonrelaxed = RunQueryOverTrace(*nonrelaxed_q, trace);
-  ASSERT_TRUE(relaxed.ok());
-  ASSERT_TRUE(nonrelaxed.ok());
+  // Both variants run as the high nodes of one runtime.
+  TwoLevelRuntime rt({*relaxed_q, *nonrelaxed_q});
+  auto run = rt.Run(trace);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<WindowStats>& relaxed = rt.high_node(0).window_stats();
+  const std::vector<WindowStats>& nonrelaxed = rt.high_node(1).window_stats();
 
   uint64_t relaxed_total = 0, nonrelaxed_total = 0;
-  for (const WindowStats& ws : relaxed->windows) {
-    relaxed_total += ws.groups_output;
-  }
-  for (const WindowStats& ws : nonrelaxed->windows) {
+  for (const WindowStats& ws : relaxed) relaxed_total += ws.groups_output;
+  for (const WindowStats& ws : nonrelaxed) {
     nonrelaxed_total += ws.groups_output;
   }
   EXPECT_GT(relaxed_total, nonrelaxed_total);
 
   // And the relaxed variant pays with more cleaning phases (Fig. 4).
   uint64_t relaxed_cleanings = 0, nonrelaxed_cleanings = 0;
-  for (const WindowStats& ws : relaxed->windows) {
-    relaxed_cleanings += ws.cleaning_phases;
-  }
-  for (const WindowStats& ws : nonrelaxed->windows) {
+  for (const WindowStats& ws : relaxed) relaxed_cleanings += ws.cleaning_phases;
+  for (const WindowStats& ws : nonrelaxed) {
     nonrelaxed_cleanings += ws.cleaning_phases;
   }
   EXPECT_GT(relaxed_cleanings, nonrelaxed_cleanings);
@@ -139,8 +141,10 @@ TEST(HeavyHitterE2E, TopTalkersSurviveCleaning) {
   )",
                          TestCatalog());
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
 
   // Ground-truth packet counts per srcIP.
   std::map<uint32_t, uint64_t> truth;
@@ -150,7 +154,7 @@ TEST(HeavyHitterE2E, TopTalkersSurviveCleaning) {
   std::sort(ranked.rbegin(), ranked.rend());
 
   std::map<uint64_t, uint64_t> reported;  // srcIP -> estimated count
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : output) {
     reported[t[1].AsUInt()] = t[3].AsUInt();
   }
   // Every top-10 talker (all far above the 1/1000 support implied by the
@@ -166,7 +170,7 @@ TEST(HeavyHitterE2E, TopTalkersSurviveCleaning) {
               static_cast<double>(true_cnt) - eps * n - 1.0);
   }
   // The table was actually pruned: far fewer rows than distinct sources.
-  EXPECT_LT(run->output.size(), truth.size());
+  EXPECT_LT(output.size(), truth.size());
 }
 
 TEST(MinHashE2E, ReportsKSmallestHashesPerSource) {
@@ -197,8 +201,10 @@ TEST(MinHashE2E, ReportsKSmallestHashesPerSource) {
   )",
                          TestCatalog());
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
 
   // Expected: the 100 smallest H(destIP) over the distinct destinations.
   std::set<uint64_t> distinct_hashes;
@@ -210,7 +216,7 @@ TEST(MinHashE2E, ReportsKSmallestHashesPerSource) {
   expected.resize(100);
 
   std::vector<uint64_t> got;
-  for (const Tuple& t : run->output) got.push_back(t[2].AsUInt());
+  for (const Tuple& t : output) got.push_back(t[2].AsUInt());
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, expected);
 }
@@ -228,11 +234,14 @@ TEST(ReservoirE2E, FixedSizeUniformSamplePerWindow) {
   )",
                          TestCatalog(), {.seed = 11});
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  ASSERT_GE(run->windows.size(), 1u);
-  EXPECT_EQ(run->output.size(), 100u);  // one full window of 59 s
-  EXPECT_GT(run->windows[0].cleaning_phases, 0u);
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
+  const std::vector<WindowStats>& windows = rt.high_node(0).window_stats();
+  ASSERT_GE(windows.size(), 1u);
+  EXPECT_EQ(output.size(), 100u);  // one full window of 59 s
+  EXPECT_GT(windows[0].cleaning_phases, 0u);
 }
 
 TEST(AggregationE2E, OperatorMatchesGroundTruth) {
@@ -241,11 +250,13 @@ TEST(AggregationE2E, OperatorMatchesGroundTruth) {
   auto cq = CompileQuery(
       "SELECT tb, sum(len) FROM PKT GROUP BY time/20 as tb", TestCatalog());
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
   auto truth = trace.BytesPerWindow(20);
-  ASSERT_EQ(run->output.size(), truth.size());
-  for (const Tuple& t : run->output) {
+  ASSERT_EQ(output.size(), truth.size());
+  for (const Tuple& t : output) {
     EXPECT_EQ(t[1].AsUInt(), truth[t[0].AsUInt()]) << t.ToString();
   }
 }
@@ -280,11 +291,14 @@ TEST(SampledFlowsE2E, BoundedGroupsAccurateEstimates) {
   )",
                          TestCatalog(), {.seed = 15});
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
+  const std::vector<WindowStats>& windows = rt.high_node(0).window_stats();
 
   std::vector<double> est(truth.bytes_per_window.size(), 0.0);
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : output) {
     uint64_t tb = t[0].AsUInt();
     ASSERT_LT(tb, est.size());
     est[tb] += t[6].AsDouble();
@@ -296,7 +310,7 @@ TEST(SampledFlowsE2E, BoundedGroupsAccurateEstimates) {
   }
   // Bounded memory: the group table never grows far past beta*N even while
   // tens of thousands of flows pass by.
-  for (const WindowStats& ws : run->windows) {
+  for (const WindowStats& ws : windows) {
     EXPECT_LE(ws.peak_groups, 2u * 500u + 32u);
   }
 }
@@ -312,10 +326,12 @@ TEST(SampledFlowsE2E, SsInitConfiguresWithoutFiltering) {
   )",
                          TestCatalog());
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
   uint64_t counted = 0;
-  for (const Tuple& t : run->output) counted += t[1].AsUInt();
+  for (const Tuple& t : output) counted += t[1].AsUInt();
   EXPECT_EQ(counted, trace.size());
 }
 
@@ -334,8 +350,11 @@ TEST(DistinctSamplingE2E, DistinctSourcesPerWindow) {
   )",
                          TestCatalog());
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
+  const std::vector<WindowStats>& windows = rt.high_node(0).window_stats();
 
   // True distinct sources per 4 s window.
   std::vector<std::set<uint32_t>> truth;
@@ -348,7 +367,7 @@ TEST(DistinctSamplingE2E, DistinctSourcesPerWindow) {
   // window, and check the sample stayed within capacity.
   std::map<uint64_t, double> est;
   std::map<uint64_t, uint64_t> rows;
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : output) {
     est[t[0].AsUInt()] = t[3].AsDouble();
     ++rows[t[0].AsUInt()];
   }
@@ -359,8 +378,8 @@ TEST(DistinctSamplingE2E, DistinctSourcesPerWindow) {
     EXPECT_LE(rows[tb], 512u);
   }
   // The pool is much larger than the capacity, so levels must have risen.
-  ASSERT_FALSE(run->windows.empty());
-  EXPECT_GT(run->windows[0].cleaning_phases, 0u);
+  ASSERT_FALSE(windows.empty());
+  EXPECT_GT(windows[0].cleaning_phases, 0u);
 }
 
 TEST(QuantileAggregateE2E, MedianPacketLengthPerWindow) {
@@ -370,16 +389,18 @@ TEST(QuantileAggregateE2E, MedianPacketLengthPerWindow) {
       "FROM PKT GROUP BY time/20 as tb",
       TestCatalog());
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  ASSERT_GE(run->output.size(), 2u);
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
+  ASSERT_GE(output.size(), 2u);
 
   // Exact per-window sorted lengths for rank checking.
   std::map<uint64_t, std::vector<double>> lens;
   for (const PacketRecord& p : trace.packets()) {
     lens[p.ts_sec() / 20].push_back(static_cast<double>(p.len));
   }
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : output) {
     uint64_t tb = t[0].AsUInt();
     std::vector<double>& v = lens[tb];
     std::sort(v.begin(), v.end());
@@ -440,13 +461,14 @@ TEST(CascadeE2E, HeavyHittersThenReservoir) {
          CLEANING WHEN rsdo_clean(count_distinct$(*)) = TRUE
          CLEANING BY rsclean_with() = TRUE)",
   };
-  auto rt = CascadeRuntime::Create(sqls, TestCatalog(), {.seed = 3});
-  ASSERT_TRUE(rt.ok()) << rt.status().ToString();
-  for (const PacketRecord& p : trace.packets()) {
-    ASSERT_TRUE((*rt)->Push(PacketToTuple(p)).ok());
-  }
-  ASSERT_TRUE((*rt)->Finish().ok());
-  std::vector<Tuple> out = (*rt)->DrainOutput();
+  auto chain = CompileChain(sqls, TestCatalog(), {.seed = 3});
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  TwoLevelRuntime rt(*chain);
+  auto run = rt.Run(trace);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  // Stage 0 is read by stage 1, so it keeps no output of its own.
+  EXPECT_TRUE(rt.high_node(0).DrainOutput().empty());
+  std::vector<Tuple> out = rt.high_node(1).DrainOutput();
   ASSERT_EQ(out.size(), 5u);  // one 60 s window, 5 uniform picks
   // Recorded from the row-at-a-time cascade, before the stages ran as
   // chained runtime nodes.
@@ -457,10 +479,12 @@ TEST(CascadeE2E, HeavyHittersThenReservoir) {
   // against the stage-0 query re-run standalone, not against raw counts).
   auto hh_q = CompileQuery(sqls[0], TestCatalog());
   ASSERT_TRUE(hh_q.ok());
-  auto hh_run = RunQueryOverTrace(*hh_q, trace);
-  ASSERT_TRUE(hh_run.ok());
+  TwoLevelRuntime hh_rt({*hh_q});
+  ASSERT_TRUE(hh_rt.Run(trace).ok());
   std::set<uint64_t> emitted;
-  for (const Tuple& t : hh_run->output) emitted.insert(t[1].AsUInt());
+  for (const Tuple& t : hh_rt.high_node(0).DrainOutput()) {
+    emitted.insert(t[1].AsUInt());
+  }
   for (const Tuple& t : out) {
     EXPECT_TRUE(emitted.count(t[1].AsUInt()) > 0) << t.ToString();
   }
@@ -476,14 +500,14 @@ TEST(CascadeE2E, OrderingPropagatesThroughStages) {
       "SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/20 as tb, srcIP",
       "SELECT tb2, count(*) FROM S0 GROUP BY tb as tb2",
   };
-  auto rt = CascadeRuntime::Create(sqls, TestCatalog());
-  ASSERT_TRUE(rt.ok()) << rt.status().ToString();
+  auto chain = CompileChain(sqls, TestCatalog());
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  ASSERT_EQ((*chain)[1].input_schema()->name(), StageStreamName(0));
   Trace trace = TraceGenerator::MakeResearchFeed(45.0, 61);
-  for (const PacketRecord& p : trace.packets()) {
-    ASSERT_TRUE((*rt)->Push(PacketToTuple(p)).ok());
-  }
-  ASSERT_TRUE((*rt)->Finish().ok());
-  std::vector<Tuple> out = (*rt)->DrainOutput();
+  TwoLevelRuntime rt(*chain);
+  auto run = rt.Run(trace);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  std::vector<Tuple> out = rt.high_node(1).DrainOutput();
   // Three 20 s windows -> three stage-1 rows, each counting stage-0 groups.
   ASSERT_EQ(out.size(), 3u);
   for (const Tuple& t : out) EXPECT_GT(t[1].AsUInt(), 0u);
@@ -493,14 +517,21 @@ TEST(CascadeE2E, OrderingPropagatesThroughStages) {
 }
 
 TEST(CascadeE2E, CreateErrors) {
-  EXPECT_FALSE(CascadeRuntime::Create({}, TestCatalog()).ok());
-  EXPECT_FALSE(
-      CascadeRuntime::Create({"SELECT x FROM NOPE"}, TestCatalog()).ok());
+  EXPECT_FALSE(CompileChain({}, TestCatalog()).ok());
+  EXPECT_FALSE(CompileChain({"SELECT x FROM NOPE"}, TestCatalog()).ok());
   // Stage 1 referencing a stream that is not S0 or a base stream fails.
-  EXPECT_FALSE(CascadeRuntime::Create({"SELECT len FROM PKT",
-                                       "SELECT y FROM S7"},
-                                      TestCatalog())
-                   .ok());
+  EXPECT_FALSE(
+      CompileChain({"SELECT len FROM PKT", "SELECT y FROM S7"}, TestCatalog())
+          .ok());
+}
+
+TEST(CascadeE2E, StageStreamNamesRoundTrip) {
+  for (size_t i : {0, 1, 7, 12}) {
+    EXPECT_EQ(StageOfStream(StageStreamName(i)), i);
+  }
+  for (const char* other : {"PKT", "S", "S-1", "S01", "S1x", "s1", "TCP"}) {
+    EXPECT_FALSE(StageOfStream(other).has_value()) << other;
+  }
 }
 
 TEST(PrioritySamplingE2E, ExactTopKByPriorityWithAccurateSums) {
@@ -523,13 +554,15 @@ TEST(PrioritySamplingE2E, ExactTopKByPriorityWithAccurateSums) {
   )",
                          TestCatalog());
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
 
   auto truth = trace.BytesPerWindow(20);
   std::map<uint64_t, uint64_t> rows;
   std::vector<double> est(truth.size(), 0.0);
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : output) {
     uint64_t tb = t[0].AsUInt();
     ++rows[tb];
     ASSERT_LT(tb, truth.size());
@@ -592,13 +625,15 @@ TEST(SupergroupE2E, PerSourceThresholdsAdaptIndependently) {
   )",
                          TestCatalog(), {.seed = 19});
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
 
   // Per (window, source) sample counts and estimates.
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> samples;
   std::map<std::pair<uint64_t, uint64_t>, double> est;
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : output) {
     auto key = std::make_pair(t[0].AsUInt(), t[1].AsUInt());
     ++samples[key];
     est[key] += t[3].AsDouble();
@@ -668,11 +703,14 @@ TEST(ReservoirE2E, BernoulliBackoffModeUniformCount) {
   )",
                          TestCatalog(), {.seed = 23});
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run->output.size(), 100u);
-  ASSERT_FALSE(run->windows.empty());
-  EXPECT_GT(run->windows[0].cleaning_phases, 0u);
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
+  const std::vector<WindowStats>& windows = rt.high_node(0).window_stats();
+  EXPECT_EQ(output.size(), 100u);
+  ASSERT_FALSE(windows.empty());
+  EXPECT_GT(windows[0].cleaning_phases, 0u);
 }
 
 // ---------- two-level runtime ----------
@@ -795,6 +833,89 @@ TEST(TwoLevelE2E, ThreadedRunMatchesSequentialRun) {
   EXPECT_EQ(par_report->low.tuples_in, trace.size());
 }
 
+// A pass-through low node feeding a two-stage chain beside a third node
+// that reads the low node. The chain's first stage keeps no output: its
+// chunks go to the second. RunThreaded and Run agree, with or without the
+// low node.
+TEST(ThreadedRunChainTest, FanOutBesideAChainMatchesRunWithAndWithoutLowNode) {
+  const Trace trace = TraceGenerator::MakeResearchFeed(61.0, 67);
+  const std::vector<std::string> sqls = {
+      "SELECT tb, srcIP, count(*) FROM PKT GROUP BY time/20 as tb, srcIP",
+      "SELECT tb2, count(*) FROM S0 GROUP BY tb as tb2",
+      "SELECT tb, sum(len) FROM PKT GROUP BY time/20 as tb",
+  };
+  // Each run gets fresh queries (the operators are stateful).
+  auto run = [&](bool with_low, bool threaded) {
+    auto low = CompileQuery(kPassThroughLow, TestCatalog());
+    auto chain = CompileChain(sqls, TestCatalog(), {.seed = 9});
+    EXPECT_TRUE(low.ok() && chain.ok());
+    auto rt = with_low ? std::make_unique<TwoLevelRuntime>(*low, *chain)
+                       : std::make_unique<TwoLevelRuntime>(*chain);
+    auto report = threaded ? rt->RunThreaded(trace) : rt->Run(trace);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(rt->high_node(0).DrainOutput().empty());
+    return std::vector<std::vector<Tuple>>{rt->high_node(1).DrainOutput(),
+                                           rt->high_node(2).DrainOutput()};
+  };
+  const auto reference = run(/*with_low=*/true, /*threaded=*/false);
+  const auto truth = trace.BytesPerWindow(20);
+  ASSERT_EQ(reference[0].size(), truth.size());
+  ASSERT_EQ(reference[1].size(), truth.size());
+  for (const Tuple& t : reference[1]) {
+    EXPECT_EQ(t[1].AsUInt(), truth[t[0].AsUInt()]);
+  }
+  EXPECT_EQ(run(true, true), reference);
+  EXPECT_EQ(run(false, false), reference);
+  EXPECT_EQ(run(false, true), reference);
+}
+
+// A TraceSource that counts what the runtime asks of it.
+class CountingTraceSource : public TraceSource {
+ public:
+  using TraceSource::TraceSource;
+  Status Open() override {
+    ++opens;
+    return TraceSource::Open();
+  }
+  ReadResult Read(PacketRecord* buf, size_t max, size_t* n_out) override {
+    ++reads;
+    return TraceSource::Read(buf, max, n_out);
+  }
+  int opens = 0;
+  int reads = 0;
+};
+
+// A sampling low node, and a high node reading a stage stream that no
+// earlier high node provides: every entry point refuses the shape before
+// it opens its source.
+TEST(ThreadedRunChainTest, RefusedShapesReadNothing) {
+  const Trace trace = TraceGenerator::MakeResearchFeed(11.0, 68);
+  auto sampling_low = CompileQuery(
+      "SELECT tb, count(*) FROM PKT GROUP BY time/5 as tb", TestCatalog());
+  auto chain = CompileChain(
+      {"SELECT tb, count(*) FROM PKT GROUP BY time/5 as tb",
+       "SELECT tb2, count(*) FROM S0 GROUP BY tb as tb2"},
+      TestCatalog());
+  ASSERT_TRUE(sampling_low.ok() && chain.ok());
+  std::vector<std::unique_ptr<TwoLevelRuntime>> refused;
+  refused.push_back(std::make_unique<TwoLevelRuntime>(
+      *sampling_low, std::vector<CompiledQuery>{(*chain)[0]}));
+  refused.push_back(std::make_unique<TwoLevelRuntime>(
+      std::vector<CompiledQuery>{(*chain)[1], (*chain)[0]}));
+  for (auto& rt : refused) {
+    EXPECT_EQ(rt->Run(trace).status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(rt->RunThreaded(trace).status().code(),
+              StatusCode::kInvalidArgument);
+    CountingTraceSource source(&trace);
+    EXPECT_EQ(rt->RunSource(source).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(source.opens, 0);
+    EXPECT_EQ(source.reads, 0);
+    EXPECT_EQ(rt->last_report().packets, 0u);
+    EXPECT_TRUE(rt->last_report().sources.empty());
+  }
+}
+
 // RunThreaded's ring carries slices of the trace: min(batch_size,
 // ring_capacity) records each, in ring_capacity / slice slots. Each run
 // gets fresh queries (the operators are stateful).
@@ -903,8 +1024,10 @@ TEST(DistinctSamplingE2E, QueryPathMatchesLibraryPath) {
                 static_cast<unsigned long long>(kCap));
   auto cq = CompileQuery(sql, TestCatalog());
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
 
   DistinctSampler lib(kCap, /*hash_seed=*/0);
   for (const PacketRecord& p : trace.packets()) {
@@ -914,7 +1037,7 @@ TEST(DistinctSamplingE2E, QueryPathMatchesLibraryPath) {
   for (const auto& [e, c] : lib.sample()) lib_elems.insert(e);
   std::set<uint64_t> query_elems;
   std::map<uint64_t, uint64_t> query_counts;
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : output) {
     uint64_t e = Value::UInt(static_cast<uint32_t>(t[1].AsUInt())).Hash();
     query_elems.insert(e);
     query_counts[e] = t[2].AsUInt();
@@ -955,11 +1078,13 @@ TEST(SupergroupE2E, TwoNonOrderedSupergroupVariables) {
   )",
                          TestCatalog(), {.seed = 29});
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<Tuple> output = rt.high_node(0).DrainOutput();
   // Exactly 10 samples per (srcIP, proto) supergroup, 4 supergroups.
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> per_sg;
-  for (const Tuple& t : run->output) {
+  for (const Tuple& t : output) {
     ++per_sg[{t[1].AsUInt(), t[2].AsUInt()}];
   }
   ASSERT_EQ(per_sg.size(), 4u);
@@ -973,12 +1098,15 @@ TEST(RuntimeReportTest, CpuAccountingPlausible) {
   auto cq = CompileQuery(
       "SELECT tb, sum(len) FROM PKT GROUP BY time/20 as tb", TestCatalog());
   ASSERT_TRUE(cq.ok());
-  auto run = RunQueryOverTrace(*cq, trace);
+  TwoLevelRuntime rt({*cq});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok());
-  EXPECT_GT(run->report.cpu_seconds, 0.0);
-  EXPECT_GT(run->report.cpu_percent, 0.0);
-  EXPECT_NEAR(run->report.cpu_percent,
-              100.0 * run->report.cpu_seconds / trace.DurationSec(), 1e-6);
+  const NodeReport& node = run->high[0];
+  EXPECT_GT(node.cpu_seconds, 0.0);
+  EXPECT_GT(node.cpu_percent, 0.0);
+  // %CPU is relative to the records' timestamp span.
+  EXPECT_NEAR(node.cpu_percent,
+              100.0 * node.cpu_seconds / run->stream_seconds, 1e-6);
 }
 
 }  // namespace

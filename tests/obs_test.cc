@@ -393,15 +393,16 @@ TEST(RuntimeMetricsTest, SingleQueryRunPopulatesOperatorAndRingMetrics) {
       "SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/20 as tb, srcIP",
       Catalog::Default(), {.seed = 1});
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace, "q", &reg);
+  TwoLevelRuntime rt({*cq}, {.registry = &reg});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run->report.tuples_in, trace.size());
+  EXPECT_EQ(run->high[0].tuples_in, trace.size());
 
   // The registry counters agree with the RunReport's tuple totals.
   if (!obs::kStatsEnabled) return;  // stats compiled out
-  const std::string node = "node=\"q\"";
-  // The single-query path reads the trace in batches: no ring, so the
-  // ring counters stay at zero.
+  const std::string node = "node=\"high0\"";
+  // Run reads the trace in batches: no ring, so the ring counters stay at
+  // zero.
   EXPECT_EQ(reg.GetCounter("streamop_ring_pushes_total")->value(), 0u);
   EXPECT_EQ(reg.GetCounter("streamop_ring_pops_total")->value(), 0u);
   EXPECT_EQ(reg.GetCounter("streamop_operator_tuples_total", node)->value(),
@@ -412,6 +413,31 @@ TEST(RuntimeMetricsTest, SingleQueryRunPopulatesOperatorAndRingMetrics) {
             0u);
   EXPECT_GT(reg.GetHistogram("streamop_operator_flush_ns", node)->count(), 0u);
   EXPECT_GT(reg.GetGauge("streamop_operator_peak_groups", node)->value(), 0.0);
+}
+
+TEST(RuntimeMetricsTest, BatchFillIsRecordedOncePerBatch) {
+  // Every batch a node consumes enters its fill histogram once, beside its
+  // batch counter, whatever the node.
+  MetricRegistry reg;
+  Trace trace = TraceGenerator::MakeResearchFeed(11.0, 5);
+  auto low = CompileQuery(
+      "SELECT time, ts_ns, srcIP, destIP, srcPort, destPort, proto, len "
+      "FROM PKT",
+      Catalog::Default());
+  auto high = CompileQuery("SELECT tb, sum(len) FROM PKT GROUP BY time/5 as tb",
+                           Catalog::Default());
+  ASSERT_TRUE(low.ok());
+  ASSERT_TRUE(high.ok());
+  TwoLevelRuntime rt(*low, {*high}, {.registry = &reg});
+  ASSERT_TRUE(rt.Run(trace).ok());
+  if (!obs::kStatsEnabled) return;  // stats compiled out
+  for (const char* node : {"node=\"low\"", "node=\"high0\""}) {
+    const uint64_t batches =
+        reg.GetCounter("streamop_node_batches_total", node)->value();
+    EXPECT_GT(batches, 0u) << node;
+    EXPECT_EQ(reg.GetHistogram("streamop_batch_fill", node)->count(), batches)
+        << node;
+  }
 }
 
 TEST(RuntimeMetricsTest, ThreadedRunOnTinyRingCountsRetries) {
@@ -524,11 +550,12 @@ TEST(RuntimeMetricsTest, SamplingQueryCountsSfunCallsAndZAdjustments) {
   )",
                          Catalog::Default(), {.seed = 4});
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  auto run = RunQueryOverTrace(*cq, trace, "ss", &reg);
+  TwoLevelRuntime rt({*cq}, {.registry = &reg});
+  auto run = rt.Run(trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
 
   if (!obs::kStatsEnabled) return;  // stats compiled out
-  const std::string node = "node=\"ss\"";
+  const std::string node = "node=\"high0\"";
   EXPECT_GT(reg.GetCounter("streamop_operator_sfun_calls_total", node)->value(),
             0u);
   EXPECT_GT(
