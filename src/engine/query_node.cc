@@ -17,12 +17,12 @@ QueryNode::QueryNode(std::string name, const CompiledQuery& query,
   }
 }
 
-Status QueryNode::Push(const Tuple& t, double weight) {
+Status QueryNode::Push(const Tuple& t) {
   ++tuples_in_;
   if (metrics_.enabled()) metrics_.tuples_in->Add();
   if (sampling_ != nullptr) {
     const size_t before = sampling_->output_size();
-    Status s = sampling_->Process(t, weight);
+    Status s = sampling_->Process(t);
     CountOutput(sampling_->output_size() - before);
     return s;
   }

@@ -29,16 +29,14 @@ class QueryNode {
   const std::string& name() const { return name_; }
 
   /// Feeds one tuple; any resulting output rows accumulate internally.
-  Status Push(const Tuple& t) { return Push(t, 1.0); }
-
-  /// Weighted variant: under load shedding the runtime passes the
-  /// Horvitz–Thompson weight 1/p of the admitted tuple so sampling-node
-  /// aggregates stay unbiased. Selection nodes ignore the weight.
-  Status Push(const Tuple& t, double weight);
+  Status Push(const Tuple& t);
 
   /// Batched hot path (DESIGN.md §9): feeds every selected lane, in row
-  /// order, equivalent to Push() per lane. Sampling nodes accumulate
-  /// output rows internally as usual. For selection nodes: with `out` the
+  /// order, equivalent to Push() per lane. Under load shedding the runtime
+  /// passes the Horvitz–Thompson weight 1/p of the admitted records so
+  /// sampling-node aggregates stay unbiased; selection nodes ignore it.
+  /// Sampling nodes accumulate output rows internally as usual. For
+  /// selection nodes: with `out` the
   /// admitted, projected lanes land columnar in *out (the caller chains
   /// them into the next node's PushBatch; DrainOutput() stays empty);
   /// without it they are materialized into the internal row output.
