@@ -36,10 +36,10 @@ class QueryNode {
   /// passes the Horvitz–Thompson weight 1/p of the admitted records so
   /// sampling-node aggregates stay unbiased; selection nodes ignore it.
   /// Sampling nodes accumulate output rows internally as usual. For
-  /// selection nodes: with `out` the
-  /// admitted, projected lanes land columnar in *out (the caller chains
-  /// them into the next node's PushBatch; DrainOutput() stays empty);
-  /// without it they are materialized into the internal row output.
+  /// selection nodes: with `out` the admitted, projected lanes land
+  /// columnar in *out (the caller chains them into the next node's
+  /// PushBatch; DrainOutput() stays empty); without it they are
+  /// materialized into the internal row output.
   /// `span_ctx` (optional) is the causal span context the runtime threads
   /// from its drain loop to the sampling operator: the caller's shed
   /// probability and row count go down, the id of the window span the batch

@@ -1492,6 +1492,9 @@ TEST_F(RuntimeResumeTest, ChainResumesItsFinalStageAtOneOffset) {
     ASSERT_TRUE(ref.Run(trace).ok());
     reference = RowsAsStrings(ref.high_node(1).DrainOutput());
   }
+  // Every flush before the crash was snapshotted, so the rows emitted
+  // before it and the resumed rows make up the uninterrupted output.
+  std::vector<std::string> before_crash;
   {
     TwoLevelRuntime crashed(*chain, Checkpointed());
     ASSERT_NE(crashed.checkpoint_manager(1), nullptr);
@@ -1500,6 +1503,7 @@ TEST_F(RuntimeResumeTest, ChainResumesItsFinalStageAtOneOffset) {
     EXPECT_GT(crashed.checkpoint_manager(0)->writes(), 0u);
     EXPECT_EQ(crashed.checkpoint_manager(1)->writes(),
               crashed.checkpoint_manager(0)->writes());
+    before_crash = RowsAsStrings(crashed.high_node(1).DrainOutput());
   }
 
   TwoLevelRuntime rt(*chain, Checkpointed());
@@ -1512,6 +1516,8 @@ TEST_F(RuntimeResumeTest, ChainResumesItsFinalStageAtOneOffset) {
       RowsAsStrings(rt.high_node(1).DrainOutput());
   EXPECT_LT(resumed.size(), reference.size());
   ExpectSuffix(resumed, reference);
+  before_crash.insert(before_crash.end(), resumed.begin(), resumed.end());
+  EXPECT_EQ(before_crash, reference);
 }
 
 TEST_F(RuntimeResumeTest, FailedOpenLeavesTheResumeToTheNextRun) {
